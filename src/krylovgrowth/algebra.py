@@ -112,7 +112,7 @@ def build_generators(cfg: TruncationConfig) -> GeneratorSet:
     if cfg.dim < 8:
         raise ValueError(f"dim must be >= 8 for the generator set, got {cfg.dim}")
     a_op, ad_op = build_ladders(cfg)
-    a, ad = a_op.entries, ad_op.entries
+    a, ad = a_op.to_dense(), ad_op.to_dense()
     sq2 = math.sqrt(2.0)
     mk = OperatorMatrix.from_entries
     gens = {
@@ -136,21 +136,31 @@ def commutator(X: OperatorMatrix, Y: OperatorMatrix) -> OperatorMatrix:
     """[X, Y] = XY - YX."""
     if X.dim != Y.dim:
         raise DimensionMismatch(f"dims {X.dim} and {Y.dim} differ")
-    return OperatorMatrix.from_entries(X.entries @ Y.entries - Y.entries @ X.entries)
+    x, y = X.to_dense(), Y.to_dense()
+    return OperatorMatrix.from_entries(x @ y - y @ x)
 
 
 def build_liouvillian(spec: LiouvillianSpec, cfg: TruncationConfig) -> OperatorMatrix:
     """Evolution generator alpha*(a^dag + a) + (beta/2)*((a^dag)^2 + a^2).
 
-    Hermitian for real parameters; pentadiagonal (bandwidth 2) when beta
-    is nonzero, tridiagonal (bandwidth 1) when only alpha is.
+    Real symmetric; pentadiagonal (bandwidth 2) when beta is nonzero,
+    tridiagonal (bandwidth 1) when only alpha is. The diagonals are written
+    directly, in O(dim) and in float64:
+    <k-1|L|k> = alpha sqrt(k) and <k-2|L|k> = (beta/2) sqrt(k-1) sqrt(k).
     """
     if cfg.dim < 4:
         raise ValueError(f"dim must be >= 4 for the Liouvillian, got {cfg.dim}")
-    a_op, ad_op = build_ladders(cfg)
-    a, ad = a_op.entries, ad_op.entries
-    ent = spec.alpha * (ad + a) + 0.5 * spec.beta * (ad @ ad + a @ a)
-    return OperatorMatrix.from_entries(ent)
+    root = np.sqrt(np.arange(cfg.dim, dtype=float))
+    # sqrt(k-1) * sqrt(k) rather than sqrt(k(k-1)): the same rounding as the
+    # ladder product a @ a, so L is bitwise the dense ladder polynomial
+    linear = spec.alpha * root[1:]
+    pair = 0.5 * spec.beta * (root[1:-1] * root[2:])
+    bands = np.zeros((5, cfg.dim))
+    bands[0, 2:] = pair
+    bands[1, 1:] = linear
+    bands[3, :-1] = linear
+    bands[4, :-2] = pair
+    return OperatorMatrix(cfg.dim, bands)
 
 
 def hamiltonian_to_matrix(h: QuadraticHamiltonian, cfg: TruncationConfig) -> OperatorMatrix:
@@ -158,7 +168,7 @@ def hamiltonian_to_matrix(h: QuadraticHamiltonian, cfg: TruncationConfig) -> Ope
     if cfg.dim < 4:
         raise ValueError(f"dim must be >= 4, got {cfg.dim}")
     a_op, ad_op = build_ladders(cfg)
-    a, ad = a_op.entries, ad_op.entries
+    a, ad = a_op.to_dense(), ad_op.to_dense()
     eye = np.eye(cfg.dim, dtype=complex)
     ent = (
         h.eta * (ad @ a + 0.5 * eye)

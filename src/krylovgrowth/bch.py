@@ -149,16 +149,14 @@ def decompose_exponential(spec: LiouvillianSpec, t: float) -> DisplacementParams
 
 def displacement_operator(v: complex, cfg: TruncationConfig) -> OperatorMatrix:
     """Truncated exp(v a - conj(v) a^dag)."""
-    a, ad = build_ladders(cfg)
-    return OperatorMatrix.from_entries(expm(v * a.entries - v.conjugate() * ad.entries))
+    a, ad = (op.to_dense() for op in build_ladders(cfg))
+    return OperatorMatrix.from_entries(expm(v * a - v.conjugate() * ad))
 
 
 def squeeze_operator(w: complex, cfg: TruncationConfig) -> OperatorMatrix:
     """Truncated exp((w/2) a^2 - (conj(w)/2) (a^dag)^2)."""
-    a, ad = build_ladders(cfg)
-    gen = 0.5 * w * (a.entries @ a.entries) - 0.5 * w.conjugate() * (
-        ad.entries @ ad.entries
-    )
+    a, ad = (op.to_dense() for op in build_ladders(cfg))
+    gen = 0.5 * w * (a @ a) - 0.5 * w.conjugate() * (ad @ ad)
     return OperatorMatrix.from_entries(expm(gen))
 
 
@@ -169,11 +167,9 @@ def apply_displacement_squeeze(p: DisplacementParams, cfg: TruncationConfig) -> 
     so they are applied with the exact expm-times-vector algorithm instead
     of materializing the dense operator exponentials.
     """
-    a, ad = build_ladders(cfg)
-    gen_s = 0.5 * p.w * (a.entries @ a.entries) - 0.5 * p.w.conjugate() * (
-        ad.entries @ ad.entries
-    )
-    gen_d = p.v * a.entries - p.v.conjugate() * ad.entries
+    a, ad = (op.to_dense() for op in build_ladders(cfg))
+    gen_s = 0.5 * p.w * (a @ a) - 0.5 * p.w.conjugate() * (ad @ ad)
+    gen_d = p.v * a - p.v.conjugate() * ad
     psi = np.zeros(cfg.dim, dtype=complex)
     psi[0] = 1.0
     psi = expm_multiply(csr_matrix(gen_s), psi)
@@ -209,15 +205,15 @@ def bogoliubov(p: DisplacementParams, cfg: TruncationConfig) -> OperatorMatrix:
             f"|w|={abs(p.w):.3f} leaves no usable block at dim={cfg.dim}",
             dim=cfg.dim,
         )
-    a, ad = build_ladders(cfg)
+    a, ad = (op.to_dense() for op in build_ladders(cfg))
     aw = abs(p.w)
     if aw == 0:
-        ent = a.entries + p.v.conjugate() * np.eye(cfg.dim)
+        ent = a + p.v.conjugate() * np.eye(cfg.dim)
     else:
         mubar = p.w.conjugate() / aw
         ch, sh = math.cosh(aw), math.sinh(aw)
         shift = p.v.conjugate() * ch + p.v * mubar * sh
-        ent = ch * a.entries + mubar * sh * ad.entries + shift * np.eye(cfg.dim)
+        ent = ch * a + mubar * sh * ad + shift * np.eye(cfg.dim)
     return OperatorMatrix.from_entries(ent)
 
 
@@ -226,9 +222,9 @@ def conjugated_annihilation(p: DisplacementParams, cfg: TruncationConfig) -> np.
 
     The contract check for :func:`bogoliubov`: the two agree to 1e-7 on the
     wall-free block [0, bogoliubov_safe_block)."""
-    a, _ = build_ladders(cfg)
+    a = build_ladders(cfg)[0].to_dense()
     S = (
-        displacement_operator(p.v, cfg).entries
-        @ squeeze_operator(p.w, cfg).entries
+        displacement_operator(p.v, cfg).to_dense()
+        @ squeeze_operator(p.w, cfg).to_dense()
     )
-    return S @ a.entries @ S.conj().T
+    return S @ a @ S.conj().T

@@ -3,7 +3,11 @@
 This module is the brute-force side of every cross-check in the library:
 ladder-operator matrices, exact unitary evolution by Hermitian
 eigendecomposition, and inner products, all on a finite number basis
-``|0>, ..., |dim-1>``.
+``|0>, ..., |dim-1>``. Operators are stored by their diagonals
+(:class:`OperatorMatrix`): the ladder polynomials of the library are
+banded, so building and applying them costs O(dim), and a dense
+dim x dim array is formed only where an eigendecomposition or a matrix
+product needs one.
 
 Truncating the Fock space breaks operator identities near the top of the
 basis (e.g. ``[a, a^dag] = 1`` fails in the last row/column), so a guard
@@ -122,58 +126,112 @@ class FockVector:
 
 def matrix_bandwidth(entries: np.ndarray, tol: float = 0.0) -> int:
     """Smallest b such that entries[i, j] = 0 (within tol) whenever |i-j| > b."""
-    n = entries.shape[0]
-    for b in range(n - 1, 0, -1):
-        if np.max(np.abs(np.diagonal(entries, b))) > tol:
-            return b
-        if np.max(np.abs(np.diagonal(entries, -b))) > tol:
-            return b
-    return 0
+    rows, cols = np.nonzero(np.abs(entries) > tol)
+    return int(np.max(np.abs(rows - cols))) if rows.size else 0
 
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Dense operator on the truncated Fock space, with bandwidth bookkeeping."""
+    """Banded operator on the truncated Fock space.
+
+    ``bands`` holds the 2b+1 diagonals of A in the LAPACK general-band
+    layout (that of ``scipy.linalg.solve_banded``):
+    ``bands[b + i - j, j] = A[i, j]`` for |i - j| <= b. Row 0 is the
+    outermost superdiagonal, row b the main diagonal and row 2b the
+    outermost subdiagonal. Construction zeroes the slots that fall outside
+    the matrix, trims all-zero outer diagonals, so that ``bandwidth`` is
+    the smallest b with A[i, j] = 0 for |i - j| > b, and stores entries
+    without an imaginary part as float64. Products and applications cost
+    O(dim * bandwidth); a dense array comes only from :meth:`to_dense`.
+    """
 
     dim: int
-    entries: np.ndarray = field(repr=False)
-    bandwidth: int
+    bands: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=complex)
-        if ent.shape != (self.dim, self.dim):
+        bands = np.array(self.bands, dtype=complex if np.iscomplexobj(self.bands) else float)
+        if bands.ndim != 2 or bands.shape[0] % 2 == 0 or bands.shape[1] != self.dim:
             raise DimensionMismatch(
-                f"entries shape {ent.shape} does not match dim {self.dim}"
+                f"bands shape {bands.shape} is not (2b+1, {self.dim})"
             )
-        actual = matrix_bandwidth(ent)
-        if actual != self.bandwidth:
-            raise ValueError(
-                f"declared bandwidth {self.bandwidth} does not match actual {actual}"
-            )
-        object.__setattr__(self, "entries", _freeze(ent))
+        b = bands.shape[0] // 2
+        for k in range(1, b + 1):
+            bands[b - k, :k] = 0
+            bands[b + k, self.dim - k:] = 0
+        while b > 0 and not (bands[0].any() or bands[-1].any()):
+            bands = bands[1:-1]
+            b -= 1
+        if np.iscomplexobj(bands) and not bands.imag.any():
+            bands = bands.real.copy()
+        object.__setattr__(self, "bands", _freeze(bands))
+
+    @property
+    def bandwidth(self) -> int:
+        return self.bands.shape[0] // 2
+
+    def _diagonals(self):
+        """(offset d, first row, end row) of each stored diagonal A[i, i+d]."""
+        b, n = self.bandwidth, self.dim
+        return ((d, max(0, -d), n - max(0, d)) for d in range(-b, b + 1))
 
     @classmethod
     def from_entries(cls, entries: np.ndarray) -> "OperatorMatrix":
-        ent = np.asarray(entries, dtype=complex)
-        return cls(ent.shape[0], ent, matrix_bandwidth(ent))
+        ent = np.asarray(entries)
+        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
+            raise DimensionMismatch(f"entries shape {ent.shape} is not square")
+        n = ent.shape[0]
+        b = matrix_bandwidth(ent)
+        bands = np.zeros((2 * b + 1, n), dtype=np.result_type(ent, float))
+        for d in range(-b, b + 1):
+            bands[b - d, max(0, d): n + min(0, d)] = np.diagonal(ent, d)
+        return cls(n, bands)
+
+    def to_dense(self) -> np.ndarray:
+        """The full dim x dim matrix (for products and eigendecomposition)."""
+        b = self.bandwidth
+        out = np.zeros((self.dim, self.dim), dtype=self.bands.dtype)
+        for d, lo, hi in self._diagonals():
+            rows = np.arange(lo, hi)
+            out[rows, rows + d] = self.bands[b - d, lo + d: hi + d]
+        return out
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x from the stored diagonals, in O(dim * bandwidth)."""
+        x = np.asarray(x)
+        if x.shape != (self.dim,):
+            raise DimensionMismatch(f"vector shape {x.shape} does not match dim {self.dim}")
+        b = self.bandwidth
+        y = np.zeros(self.dim, dtype=np.result_type(self.bands, x))
+        for d, lo, hi in self._diagonals():
+            y[lo:hi] += self.bands[b - d, lo + d: hi + d] * x[lo + d: hi + d]
+        return y
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         """Hermiticity check, excluding the final truncation row/column."""
-        block = self.entries[:-1, :-1] if self.dim > 1 else self.entries
-        return bool(np.max(np.abs(block - block.conj().T)) <= tol)
+        b = self.bandwidth
+        n = self.dim - 1 if self.dim > 1 else 1
+        # A[i, i+d] against conj(A[i+d, i]) for i + d < n
+        return all(
+            np.all(np.abs(self.bands[b - d, d:n] - self.bands[b + d, : n - d].conj()) <= tol)
+            for d in range(b + 1)
+        )
 
     def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         if self.dim != other.dim:
             raise DimensionMismatch(f"dims {self.dim} and {other.dim} differ")
-        return OperatorMatrix.from_entries(self.entries @ other.entries)
+        return OperatorMatrix.from_entries(self.to_dense() @ other.to_dense())
 
 
 def build_ladders(cfg: TruncationConfig) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Annihilation and creation matrices: a|k> = sqrt(k)|k-1>, a_dag = a^H."""
     if cfg.dim < 2:
         raise ValueError(f"dim must be >= 2 to hold ladder operators, got {cfg.dim}")
-    a = np.diag(np.sqrt(np.arange(1, cfg.dim, dtype=float)), 1).astype(complex)
-    return OperatorMatrix.from_entries(a), OperatorMatrix.from_entries(a.conj().T)
+    root = np.sqrt(np.arange(cfg.dim, dtype=float))
+    zero = np.zeros(cfg.dim)
+    # <k-1|a|k> = sqrt(k) sits on the superdiagonal, at column k
+    a = OperatorMatrix(cfg.dim, np.stack([root, zero, zero]))
+    ad = OperatorMatrix(cfg.dim, np.stack([zero, zero, np.append(root[1:], 0.0)]))
+    return a, ad
 
 
 def inner(u: FockVector, v: FockVector) -> complex:
@@ -203,7 +261,8 @@ def evolve_state(
         raise DimensionMismatch(f"operator dim {L.dim} != state dim {v0.dim}")
     if not L.is_hermitian():
         raise NonHermitianInput("evolution generator is not Hermitian")
-    eigvals, eigvecs = np.linalg.eigh(L.entries)
+    # real symmetric L (stored as float64) is diagonalised in real arithmetic
+    eigvals, eigvecs = np.linalg.eigh(L.to_dense())
     psi = eigvecs @ (np.exp(1j * t * eigvals) * (eigvecs.conj().T @ v0.amplitudes))
     out = FockVector(v0.dim, psi)
     drift = abs(out.norm_sq - v0.norm_sq)

@@ -2,7 +2,11 @@
 
 Lanczos with full reorthogonalization turns a Hermitian generator L and a
 seed state into an orthonormal Krylov basis in which L is tridiagonal,
-with hopping coefficients b_n and diagonal coefficients a_n. For
+with hopping coefficients b_n and diagonal coefficients a_n. L enters
+only through its banded matrix-vector product
+(:meth:`~krylovgrowth.fock.OperatorMatrix.matvec`), O(dim) per step for
+the pentadiagonal generator, so no dense dim x dim matrix is formed; a
+real L with a real seed runs in float64. For
 generators with odd-moment symmetry (pure linear or pure two-photon) the
 diagonal vanishes identically; for the mixed generator it does not
 (<0|L^3|0> = 2 alpha^2 beta), so the chain carries both sets of
@@ -80,7 +84,9 @@ def lanczos_tridiagonalize(
 ) -> KrylovChain:
     """Orthonormalize the Krylov sequence seed, L seed, L^2 seed, ...
 
-    Retains at most ``m`` chain sites. With ``reorth`` the candidate vector
+    Retains at most ``m`` chain sites. L is applied by its banded matvec;
+    the Krylov vectors are float64 when L and the seed have no imaginary
+    part, complex otherwise. With ``reorth`` the candidate vector
     is re-projected against every retained vector twice per step (classical
     Gram-Schmidt squared), which holds pairwise orthogonality at the 1e-10
     level that finite precision otherwise destroys.
@@ -100,15 +106,17 @@ def lanczos_tridiagonalize(
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"seed must be normalized, got |seed|={nrm}")
 
-    ent = L.entries
-    Q = np.zeros((m, L.dim), dtype=complex)
-    Q[0] = seed.amplitudes / nrm
+    q0 = seed.amplitudes / nrm
+    if not q0.imag.any():
+        q0 = q0.real
+    Q = np.zeros((m, L.dim), dtype=np.result_type(L.bands, q0))
+    Q[0] = q0
     adiag = np.zeros(m)
     hops: list[float] = []
     residual = 0.0
     sites = m
     for j in range(1, m + 1):
-        work = ent @ Q[j - 1]
+        work = L.matvec(Q[j - 1])
         adiag[j - 1] = float((Q[j - 1].conj() @ work).real)
         work = work - adiag[j - 1] * Q[j - 1]
         if j >= 2:
@@ -157,9 +165,11 @@ def propagate_chain(
     """Evolve phi_n(0) = delta_{n0} over the time grid.
 
     Uses one eigendecomposition of the chain matrix (exact exponential, no
-    integrator tolerance). Raises :class:`EdgeLeak` at the first grid time
-    where the last retained site holds more than ``leak_tolerance``
-    probability, and checks norm conservation to 1e-8 at every point.
+    integrator tolerance); t = 0 returns the initial condition exactly,
+    without the round-off of the eigenbasis. Raises :class:`EdgeLeak` at
+    the first grid time where the last retained site holds more than
+    ``leak_tolerance`` probability, and checks norm conservation to 1e-8
+    at every point.
     """
     if chain.m < 2:
         raise ValueError("chain must have at least 2 sites")
@@ -170,7 +180,11 @@ def propagate_chain(
     start = evecs.conj().T[:, 0]  # overlap of each eigenvector with site 0
     out = []
     for t in ts:
-        phi = evecs @ (np.exp(1j * t * evals) * start)
+        if t == 0:
+            phi = np.zeros(chain.m, dtype=complex)
+            phi[0] = 1.0
+        else:
+            phi = evecs @ (np.exp(1j * t * evals) * start)
         if abs(phi[-1]) ** 2 > leak_tolerance:
             raise EdgeLeak(t, m=chain.m, edge_mass=float(abs(phi[-1]) ** 2))
         if abs(float(np.sum(np.abs(phi) ** 2)) - 1.0) > 1e-8:

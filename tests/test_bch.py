@@ -54,8 +54,8 @@ class TestRep4:
 
         for _ in range(4):
             hx, hy = random_quadratic(rng), random_quadratic(rng)
-            X = hamiltonian_to_matrix(hx, cfg).entries
-            Y = hamiltonian_to_matrix(hy, cfg).entries
+            X = hamiltonian_to_matrix(hx, cfg).to_dense()
+            Y = hamiltonian_to_matrix(hy, cfg).to_dense()
             comm_op = X @ Y - Y @ X
             Rx, Ry = to_rep4(hx).entries, to_rep4(hy).entries
             comm_rep = Rx @ Ry - Ry @ Rx
@@ -150,8 +150,8 @@ class TestStateLevelIdentity:
 
     def test_operators_are_unitary(self):
         cfg = TruncationConfig(dim=64)
-        D = displacement_operator(0.7 - 0.2j, cfg).entries
-        S = squeeze_operator(0.4j, cfg).entries
+        D = displacement_operator(0.7 - 0.2j, cfg).to_dense()
+        S = squeeze_operator(0.4j, cfg).to_dense()
         for U in (D, S):
             assert np.max(np.abs(U @ U.conj().T - np.eye(64))) <= 1e-12
 
@@ -161,27 +161,27 @@ class TestBogoliubov:
         cfg = TruncationConfig(dim=16)
         a, _ = build_ladders(cfg)
         out = bogoliubov(DisplacementParams(v=0.0, w=0.0), cfg)
-        assert np.array_equal(out.entries, a.entries)
+        assert np.array_equal(out.to_dense(), a.to_dense())
 
     def test_pure_displacement_shift(self):
         cfg = TruncationConfig(dim=16)
         a, _ = build_ladders(cfg)
         out = bogoliubov(DisplacementParams(v=1.0, w=0.0), cfg)
-        assert np.max(np.abs(out.entries - (a.entries + np.eye(16)))) <= 1e-15
+        assert np.max(np.abs(out.to_dense() - (a.to_dense() + np.eye(16)))) <= 1e-15
 
     def test_pure_squeeze_mixing(self):
         cfg = TruncationConfig(dim=256)
         p = DisplacementParams(v=0.0, w=0.5j)
         out = bogoliubov(p, cfg)
         a, ad = build_ladders(cfg)
-        expected = math.cosh(0.5) * a.entries - 1j * math.sinh(0.5) * ad.entries
-        assert np.max(np.abs(out.entries - expected)) <= 1e-14
+        expected = math.cosh(0.5) * a.to_dense() - 1j * math.sinh(0.5) * ad.to_dense()
+        assert np.max(np.abs(out.to_dense() - expected)) <= 1e-14
 
     @pytest.mark.parametrize("v, w", [(0.0, 0.5j), (0.5 + 0.5j, 0.25j), (1.0, 0.1 + 0.2j)])
     def test_matches_explicit_conjugation_on_safe_block(self, v, w):
         cfg = TruncationConfig(dim=256)
         p = DisplacementParams(v=v, w=w)
-        closed = bogoliubov(p, cfg).entries
+        closed = bogoliubov(p, cfg).to_dense()
         explicit = conjugated_annihilation(p, cfg)
         n = bogoliubov_safe_block(cfg.dim, p.w)
         assert n >= 8

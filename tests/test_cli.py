@@ -204,6 +204,12 @@ class TestMain:
         err = capsys.readouterr().err
         assert "dim=16" in err
 
+    def test_lanczos_prints_zero_at_t0(self, capsys):
+        code = main(["--mode", "lanczos", "--dim", "64", "--tmax", "0.5", "--steps", "3"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == ["t,K_chain", "0,0"]
+
     def test_figure_flag(self, tmp_path):
         assert main(["--figure", "fig2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig2.csv").exists()

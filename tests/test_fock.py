@@ -40,12 +40,12 @@ class TestTruncationConfig:
 class TestLadders:
     def test_dim2_annihilation(self):
         a, _ = build_ladders(TruncationConfig(dim=2))
-        assert np.array_equal(a.entries, np.array([[0, 1], [0, 0]], dtype=complex))
+        assert np.array_equal(a.to_dense(), np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_entry_is_sqrt_n(self):
         a, ad = build_ladders(TruncationConfig(dim=4))
-        assert a.entries[2, 3] == pytest.approx(math.sqrt(3), abs=1e-15)
-        assert np.array_equal(ad.entries, a.entries.conj().T)
+        assert a.to_dense()[2, 3] == pytest.approx(math.sqrt(3), abs=1e-15)
+        assert np.array_equal(ad.to_dense(), a.to_dense().conj().T)
 
     def test_rejects_dim_below_2(self):
         with pytest.raises(ValueError):
@@ -54,7 +54,7 @@ class TestLadders:
     def test_commutator_is_identity_off_guard(self):
         dim = 64
         a, ad = build_ladders(TruncationConfig(dim=dim))
-        comm = a.entries @ ad.entries - ad.entries @ a.entries
+        comm = a.to_dense() @ ad.to_dense() - ad.to_dense() @ a.to_dense()
         dev = np.abs(comm - np.eye(dim))
         assert dev[:63, :63].max() <= 1e-12
         # the defect is confined to the last row/column
@@ -65,13 +65,24 @@ class TestLadders:
         a, ad = build_ladders(cfg)
         assert a.bandwidth == 1
         assert (a @ a).bandwidth == 2
-        assert OperatorMatrix.from_entries(a.entries + ad.entries).bandwidth == 1
-        sq = a.entries @ a.entries + ad.entries @ ad.entries
+        assert OperatorMatrix.from_entries(a.to_dense() + ad.to_dense()).bandwidth == 1
+        sq = a.to_dense() @ a.to_dense() + ad.to_dense() @ ad.to_dense()
         assert OperatorMatrix.from_entries(sq).bandwidth == 2
 
-    def test_declared_bandwidth_must_match(self):
-        with pytest.raises(ValueError):
-            OperatorMatrix(2, np.eye(2), bandwidth=1)
+    def test_storage_sets_bandwidth(self):
+        # bands must be (2b+1, dim); zero outer diagonals and slots outside
+        # the matrix do not count towards the bandwidth
+        with pytest.raises(DimensionMismatch):
+            OperatorMatrix(3, np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            OperatorMatrix(3, np.ones((3, 4)))
+        bands = np.zeros((5, 4), dtype=complex)
+        bands[0, :2] = 7.0  # outside the matrix
+        bands[2] = 1.0
+        op = OperatorMatrix(4, bands)
+        assert op.bandwidth == 0
+        assert op.bands.dtype == np.float64
+        assert np.array_equal(op.to_dense(), np.eye(4))
 
 
 class TestInner:
@@ -93,7 +104,7 @@ class TestInner:
 
 def hw_generator(alpha, dim):
     a, ad = build_ladders(TruncationConfig(dim=dim))
-    return OperatorMatrix.from_entries(alpha * (a.entries + ad.entries))
+    return OperatorMatrix.from_entries(alpha * (a.to_dense() + ad.to_dense()))
 
 
 class TestEvolveState:
@@ -117,8 +128,8 @@ class TestEvolveState:
         cfg = TruncationConfig(dim=128)
         a, ad = build_ladders(cfg)
         L = OperatorMatrix.from_entries(
-            0.7 * (a.entries + ad.entries)
-            + 0.3 * (a.entries @ a.entries + ad.entries @ ad.entries)
+            0.7 * (a.to_dense() + ad.to_dense())
+            + 0.3 * (a.to_dense() @ a.to_dense() + ad.to_dense() @ ad.to_dense())
         )
         for t in (0.3, 0.9, 1.7):
             psi = evolve_state(L, t, vacuum(128), cfg)
@@ -137,7 +148,7 @@ class TestEvolveState:
         cfg = TruncationConfig(dim=32)
         a, ad = build_ladders(cfg)
         L = OperatorMatrix.from_entries(
-            0.5 * (a.entries @ a.entries + ad.entries @ ad.entries)
+            0.5 * (a.to_dense() @ a.to_dense() + ad.to_dense() @ ad.to_dense())
         )
         with pytest.raises(TruncationOverflow) as err:
             evolve_state(L, 2.0, vacuum(32), cfg)
