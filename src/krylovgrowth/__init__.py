@@ -16,7 +16,6 @@ sweep/verification CLI (:mod:`cli`).
 """
 
 from .algebra import (
-    GeneratorSet,
     LiouvillianSpec,
     QuadraticHamiltonian,
     build_generators,
@@ -25,38 +24,30 @@ from .algebra import (
     hamiltonian_to_matrix,
 )
 from .bch import (
-    Rep4Matrix,
     apply_displacement_squeeze,
-    bogoliubov,
     decompose_exponential,
-    displacement_operator,
-    squeeze_operator,
     to_rep4,
 )
 from .coherent import (
     AmplitudeSeries,
     DisplacementParams,
-    MomentReport,
     SL2RWeight,
+    amplitude_deviation,
     autocorrelator_alt_closed_form,
     autocorrelator_t,
     closed_form_params,
     complexity_closed,
     hermite_closed_form,
-    hw_profile,
-    interaction_term,
     late_time_growth_exponent,
     mehler_normalization_check,
     moment_identity_value,
     moment_n,
-    moment_report,
     phi_series,
     phi_zero,
     schrodinger_complexity_t,
     scrambling_time,
     sl2r_profile,
     variance_alt_closed_form,
-    variance_closed,
 )
 from .errors import (
     Breakdown,
@@ -75,7 +66,6 @@ from .fock import (
     build_ladders,
     evolve_state,
     guard_band_mass,
-    inner,
     matrix_bandwidth,
 )
 from .lanczos import (

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator
+from typing import Dict
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .fock import OperatorMatrix, TruncationConfig, build_ladders
 __all__ = [
     "LiouvillianSpec",
     "QuadraticHamiltonian",
-    "GeneratorSet",
     "GENERATOR_LABELS",
     "build_generators",
     "commutator",
@@ -81,25 +80,9 @@ GENERATOR_LABELS = (
 )
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """Named map of symmetry generators at a common truncation size."""
-
-    dim: int
-    generators: Dict[str, OperatorMatrix]
-
-    def __getitem__(self, label: str) -> OperatorMatrix:
-        return self.generators[label]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.generators)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.generators)
-
-
-def build_generators(cfg: TruncationConfig) -> GeneratorSet:
-    """Construct every generator from the ladder matrices.
+def build_generators(cfg: TruncationConfig) -> Dict[str, OperatorMatrix]:
+    """Construct every generator from the ladder matrices, keyed by the
+    labels of :data:`GENERATOR_LABELS`.
 
     P = (a^dag - a)/sqrt(2)        translation
     G = (a^dag + a)/sqrt(2)        boost
@@ -115,7 +98,7 @@ def build_generators(cfg: TruncationConfig) -> GeneratorSet:
     a, ad = a_op.to_dense(), ad_op.to_dense()
     sq2 = math.sqrt(2.0)
     mk = OperatorMatrix.from_entries
-    gens = {
+    return {
         "a": a_op,
         "a_dagger": ad_op,
         "P": mk((ad - a) / sq2),
@@ -129,7 +112,6 @@ def build_generators(cfg: TruncationConfig) -> GeneratorSet:
         "L_minus1": mk(0.5 * ad @ ad),
         "number": mk(ad @ a),
     }
-    return GeneratorSet(cfg.dim, gens)
 
 
 def commutator(X: OperatorMatrix, Y: OperatorMatrix) -> OperatorMatrix:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -34,44 +33,21 @@ from scipy.sparse.linalg import expm_multiply
 
 from .algebra import LiouvillianSpec, QuadraticHamiltonian
 from .coherent import DisplacementParams, closed_form_params
-from .errors import DecompositionFailure, TruncationOverflow
-from .fock import FockVector, OperatorMatrix, TruncationConfig, build_ladders
+from .errors import DecompositionFailure
+from .fock import FockVector, TruncationConfig, build_ladders
 
 __all__ = [
-    "Rep4Matrix",
     "to_rep4",
-    "closed_form_params",
     "decompose_exponential",
-    "displacement_operator",
-    "squeeze_operator",
     "apply_displacement_squeeze",
-    "bogoliubov",
-    "bogoliubov_safe_block",
-    "conjugated_annihilation",
 ]
 
 REP4_NORM_CAP = 50.0
 
 
-@dataclass(frozen=True, eq=False)
-class Rep4Matrix:
-    """4x4 image of a quadratic ladder polynomial."""
-
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        ent = np.asarray(self.entries, dtype=complex)
-        if ent.shape != (4, 4):
-            raise ValueError(f"expected 4x4 entries, got {ent.shape}")
-        if np.any(ent[0, :] != 0) or np.any(ent[:, 3] != 0):
-            raise ValueError("first row and last column must vanish in this representation")
-        ent.setflags(write=False)
-        object.__setattr__(self, "entries", ent)
-
-
-def to_rep4(h: QuadraticHamiltonian) -> Rep4Matrix:
-    """Image of a :class:`QuadraticHamiltonian` under the 4x4 representation."""
-    ent = np.array(
+def to_rep4(h: QuadraticHamiltonian) -> np.ndarray:
+    """4x4 image of a :class:`QuadraticHamiltonian` under the representation."""
+    return np.array(
         [
             [0, 0, 0, 0],
             [h.r_coef, h.eta, 2.0 * h.R_coef, 0],
@@ -80,7 +56,6 @@ def to_rep4(h: QuadraticHamiltonian) -> Rep4Matrix:
         ],
         dtype=complex,
     )
-    return Rep4Matrix(ent)
 
 
 def _liouvillian_quadratic(spec: LiouvillianSpec) -> QuadraticHamiltonian:
@@ -119,7 +94,7 @@ def decompose_exponential(spec: LiouvillianSpec, t: float) -> DisplacementParams
     """
     if spec.beta == 0 or t == 0:
         return closed_form_params(spec, t)
-    gen = 1j * t * to_rep4(_liouvillian_quadratic(spec)).entries
+    gen = 1j * t * to_rep4(_liouvillian_quadratic(spec))
     norm = float(np.linalg.norm(gen, 2))
     if norm > REP4_NORM_CAP:
         raise DecompositionFailure(
@@ -147,19 +122,6 @@ def decompose_exponential(spec: LiouvillianSpec, t: float) -> DisplacementParams
     return DisplacementParams(v=v, w=w, theta=theta)
 
 
-def displacement_operator(v: complex, cfg: TruncationConfig) -> OperatorMatrix:
-    """Truncated exp(v a - conj(v) a^dag)."""
-    a, ad = (op.to_dense() for op in build_ladders(cfg))
-    return OperatorMatrix.from_entries(expm(v * a - v.conjugate() * ad))
-
-
-def squeeze_operator(w: complex, cfg: TruncationConfig) -> OperatorMatrix:
-    """Truncated exp((w/2) a^2 - (conj(w)/2) (a^dag)^2)."""
-    a, ad = (op.to_dense() for op in build_ladders(cfg))
-    gen = 0.5 * w * (a @ a) - 0.5 * w.conjugate() * (ad @ ad)
-    return OperatorMatrix.from_entries(expm(gen))
-
-
 def apply_displacement_squeeze(p: DisplacementParams, cfg: TruncationConfig) -> FockVector:
     """theta * D(v) S(w) |0> in the truncated space.
 
@@ -175,56 +137,3 @@ def apply_displacement_squeeze(p: DisplacementParams, cfg: TruncationConfig) -> 
     psi = expm_multiply(csr_matrix(gen_s), psi)
     psi = expm_multiply(csr_matrix(gen_d), psi)
     return FockVector(cfg.dim, p.theta * psi)
-
-
-def bogoliubov_safe_block(dim: int, w: complex) -> int:
-    """Leading block of the truncated space unaffected by squeeze wall
-    reflection, floor(dim * exp(-4|w|) / 2).
-
-    Truncated squeeze exponentials are corrupted down to index
-    ~ dim * exp(-3.6 |w|) (the hard wall reflects the hyperbolic spreading),
-    so conjugation identities can only be trusted on a block that shrinks
-    with |w|; this bound keeps a 2-3x margin against the measured depth.
-    """
-    return int(dim * math.exp(-4.0 * abs(w)) / 2.0)
-
-
-def bogoliubov(p: DisplacementParams, cfg: TruncationConfig) -> OperatorMatrix:
-    """Image of the annihilation operator under conjugation by D(v) S(w):
-
-    S a S^{-1} = cosh|w| a + (conj(w)/|w|) sinh|w| a^dag
-                 + conj(v) cosh|w| + v (conj(w)/|w|) sinh|w|.
-
-    Raises :class:`TruncationOverflow` when |w| is too large for the given
-    dim to leave a usable wall-free block (see :func:`bogoliubov_safe_block`).
-    """
-    if cfg.dim < 8:
-        raise ValueError(f"dim must be >= 8, got {cfg.dim}")
-    if bogoliubov_safe_block(cfg.dim, p.w) < 8:
-        raise TruncationOverflow(
-            f"|w|={abs(p.w):.3f} leaves no usable block at dim={cfg.dim}",
-            dim=cfg.dim,
-        )
-    a, ad = (op.to_dense() for op in build_ladders(cfg))
-    aw = abs(p.w)
-    if aw == 0:
-        ent = a + p.v.conjugate() * np.eye(cfg.dim)
-    else:
-        mubar = p.w.conjugate() / aw
-        ch, sh = math.cosh(aw), math.sinh(aw)
-        shift = p.v.conjugate() * ch + p.v * mubar * sh
-        ent = ch * a + mubar * sh * ad + shift * np.eye(cfg.dim)
-    return OperatorMatrix.from_entries(ent)
-
-
-def conjugated_annihilation(p: DisplacementParams, cfg: TruncationConfig) -> np.ndarray:
-    """S a S^{-1} computed by explicit truncated matrix exponentials.
-
-    The contract check for :func:`bogoliubov`: the two agree to 1e-7 on the
-    wall-free block [0, bogoliubov_safe_block)."""
-    a = build_ladders(cfg)[0].to_dense()
-    S = (
-        displacement_operator(p.v, cfg).to_dense()
-        @ squeeze_operator(p.w, cfg).to_dense()
-    )
-    return S @ a @ S.conj().T

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .algebra import LiouvillianSpec, build_liouvillian
 from .coherent import (
     DisplacementParams,
     SL2RWeight,
+    amplitude_deviation,
     autocorrelator_alt_closed_form,
     autocorrelator_t,
     closed_form_params,
@@ -93,60 +94,86 @@ def _attach(err: KrylovGrowthError, cfg: SweepConfig, t: float) -> KrylovGrowthE
     return err
 
 
-def run_sweep(cfg: SweepConfig) -> List[ResultRow]:
-    """One row per grid point; deterministic for a fixed config."""
+def _complexity_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
     spec = cfg.spec()
-    ts = cfg.t_grid()
-    rows: List[ResultRow] = []
-    if cfg.mode == "complexity":
-        for t in ts:
-            rows.append(ResultRow(float(t), {"K": schrodinger_complexity_t(spec, float(t))},
-                                  "closed_form"))
-    elif cfg.mode == "variance":
-        for t in ts:
-            try:
-                p = closed_form_params(spec, float(t))
-                m1 = moment_n(p, 1)
-                m2 = moment_n(p, 2)
-            except KrylovGrowthError as e:
-                raise _attach(e, cfg, float(t))
-            rows.append(ResultRow(float(t), {"K": m1, "sigma2": m2 - m1 * m1},
-                                  "closed_form"))
-    elif cfg.mode == "distribution":
-        series = []
-        for t in ts:
-            try:
-                series.append(phi_series(closed_form_params(spec, float(t)), tol=cfg.tol))
-            except KrylovGrowthError as e:
-                raise _attach(e, cfg, float(t))
-        width = max(s.k_max + 1 for s in series)
-        for t, s in zip(ts, series):
-            probs = np.zeros(width)
-            probs[: s.k_max + 1] = s.probabilities()
-            values = {f"p{k}": float(probs[k]) for k in range(width)}
-            rows.append(ResultRow(float(t), values, "closed_form",
-                                  amplitudes=FockVector(width, np.pad(s.phi, (0, width - s.k_max - 1)))))
-    elif cfg.mode == "autocorrelator":
-        for t in ts:
-            rows.append(ResultRow(float(t), {
-                "autocorrelator": autocorrelator_t(spec, float(t)),
-                "alt_form": autocorrelator_alt_closed_form(spec, float(t)),
-            }, "closed_form"))
-    elif cfg.mode == "lanczos":
-        tc = TruncationConfig(dim=cfg.dim, tail_tolerance=cfg.tol)
-        L = build_liouvillian(spec, tc)
-        seed = FockVector.basis_state(cfg.dim, 0)
-        m = min(cfg.dim // 2, 128)
-        try:
-            chain = lanczos_tridiagonalize(L, seed, m)
-            wfs = propagate_chain(chain, [float(t) for t in ts])
-        except KrylovGrowthError as e:
-            raise _attach(e, cfg, getattr(e, "t", float(ts[-1])))
-        for t, wf in zip(ts, wfs):
-            rows.append(ResultRow(float(t), {"K_chain": chain_complexity(wf)}, "lanczos_chain"))
-    else:
-        raise ValueError(f"run_sweep does not handle mode {cfg.mode!r}; use verify()")
+    return [ResultRow(t, {"K": schrodinger_complexity_t(spec, t)}, "closed_form") for t in ts]
+
+
+def _variance_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
+    spec = cfg.spec()
+    rows = []
+    for t in ts:
+        p = closed_form_params(spec, t)
+        m1 = moment_n(p, 1)
+        m2 = moment_n(p, 2)
+        rows.append(ResultRow(t, {"K": m1, "sigma2": m2 - m1 * m1}, "closed_form"))
     return rows
+
+
+def _distribution_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
+    spec = cfg.spec()
+    series = [(t, phi_series(closed_form_params(spec, t), tol=cfg.tol)) for t in ts]
+    width = max(s.k_max + 1 for _, s in series)
+    rows = []
+    for t, s in series:
+        probs = np.zeros(width)
+        probs[: s.k_max + 1] = s.probabilities()
+        values = {f"p{k}": float(probs[k]) for k in range(width)}
+        rows.append(ResultRow(t, values, "closed_form",
+                              amplitudes=FockVector(width, np.pad(s.phi, (0, width - s.k_max - 1)))))
+    return rows
+
+
+def _autocorrelator_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
+    spec = cfg.spec()
+    return [
+        ResultRow(t, {
+            "autocorrelator": autocorrelator_t(spec, t),
+            "alt_form": autocorrelator_alt_closed_form(spec, t),
+        }, "closed_form")
+        for t in ts
+    ]
+
+
+def _lanczos_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
+    ts = list(ts)
+    L = build_liouvillian(cfg.spec(), TruncationConfig(dim=cfg.dim, tail_tolerance=cfg.tol))
+    chain = lanczos_tridiagonalize(L, FockVector.basis_state(cfg.dim, 0), min(cfg.dim // 2, 128))
+    wfs = propagate_chain(chain, ts)
+    return [ResultRow(t, {"K_chain": chain_complexity(wf)}, "lanczos_chain")
+            for t, wf in zip(ts, wfs)]
+
+
+# Row function of each sweep mode; it draws the grid times in order.
+_ROWS: Dict[str, Callable[[SweepConfig, Iterable[float]], List[ResultRow]]] = {
+    "complexity": _complexity_rows,
+    "variance": _variance_rows,
+    "distribution": _distribution_rows,
+    "autocorrelator": _autocorrelator_rows,
+    "lanczos": _lanczos_rows,
+}
+
+
+def run_sweep(cfg: SweepConfig) -> List[ResultRow]:
+    """One row per grid point; deterministic for a fixed config.
+
+    A numerical failure carries alpha, beta, dim and the t it occurred at:
+    the time the error names, else the last grid time the mode had drawn.
+    """
+    rows_of = _ROWS.get(cfg.mode)
+    if rows_of is None:
+        raise ValueError(f"run_sweep does not handle mode {cfg.mode!r}; use verify()")
+    drawn: List[float] = []
+
+    def grid() -> Iterator[float]:
+        for t in cfg.t_grid():
+            drawn.append(float(t))
+            yield drawn[-1]
+
+    try:
+        return rows_of(cfg, grid())
+    except KrylovGrowthError as e:
+        raise _attach(e, cfg, getattr(e, "t", drawn[-1]))
 
 
 def _fmt(x: float) -> str:
@@ -170,7 +197,8 @@ def rows_to_json(cfg: SweepConfig, rows: List[ResultRow]) -> str:
                 "values": row.values,
                 "method": row.method,
                 **(
-                    {"amplitudes": json.loads(row.amplitudes.to_json_pairs())}
+                    {"amplitudes": [[float(z.real), float(z.imag)]
+                                    for z in row.amplitudes.amplitudes]}
                     if row.amplitudes is not None
                     else {}
                 ),
@@ -254,12 +282,7 @@ def verify(cfg: SweepConfig) -> tuple[dict, bool]:
         except TruncationOverflow:
             skipped.append(t)
             continue
-        series = phi_series(closed_form_params(spec, t), tol=1e-12, max_k=16384)
-        n = min(series.k_max + 1, cfg.dim)
-        closed = series.phi[:n]
-        mask = np.abs(closed) ** 2 > 1e-14
-        dev = float(np.max(np.abs(np.abs(closed[mask]) - np.abs(psi.amplitudes[:n][mask]))))
-        max_dev = max(max_dev, dev)
+        max_dev = max(max_dev, amplitude_deviation(closed_form_params(spec, t), psi.amplitudes))
         checked.append(t)
     oracle_ok = bool(checked) and max_dev <= 1e-8
     ok &= oracle_ok
@@ -350,23 +373,26 @@ def _load_config_file(path: Path) -> Dict[str, str]:
     return values
 
 
-_FLOAT_KEYS = {"alpha", "beta", "tmin", "tmax", "tol"}
-_INT_KEYS = {"steps", "dim"}
-_STR_KEYS = {"mode", "format", "out", "figure"}
+# Flag and config-file key of each SweepConfig field; its default and type
+# come from SweepConfig().
+_SWEEP_KEYS = {"alpha": "alpha", "beta": "beta", "tmin": "t_min", "tmax": "t_max",
+               "steps": "steps", "dim": "dim", "tol": "tol", "mode": "mode"}
+_STR_KEYS = {"format", "out", "figure"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    d = SweepConfig()
     parser = argparse.ArgumentParser(
         prog="krylov-growth",
         description="Operator-growth complexity sweeps for the linear-plus-two-photon generator",
     )
     parser.add_argument("--alpha", type=float, default=None, help="linear coefficient")
     parser.add_argument("--beta", type=float, default=None, help="two-photon coefficient")
-    parser.add_argument("--tmin", type=float, default=None, help="grid start (default 0)")
-    parser.add_argument("--tmax", type=float, default=None, help="grid end (default 2)")
-    parser.add_argument("--steps", type=int, default=None, help="grid points (default 41)")
-    parser.add_argument("--dim", type=int, default=None, help="Fock truncation (default 256)")
-    parser.add_argument("--tol", type=float, default=None, help="series/guard tolerance (default 1e-10)")
+    parser.add_argument("--tmin", type=float, default=None, help=f"grid start (default {d.t_min:g})")
+    parser.add_argument("--tmax", type=float, default=None, help=f"grid end (default {d.t_max:g})")
+    parser.add_argument("--steps", type=int, default=None, help=f"grid points (default {d.steps})")
+    parser.add_argument("--dim", type=int, default=None, help=f"Fock truncation (default {d.dim})")
+    parser.add_argument("--tol", type=float, default=None, help=f"series/guard tolerance (default {d.tol:g})")
     parser.add_argument("--mode", choices=MODES, default=None, help="observable to sweep")
     parser.add_argument("--format", dest="format", choices=("csv", "json"), default=None)
     parser.add_argument("--out", type=str, default=None,
@@ -378,17 +404,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> Dict[str, object]:
-    merged: Dict[str, object] = {
-        "alpha": 1.0, "beta": 1.0, "tmin": 0.0, "tmax": 2.0, "steps": 41,
-        "dim": 256, "tol": 1e-10, "mode": "complexity", "format": "csv",
-        "out": None, "figure": None,
-    }
+    defaults = SweepConfig()
+    merged: Dict[str, object] = {key: getattr(defaults, name) for key, name in _SWEEP_KEYS.items()}
+    merged.update(format="csv", out=None, figure=None)
     if args.config:
         for key, val in _load_config_file(Path(args.config)).items():
-            if key in _FLOAT_KEYS:
-                merged[key] = float(val)
-            elif key in _INT_KEYS:
-                merged[key] = int(val)
+            if key in _SWEEP_KEYS:
+                merged[key] = type(getattr(defaults, _SWEEP_KEYS[key]))(val)
             elif key in _STR_KEYS:
                 merged[key] = val
             else:
@@ -415,12 +437,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             for p in paths:
                 print(p)
             return 0
-        cfg = SweepConfig(
-            alpha=float(merged["alpha"]), beta=float(merged["beta"]),
-            t_min=float(merged["tmin"]), t_max=float(merged["tmax"]),
-            steps=int(merged["steps"]), dim=int(merged["dim"]),
-            tol=float(merged["tol"]), mode=str(merged["mode"]),
-        )
+        cfg = SweepConfig(**{name: merged[key] for key, name in _SWEEP_KEYS.items()})
     except (ValueError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 1

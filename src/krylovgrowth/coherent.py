@@ -30,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -40,24 +40,20 @@ from .errors import NonConvergent
 __all__ = [
     "DisplacementParams",
     "AmplitudeSeries",
-    "MomentReport",
     "SL2RWeight",
     "hermite_argument",
     "closed_form_params",
     "phi_zero",
     "phi_series",
+    "amplitude_deviation",
     "hermite_closed_form",
     "mehler_normalization_check",
     "complexity_closed",
     "moment_n",
     "moment_identity_value",
-    "moment_report",
-    "variance_closed",
     "variance_alt_closed_form",
-    "hw_profile",
     "sl2r_profile",
     "schrodinger_complexity_t",
-    "interaction_term",
     "scrambling_time",
     "autocorrelator_t",
     "autocorrelator_alt_closed_form",
@@ -232,6 +228,20 @@ def phi_series(
         k_max = min(2 * k_max, max_k)
 
 
+def amplitude_deviation(p: DisplacementParams, amplitudes: np.ndarray) -> float:
+    """Largest | |phi_k| - |amplitudes_k| | against the closed-form series.
+
+    The series is summed to a 1e-12 tail; only indices held by both and
+    with closed-form probability above 1e-14 are compared. This is the
+    oracle comparison of ``verify`` and of the acceptance suite.
+    """
+    series = phi_series(p, tol=1e-12, max_k=16384)
+    n = min(series.k_max + 1, len(amplitudes))
+    closed = series.phi[:n]
+    mask = np.abs(closed) ** 2 > 1e-14
+    return float(np.max(np.abs(np.abs(closed[mask]) - np.abs(amplitudes[:n][mask]))))
+
+
 def hermite_closed_form(p: DisplacementParams, k_max: int) -> np.ndarray:
     """Amplitudes from the Hermite closed form (cross-check route).
 
@@ -298,88 +308,37 @@ def moment_n(
     return float(np.sum(k ** n * series.probabilities()))
 
 
-def _fixed_s_norm_factor(p: DisplacementParams):
-    """|phi_0|^{-2} as a function of u = |w| at fixed Hermite argument s.
-
-    F(u) = cosh(u) * exp(|s|^2 sinh(2u) - 2 Re(s^2) sinh^2(u)); the moment
-    generator is K_(n) = |phi_0|^2 [ (sinh(2u)/2 d/du)^n F ](u0).
-    """
-    s = p.s if p.s is not None else hermite_argument(p.v, p.w)
-    s_abs2 = abs(s) ** 2
-    s_sq_re = (s * s).real
-
-    def F(u: float) -> float:
-        return math.cosh(u) * math.exp(
-            s_abs2 * math.sinh(2.0 * u) - 2.0 * s_sq_re * math.sinh(u) ** 2
-        )
-
-    return F, s_abs2, s_sq_re
-
-
-def moment_identity_value(
-    p: DisplacementParams, n: int, step: Optional[float] = None
-) -> float:
+def moment_identity_value(p: DisplacementParams, n: int) -> float:
     """K_(n) via the fixed-s derivative identity, for n in {1, 2}.
 
-    With ``step`` None the logarithmic derivatives of F are evaluated in
-    closed form; otherwise nested central finite differences with the given
-    step are used (the step-limited route loses accuracy for n = 2 at
-    large |s|, |w| because of the 1/step^2 roundoff floor).
+    At fixed Hermite argument s, |phi_0|^{-2} as a function of u = |w| is
+    F(u) = cosh(u) exp(|s|^2 sinh(2u) - 2 Re(s^2) sinh^2(u)), and
+    K_(n) = |phi_0|^2 [ (sinh(2u)/2 d/du)^n F ](|w|). The logarithmic
+    derivatives of F are evaluated in closed form.
     """
     if n not in (1, 2):
         raise ValueError("identity evaluation implemented for n in {1, 2}")
     if p.w == 0:
         raise ValueError("identity evaluation requires w != 0")
     u0 = abs(p.w)
-    F, s_abs2, s_sq_re = _fixed_s_norm_factor(p)
+    s = p.s if p.s is not None else hermite_argument(p.v, p.w)
+    s_abs2 = abs(s) ** 2
+    s_sq_re = (s * s).real
     half_s2 = 0.5 * math.sinh(2.0 * u0)
-    if step is None:
-        # log-derivatives: F'/F = h, F''/F = h' + h^2
-        h = (
-            math.tanh(u0)
-            + 2.0 * s_abs2 * math.cosh(2.0 * u0)
-            - 2.0 * s_sq_re * math.sinh(2.0 * u0)
-        )
-        if n == 1:
-            return half_s2 * h
-        hp = (
-            1.0 / math.cosh(u0) ** 2
-            + 4.0 * s_abs2 * math.sinh(2.0 * u0)
-            - 4.0 * s_sq_re * math.cosh(2.0 * u0)
-        )
-        return half_s2 * (math.cosh(2.0 * u0) * h + half_s2 * (hp + h * h))
-    hstep = step
-
-    def DF(u: float) -> float:
-        return 0.5 * math.sinh(2.0 * u) * (F(u + hstep) - F(u - hstep)) / (2.0 * hstep)
-
+    # log-derivatives: F'/F = h, F''/F = h' + h^2
+    h = (
+        math.tanh(u0)
+        + 2.0 * s_abs2 * math.cosh(2.0 * u0)
+        - 2.0 * s_sq_re * math.sinh(2.0 * u0)
+    )
     if n == 1:
-        return DF(u0) / F(u0)
-    return half_s2 * (DF(u0 + hstep) - DF(u0 - hstep)) / (2.0 * hstep) / F(u0)
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """Complexity, variance, and requested higher moments."""
-
-    K: float
-    sigma2: float
-    moments: Dict[int, float]
-
-
-def moment_report(p: DisplacementParams, orders=(1, 2)) -> MomentReport:
-    """Assemble K, sigma^2 and the requested moments by direct summation."""
-    orders = sorted(set(orders) | {1, 2})
-    moments = {n: moment_n(p, n) for n in orders}
-    K = moments[1]
-    return MomentReport(K=K, sigma2=moments[2] - K * K, moments=moments)
-
-
-def variance_closed(p: DisplacementParams) -> float:
-    """Variance sigma^2 = K_(2) - K_(1)^2 by direct summation (authoritative)."""
-    m1 = moment_n(p, 1)
-    m2 = moment_n(p, 2)
-    return m2 - m1 * m1
+        return half_s2 * h
+    hp = (
+        1.0 / math.cosh(u0) ** 2
+        + 4.0 * s_abs2 * math.sinh(2.0 * u0)
+        - 4.0 * s_sq_re * math.cosh(2.0 * u0)
+    )
+    return half_s2 * (math.cosh(2.0 * u0) * h + half_s2 * (hp + h * h))
 
 
 def variance_alt_closed_form(p: DisplacementParams) -> float:
@@ -397,14 +356,6 @@ def variance_alt_closed_form(p: DisplacementParams) -> float:
     return abs(p.v) * math.cosh(2 * aw) + math.sinh(aw) * math.cosh(aw) * (
         math.sinh(2 * aw) - cross
     )
-
-
-def hw_profile(
-    alpha: float, t: float, *, tol: float = DEFAULT_SERIES_TOL
-) -> tuple[AmplitudeSeries, float]:
-    """Pure-displacement profile: Poisson |phi_n|^2 with K = (alpha t)^2."""
-    series = phi_series(DisplacementParams(v=1j * alpha * t, w=0.0), tol=tol)
-    return series, alpha ** 2 * t ** 2
 
 
 @dataclass(frozen=True)
@@ -476,17 +427,6 @@ def schrodinger_complexity_t(spec: LiouvillianSpec, t: float) -> float:
     bt = beta * t
     return math.sinh(bt) ** 2 + alpha ** 2 * (
         4.0 * math.cosh(bt) * math.sinh(bt / 2.0) ** 2 / beta ** 2
-    )
-
-
-def interaction_term(spec: LiouvillianSpec, t: float) -> float:
-    """Excess of K(t) over the sum of the pure-sector complexities (>= 0)."""
-    alpha, beta = spec.alpha, spec.beta
-    if beta == 0:
-        return 0.0
-    bt = beta * t
-    return alpha ** 2 * (
-        4.0 * math.cosh(bt) * math.sinh(bt / 2.0) ** 2 / beta ** 2 - t ** 2
     )
 
 

@@ -2,7 +2,7 @@
 
 This module is the brute-force side of every cross-check in the library:
 ladder-operator matrices, exact unitary evolution by Hermitian
-eigendecomposition, and inner products, all on a finite number basis
+eigendecomposition and the guard-band check, all on a finite number basis
 ``|0>, ..., |dim-1>``. Operators are stored by their diagonals
 (:class:`OperatorMatrix`): the ladder polynomials of the library are
 banded, so building and applying them costs O(dim), and a dense
@@ -11,16 +11,16 @@ product needs one.
 
 Truncating the Fock space breaks operator identities near the top of the
 basis (e.g. ``[a, a^dag] = 1`` fails in the last row/column), so a guard
-band occupying the top ``guard_fraction`` of the indices is reserved for
-*detecting* leakage: :func:`evolve_state` refuses to return a state whose
-guard-band mass exceeds ``tail_tolerance``. That turns truncation error
-into a loud :class:`~krylovgrowth.errors.TruncationOverflow` instead of a
-silently wrong answer.
+band occupying the top eighth of the indices (``GUARD_FRACTION``) is
+reserved for *detecting* leakage: :func:`evolve_state` refuses to return
+a state whose guard-band mass exceeds ``tail_tolerance``. That turns
+truncation error into a loud
+:class:`~krylovgrowth.errors.TruncationOverflow` instead of a silently
+wrong answer.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,10 +33,12 @@ __all__ = [
     "OperatorMatrix",
     "matrix_bandwidth",
     "build_ladders",
-    "inner",
     "evolve_state",
     "guard_band_mass",
 ]
+
+# Share of the top indices held back as the guard band.
+GUARD_FRACTION = 0.125
 
 
 @dataclass(frozen=True)
@@ -48,27 +50,23 @@ class TruncationConfig:
     dim : int
         Truncation size N; the basis is |0>..|N-1>.
     tail_tolerance : float
-        Maximum admissible probability mass on the guard band.
-    guard_fraction : float
-        Fraction of the top indices treated as guard band.
+        Maximum admissible probability mass on the guard band, the top
+        ``GUARD_FRACTION`` of the indices.
     """
 
     dim: int = 256
     tail_tolerance: float = 1e-10
-    guard_fraction: float = 0.125
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
         if not self.tail_tolerance > 0:
             raise ValueError("tail_tolerance must be > 0")
-        if not 0.0 < self.guard_fraction < 1.0:
-            raise ValueError("guard_fraction must lie in (0, 1)")
 
     @property
     def guard_size(self) -> int:
         """Number of indices in the guard band (at least 1)."""
-        return max(1, int(self.dim * self.guard_fraction))
+        return max(1, int(self.dim * GUARD_FRACTION))
 
     @property
     def guard_start(self) -> int:
@@ -112,21 +110,10 @@ class FockVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def to_json_pairs(self) -> str:
-        """Serialize as a JSON array of [re, im] pairs (the CLI wire format)."""
-        pairs = [[float(z.real), float(z.imag)] for z in self.amplitudes]
-        return json.dumps(pairs)
 
-    @classmethod
-    def from_json_pairs(cls, text: str) -> "FockVector":
-        pairs = json.loads(text)
-        amps = np.array([complex(re, im) for re, im in pairs])
-        return cls(len(amps), amps)
-
-
-def matrix_bandwidth(entries: np.ndarray, tol: float = 0.0) -> int:
-    """Smallest b such that entries[i, j] = 0 (within tol) whenever |i-j| > b."""
-    rows, cols = np.nonzero(np.abs(entries) > tol)
+def matrix_bandwidth(entries: np.ndarray) -> int:
+    """Smallest b such that entries[i, j] = 0 whenever |i-j| > b."""
+    rows, cols = np.nonzero(np.abs(entries) > 0)
     return int(np.max(np.abs(rows - cols))) if rows.size else 0
 
 
@@ -232,13 +219,6 @@ def build_ladders(cfg: TruncationConfig) -> tuple[OperatorMatrix, OperatorMatrix
     a = OperatorMatrix(cfg.dim, np.stack([root, zero, zero]))
     ad = OperatorMatrix(cfg.dim, np.stack([zero, zero, np.append(root[1:], 0.0)]))
     return a, ad
-
-
-def inner(u: FockVector, v: FockVector) -> complex:
-    """Inner product <u|v> = sum_k conj(u_k) v_k."""
-    if u.dim != v.dim:
-        raise DimensionMismatch(f"dims {u.dim} and {v.dim} differ")
-    return complex(np.vdot(u.amplitudes, v.amplitudes))
 
 
 def guard_band_mass(vec: FockVector, cfg: TruncationConfig) -> float:

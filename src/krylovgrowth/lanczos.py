@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 BREAKDOWN_TOL = 1e-12
+# Largest probability the last retained chain site may hold at a grid time.
+EDGE_LEAK_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,16 +82,15 @@ def lanczos_tridiagonalize(
     L: OperatorMatrix,
     seed: FockVector,
     m: int,
-    reorth: bool = True,
 ) -> KrylovChain:
     """Orthonormalize the Krylov sequence seed, L seed, L^2 seed, ...
 
     Retains at most ``m`` chain sites. L is applied by its banded matvec;
     the Krylov vectors are float64 when L and the seed have no imaginary
-    part, complex otherwise. With ``reorth`` the candidate vector
-    is re-projected against every retained vector twice per step (classical
-    Gram-Schmidt squared), which holds pairwise orthogonality at the 1e-10
-    level that finite precision otherwise destroys.
+    part, complex otherwise. The candidate vector is re-projected against
+    every retained vector twice per step (classical Gram-Schmidt squared),
+    which holds pairwise orthogonality at the 1e-10 level that finite
+    precision otherwise destroys.
 
     A candidate hopping at or below the breakdown tolerance exhausts the
     Krylov space: termination is normal (the truncated space has finite
@@ -121,9 +122,8 @@ def lanczos_tridiagonalize(
         work = work - adiag[j - 1] * Q[j - 1]
         if j >= 2:
             work = work - hops[-1] * Q[j - 2]
-        if reorth:
-            for _ in range(2):
-                work = work - Q[:j].T @ (Q[:j].conj() @ work)
+        for _ in range(2):
+            work = work - Q[:j].T @ (Q[:j].conj() @ work)
         bn = float(np.linalg.norm(work))
         if bn <= BREAKDOWN_TOL:
             if j < 2:
@@ -160,7 +160,7 @@ class ChainWavefunction:
 
 
 def propagate_chain(
-    chain: KrylovChain, t_grid: Sequence[float], leak_tolerance: float = 1e-8
+    chain: KrylovChain, t_grid: Sequence[float]
 ) -> list[ChainWavefunction]:
     """Evolve phi_n(0) = delta_{n0} over the time grid.
 
@@ -168,7 +168,7 @@ def propagate_chain(
     integrator tolerance); t = 0 returns the initial condition exactly,
     without the round-off of the eigenbasis. Raises :class:`EdgeLeak` at
     the first grid time where the last retained site holds more than
-    ``leak_tolerance`` probability, and checks norm conservation to 1e-8
+    ``EDGE_LEAK_TOL`` probability, and checks norm conservation to 1e-8
     at every point.
     """
     if chain.m < 2:
@@ -185,7 +185,7 @@ def propagate_chain(
             phi[0] = 1.0
         else:
             phi = evecs @ (np.exp(1j * t * evals) * start)
-        if abs(phi[-1]) ** 2 > leak_tolerance:
+        if abs(phi[-1]) ** 2 > EDGE_LEAK_TOL:
             raise EdgeLeak(t, m=chain.m, edge_mass=float(abs(phi[-1]) ** 2))
         if abs(float(np.sum(np.abs(phi) ** 2)) - 1.0) > 1e-8:
             raise ArithmeticError(f"chain norm lost at t={t}")

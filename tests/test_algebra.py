@@ -31,9 +31,9 @@ def gens16(cfg16):
     return build_generators(cfg16)
 
 
-class TestGeneratorSet:
+class TestGenerators:
     def test_all_labels_present(self, gens16):
-        assert set(gens16.labels()) == set(GENERATOR_LABELS)
+        assert set(gens16) == set(GENERATOR_LABELS)
 
     def test_central_element_is_identity_off_guard(self, gens16, cfg16):
         gs = cfg16.guard_start

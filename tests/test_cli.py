@@ -1,9 +1,12 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from krylovgrowth.algebra import LiouvillianSpec
+from krylovgrowth.coherent import closed_form_params, phi_series
 from krylovgrowth.cli import (
     ResultRow,
     SweepConfig,
@@ -80,6 +83,24 @@ class TestRunSweep:
             run_sweep(cfg)
         assert err.value.context["dim"] == 16
         assert "alpha" in err.value.context
+
+    @pytest.mark.parametrize(
+        "kwargs, t",
+        [
+            # the first grid time whose series exceeds the cap
+            (dict(mode="distribution", t_min=2.0, t_max=3.5, steps=4), 3.0),
+            # the time the EdgeLeak names
+            (dict(mode="lanczos", t_max=12.0, steps=5, dim=16), 3.0),
+            # a chain failure without a time: the last grid time
+            (dict(mode="lanczos", alpha=0.0, beta=0.0, t_max=1.0, steps=3), 1.0),
+        ],
+    )
+    def test_numerical_error_names_its_grid_time(self, kwargs, t):
+        from krylovgrowth.errors import KrylovGrowthError
+
+        with pytest.raises(KrylovGrowthError) as err:
+            run_sweep(SweepConfig(**kwargs))
+        assert err.value.context["t"] == t
 
     def test_determinism(self):
         cfg = SweepConfig(alpha=0.7, beta=0.3, steps=7, mode="variance")
@@ -180,6 +201,30 @@ class TestMain:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["config"]["mode"] == "autocorrelator"
+
+    def test_defaults_come_from_sweep_config(self, tmp_path):
+        out = tmp_path / "rows.json"
+        assert main(["--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"] == asdict(SweepConfig())
+
+    def test_distribution_json_carries_amplitudes(self, tmp_path):
+        out = tmp_path / "rows.json"
+        code = main(["--mode", "distribution", "--alpha", "0.5", "--beta", "0.8",
+                     "--tmin", "0.2", "--tmax", "1.4", "--steps", "3",
+                     "--format", "json", "--out", str(out)])
+        assert code == 0
+        rows = json.loads(out.read_text())["rows"]
+        width = len(rows[0]["values"])
+        lengths = []
+        for row in rows:
+            series = phi_series(closed_form_params(LiouvillianSpec(0.5, 0.8), row["t"]), tol=1e-10)
+            lengths.append(series.k_max + 1)
+            expected = np.zeros(width, dtype=complex)
+            expected[: series.k_max + 1] = series.phi
+            pairs = row["amplitudes"]
+            assert len(pairs) == width
+            assert [complex(re, im) for re, im in pairs] == list(expected)
+        assert min(lengths) < width  # the early rows are zero-padded
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"

@@ -13,20 +13,16 @@ from krylovgrowth.coherent import (
     closed_form_params,
     complexity_closed,
     hermite_closed_form,
-    hw_profile,
-    interaction_term,
     late_time_growth_exponent,
     mehler_normalization_check,
     moment_identity_value,
     moment_n,
-    moment_report,
     phi_series,
     phi_zero,
     schrodinger_complexity_t,
     scrambling_time,
     sl2r_profile,
     variance_alt_closed_form,
-    variance_closed,
 )
 from krylovgrowth.errors import NonConvergent
 
@@ -164,51 +160,41 @@ class TestMoments:
         p = DisplacementParams(v=v, w=w)
         assert moment_identity_value(p, n) == pytest.approx(moment_n(p, n), abs=1e-7)
 
-    @pytest.mark.parametrize("v, w", [(1 + 1j, 0.5j), (0.5, 0.4j), (0.3j, 0.6j)])
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_identity_finite_difference(self, v, w, n):
-        # central differences at step 1e-5; the 1/step^2 roundoff floor keeps
-        # this meaningful only at moderate (|v|, |w|)
-        p = DisplacementParams(v=v, w=w)
-        val = moment_identity_value(p, n, step=1e-5)
-        assert val == pytest.approx(moment_n(p, n), abs=1e-6)
 
-    def test_report_consistency(self):
-        rep = moment_report(DisplacementParams(v=1.0, w=0.5j), orders=(1, 2, 3))
-        assert rep.K == rep.moments[1]
-        assert rep.sigma2 == pytest.approx(rep.moments[2] - rep.K**2, abs=1e-9)
-        assert set(rep.moments) == {1, 2, 3}
+def variance(p):
+    """sigma^2 = K_(2) - K_(1)^2 by direct summation, as the CLI computes it."""
+    return moment_n(p, 2) - moment_n(p, 1) ** 2
 
 
 class TestVariance:
     def test_squeeze_variance(self):
-        assert variance_closed(DisplacementParams(v=0.0, w=1j)) == pytest.approx(
+        assert variance(DisplacementParams(v=0.0, w=1j)) == pytest.approx(
             0.5 * math.sinh(2.0) ** 2, abs=1e-8
         )
 
     def test_poisson_variance(self):
-        assert variance_closed(DisplacementParams(v=1.0, w=0.0)) == pytest.approx(1.0, abs=1e-10)
-        assert variance_closed(DisplacementParams(v=0.0, w=0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert variance(DisplacementParams(v=1.0, w=0.0)) == pytest.approx(1.0, abs=1e-10)
+        assert variance(DisplacementParams(v=0.0, w=0.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_alt_form_agrees_only_without_displacement(self):
         squeeze_only = DisplacementParams(v=0.0, w=1j)
         assert variance_alt_closed_form(squeeze_only) == pytest.approx(
-            variance_closed(squeeze_only), abs=1e-8
+            variance(squeeze_only), abs=1e-8
         )
         # discriminating point: Poisson variance is |v|^2 = 4, alt form gives |v| = 2
         poisson = DisplacementParams(v=2j, w=0.0)
         assert variance_alt_closed_form(poisson) == pytest.approx(2.0, abs=1e-12)
-        assert variance_closed(poisson) == pytest.approx(4.0, abs=1e-9)
+        assert variance(poisson) == pytest.approx(4.0, abs=1e-9)
 
 
 class TestProfiles:
     def test_hw_profile_values(self):
-        _, K0 = hw_profile(1.0, 0.0)
-        assert K0 == 0.0
-        _, K2 = hw_profile(1.0, 2.0)
-        assert K2 == 4.0
-        series, K = hw_profile(0.5, 1.0)
-        assert K == 0.25
+        # pure-displacement sector: Poisson |phi_n|^2 with K = (alpha t)^2
+        assert schrodinger_complexity_t(LiouvillianSpec(1.0, 0.0), 0.0) == 0.0
+        assert schrodinger_complexity_t(LiouvillianSpec(1.0, 0.0), 2.0) == 4.0
+        spec = LiouvillianSpec(0.5, 0.0)
+        assert schrodinger_complexity_t(spec, 1.0) == 0.25
+        series = phi_series(closed_form_params(spec, 1.0))
         assert np.sum(series.probabilities()) == pytest.approx(1.0, abs=1e-10)
 
     def test_sl2r_profile_reference(self):
@@ -257,9 +243,12 @@ class TestComplexityOfTime:
             assert K_t == pytest.approx(K_p, abs=1e-10)
 
     def test_interaction_term_nonnegative(self):
+        # K(t) exceeds the sum of the pure-sector complexities
         spec = LiouvillianSpec(1.0, 1.0)
         for t in np.linspace(0.0, 3.0, 61):
-            assert interaction_term(spec, float(t)) >= -1e-12
+            t = float(t)
+            pure = spec.alpha**2 * t**2 + math.sinh(spec.beta * t) ** 2
+            assert schrodinger_complexity_t(spec, t) - pure >= -1e-12
 
     def test_early_time_quadratic_coefficient(self):
         for alpha, beta in [(1.0, 1.0), (0.5, 0.8)]:

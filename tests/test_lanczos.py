@@ -77,10 +77,6 @@ class TestTridiagonalize:
         assert len(chain.b) == 7
         assert chain.residual <= 1e-12
 
-    def test_plain_recurrence_without_reorth(self):
-        chain = lanczos_tridiagonalize(hw_generator(1.0, 64), vacuum(64), 12, reorth=False)
-        assert np.max(np.abs(chain.b - np.sqrt(np.arange(1, 12)))) <= 1e-9
-
     def test_breakdown_on_eigenvector_seed(self):
         a, ad = build_ladders(TruncationConfig(dim=8))
         number = OperatorMatrix.from_entries(ad.to_dense() @ a.to_dense())

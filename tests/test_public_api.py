@@ -1,0 +1,61 @@
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import krylovgrowth
+from krylovgrowth.fock import FockVector
+
+MODULES = ("algebra", "bch", "cli", "coherent", "fock", "lanczos")
+
+# Symbols that only their own unit tests used, removed from the library.
+REMOVED = {
+    "algebra": ("GeneratorSet",),
+    "bch": (
+        "Rep4Matrix", "displacement_operator", "squeeze_operator", "bogoliubov",
+        "bogoliubov_safe_block", "conjugated_annihilation",
+    ),
+    "coherent": ("MomentReport", "moment_report", "variance_closed", "hw_profile",
+                 "interaction_term"),
+    "fock": ("inner",),
+}
+
+
+def _package_imports():
+    tree = ast.parse(Path(krylovgrowth.__file__).read_text())
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"krylovgrowth.{name}")
+    exported = getattr(module, "__all__", ())
+    assert len(set(exported)) == len(exported)
+    for symbol in exported:
+        assert hasattr(module, symbol), f"{name}.__all__ lists missing {symbol}"
+        # a module exports only what it defines
+        value = getattr(module, symbol)
+        assert getattr(value, "__module__", module.__name__) == module.__name__, symbol
+
+
+def test_package_imports_resolve():
+    imports = list(_package_imports())
+    assert imports
+    for module_name, symbol in imports:
+        module = importlib.import_module(f"krylovgrowth.{module_name}")
+        assert getattr(krylovgrowth, symbol) is getattr(module, symbol)
+
+
+def test_removed_symbols_are_gone():
+    for name, symbols in REMOVED.items():
+        module = importlib.import_module(f"krylovgrowth.{name}")
+        for symbol in symbols:
+            assert not hasattr(module, symbol), f"{name}.{symbol}"
+            assert symbol not in getattr(module, "__all__", ())
+            assert not hasattr(krylovgrowth, symbol), symbol
+    for method in ("to_json_pairs", "from_json_pairs"):
+        assert not hasattr(FockVector, method)
