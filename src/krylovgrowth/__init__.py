@@ -11,8 +11,9 @@ space, three ways that must agree:
   (:mod:`lanczos`),
 
 plus the group-element factorization machinery connecting them
-(:mod:`bch`), the symmetry-algebra generators (:mod:`algebra`), and a
-sweep/verification CLI (:mod:`cli`).
+(:mod:`bch`, imported on its own as ``krylovgrowth.bch``: it needs scipy,
+which no CLI mode does), the symmetry-algebra generators (:mod:`algebra`),
+and a sweep/verification CLI (:mod:`cli`).
 """
 
 from .algebra import (
@@ -22,11 +23,6 @@ from .algebra import (
     build_liouvillian,
     commutator,
     hamiltonian_to_matrix,
-)
-from .bch import (
-    apply_displacement_squeeze,
-    decompose_exponential,
-    to_rep4,
 )
 from .coherent import (
     AmplitudeSeries,
@@ -66,7 +62,6 @@ from .fock import (
     build_ladders,
     evolve_state,
     guard_band_mass,
-    matrix_bandwidth,
 )
 from .lanczos import (
     ChainWavefunction,

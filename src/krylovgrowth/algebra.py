@@ -11,8 +11,11 @@ on the non-guard block, with M acting as the identity (central extension).
 In physical terms H is the free-particle Hamiltonian p^2/2, K the special
 conformal generator, D the dilatation, P and G translation and boost, and
 the sl(2,R) triple L0, L+1, L-1 realizes the squeeze sector on even Fock
-states. The generator of time evolution studied by the rest of the library
-is the independent ladder polynomial built by :func:`build_liouvillian`.
+states. The generators, their commutators and :func:`hamiltonian_to_matrix`
+are plain dense arrays for these small symbolic checks. The generator of
+time evolution studied by the rest of the library is the independent
+ladder polynomial built by :func:`build_liouvillian`, the one banded
+:class:`~krylovgrowth.fock.OperatorMatrix` of the library.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ class QuadraticHamiltonian:
     r_coef: complex = 0.0
     l_coef: complex = 0.0
 
-    def is_hermitian(self, tol: float = 1e-14) -> bool:
+    def is_hermitian(self) -> bool:
+        tol = 1e-14
         return (
             abs(complex(self.eta).imag) <= tol
             and abs(complex(self.delta).imag) <= tol
@@ -80,9 +84,9 @@ GENERATOR_LABELS = (
 )
 
 
-def build_generators(cfg: TruncationConfig) -> Dict[str, OperatorMatrix]:
-    """Construct every generator from the ladder matrices, keyed by the
-    labels of :data:`GENERATOR_LABELS`.
+def build_generators(cfg: TruncationConfig) -> Dict[str, np.ndarray]:
+    """Construct every generator as a dense array from the ladder matrices,
+    keyed by the labels of :data:`GENERATOR_LABELS`.
 
     P = (a^dag - a)/sqrt(2)        translation
     G = (a^dag + a)/sqrt(2)        boost
@@ -94,32 +98,29 @@ def build_generators(cfg: TruncationConfig) -> Dict[str, OperatorMatrix]:
     """
     if cfg.dim < 8:
         raise ValueError(f"dim must be >= 8 for the generator set, got {cfg.dim}")
-    a_op, ad_op = build_ladders(cfg)
-    a, ad = a_op.to_dense(), ad_op.to_dense()
+    a, ad = build_ladders(cfg)
     sq2 = math.sqrt(2.0)
-    mk = OperatorMatrix.from_entries
     return {
-        "a": a_op,
-        "a_dagger": ad_op,
-        "P": mk((ad - a) / sq2),
-        "G": mk((ad + a) / sq2),
-        "M": mk(a @ ad - ad @ a),
-        "H": mk(-0.25 * (a - ad) @ (a - ad)),
-        "K": mk(-0.25 * (a + ad) @ (a + ad)),
-        "D": mk(0.5 * (a @ a - ad @ ad)),
-        "L0": mk(0.25 * (ad @ a + a @ ad)),
-        "L_plus1": mk(0.5 * a @ a),
-        "L_minus1": mk(0.5 * ad @ ad),
-        "number": mk(ad @ a),
+        "a": a,
+        "a_dagger": ad,
+        "P": (ad - a) / sq2,
+        "G": (ad + a) / sq2,
+        "M": a @ ad - ad @ a,
+        "H": -0.25 * (a - ad) @ (a - ad),
+        "K": -0.25 * (a + ad) @ (a + ad),
+        "D": 0.5 * (a @ a - ad @ ad),
+        "L0": 0.25 * (ad @ a + a @ ad),
+        "L_plus1": 0.5 * a @ a,
+        "L_minus1": 0.5 * ad @ ad,
+        "number": ad @ a,
     }
 
 
-def commutator(X: OperatorMatrix, Y: OperatorMatrix) -> OperatorMatrix:
+def commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """[X, Y] = XY - YX."""
-    if X.dim != Y.dim:
-        raise DimensionMismatch(f"dims {X.dim} and {Y.dim} differ")
-    x, y = X.to_dense(), Y.to_dense()
-    return OperatorMatrix.from_entries(x @ y - y @ x)
+    if X.shape != Y.shape:
+        raise DimensionMismatch(f"shapes {X.shape} and {Y.shape} differ")
+    return X @ Y - Y @ X
 
 
 def build_liouvillian(spec: LiouvillianSpec, cfg: TruncationConfig) -> OperatorMatrix:
@@ -145,14 +146,13 @@ def build_liouvillian(spec: LiouvillianSpec, cfg: TruncationConfig) -> OperatorM
     return OperatorMatrix(cfg.dim, bands)
 
 
-def hamiltonian_to_matrix(h: QuadraticHamiltonian, cfg: TruncationConfig) -> OperatorMatrix:
-    """Realize a :class:`QuadraticHamiltonian` as a truncated matrix."""
+def hamiltonian_to_matrix(h: QuadraticHamiltonian, cfg: TruncationConfig) -> np.ndarray:
+    """Realize a :class:`QuadraticHamiltonian` as a dense truncated matrix."""
     if cfg.dim < 4:
         raise ValueError(f"dim must be >= 4, got {cfg.dim}")
-    a_op, ad_op = build_ladders(cfg)
-    a, ad = a_op.to_dense(), ad_op.to_dense()
+    a, ad = build_ladders(cfg)
     eye = np.eye(cfg.dim, dtype=complex)
-    ent = (
+    return (
         h.eta * (ad @ a + 0.5 * eye)
         + h.delta * eye
         + h.R_coef * (ad @ ad)
@@ -160,4 +160,3 @@ def hamiltonian_to_matrix(h: QuadraticHamiltonian, cfg: TruncationConfig) -> Ope
         + h.r_coef * ad
         + h.l_coef * a
     )
-    return OperatorMatrix.from_entries(ent)

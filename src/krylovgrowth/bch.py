@@ -129,7 +129,7 @@ def apply_displacement_squeeze(p: DisplacementParams, cfg: TruncationConfig) -> 
     so they are applied with the exact expm-times-vector algorithm instead
     of materializing the dense operator exponentials.
     """
-    a, ad = (op.to_dense() for op in build_ladders(cfg))
+    a, ad = build_ladders(cfg)
     gen_s = 0.5 * p.w * (a @ a) - 0.5 * p.w.conjugate() * (ad @ ad)
     gen_d = p.v * a - p.v.conjugate() * ad
     psi = np.zeros(cfg.dim, dtype=complex)

@@ -47,6 +47,7 @@ __all__ = ["SweepConfig", "ResultRow", "run_sweep", "figure_data", "verify", "ma
 
 MODES = ("complexity", "variance", "distribution", "autocorrelator", "lanczos", "verify")
 FIGURES = ("fig1", "fig2", "fig3")
+FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True)
@@ -394,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dim", type=int, default=None, help=f"Fock truncation (default {d.dim})")
     parser.add_argument("--tol", type=float, default=None, help=f"series/guard tolerance (default {d.tol:g})")
     parser.add_argument("--mode", choices=MODES, default=None, help="observable to sweep")
-    parser.add_argument("--format", dest="format", choices=("csv", "json"), default=None)
+    parser.add_argument("--format", dest="format", choices=FORMATS, default=None)
     parser.add_argument("--out", type=str, default=None,
                         help="output file (sweeps/verify) or directory (figures); default stdout")
     parser.add_argument("--config", type=str, default=None, help="key=value config file; flags override")
@@ -411,6 +412,8 @@ def _merge_config(args: argparse.Namespace) -> Dict[str, object]:
         for key, val in _load_config_file(Path(args.config)).items():
             if key in _SWEEP_KEYS:
                 merged[key] = type(getattr(defaults, _SWEEP_KEYS[key]))(val)
+            elif key == "format" and val not in FORMATS:
+                raise ValueError(f"format must be one of {FORMATS}, got {val!r}")
             elif key in _STR_KEYS:
                 merged[key] = val
             else:

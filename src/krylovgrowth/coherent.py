@@ -88,14 +88,15 @@ def hermite_argument(v: complex, w: complex) -> complex:
 class DisplacementParams:
     """Group-element parameters (v, w, theta) and the derived argument s.
 
-    ``s`` is None on the pure-displacement branch w = 0, where every
+    ``s`` is :func:`hermite_argument` (v, w), computed on construction; it
+    is None on the pure-displacement branch w = 0, where every
     conj(w)/|w| factor is taken in the w -> 0 limit.
     """
 
     v: complex
     w: complex
     theta: complex = 1.0 + 0.0j
-    s: Optional[complex] = None
+    s: Optional[complex] = field(default=None, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "v", complex(self.v))
@@ -103,17 +104,8 @@ class DisplacementParams:
         object.__setattr__(self, "theta", complex(self.theta))
         if abs(abs(self.theta) - 1.0) > 1e-12:
             raise ValueError(f"|theta| must be 1, got {abs(self.theta)}")
-        if self.w == 0:
-            if self.s is not None:
-                raise ValueError("s must be None on the w = 0 branch")
-        else:
-            expected = hermite_argument(self.v, self.w)
-            if self.s is None:
-                object.__setattr__(self, "s", expected)
-            elif abs(self.s - expected) > 1e-12:
-                raise ValueError(
-                    f"s={self.s} inconsistent with (v, w); expected {expected}"
-                )
+        if self.w != 0:
+            object.__setattr__(self, "s", hermite_argument(self.v, self.w))
 
 
 def _sinh_minus_arg(x: float) -> float:
@@ -252,7 +244,7 @@ def hermite_closed_form(p: DisplacementParams, k_max: int) -> np.ndarray:
         raise ValueError("closed form requires w != 0; use the recurrence branch")
     if k_max > 170:
         raise ValueError("k_max above float factorial range (170)")
-    s = p.s if p.s is not None else hermite_argument(p.v, p.w)
+    s = p.s
     c = _phase_root(p.w) * math.sqrt(math.tanh(abs(p.w)) / 2.0)
     H = np.zeros(k_max + 1, dtype=complex)
     H[0] = 1.0
@@ -274,7 +266,7 @@ def mehler_normalization_check(p: DisplacementParams) -> float:
     """
     if p.w == 0:
         return abs(phi_zero(p)) ** 2 * math.exp(abs(p.v) ** 2)
-    s = p.s if p.s is not None else hermite_argument(p.v, p.w)
+    s = p.s
     z = math.tanh(abs(p.w))
     num = 2.0 * abs(s) ** 2 * z - 2.0 * (s * s).real * z * z
     return (
@@ -293,17 +285,16 @@ def moment_n(
     p: DisplacementParams,
     n: int,
     *,
-    tol: float = 1e-13,
     max_k: int = 2 * DEFAULT_SERIES_CAP,
 ) -> float:
     """n-th position moment sum_k k^n |phi_k|^2 by direct summation.
 
-    Direct summation is the authoritative route; the tight default ``tol``
-    keeps the k^n-weighted tail negligible.
+    Direct summation is the authoritative route; the series is summed to a
+    1e-13 tail, which keeps the k^n-weighted tail negligible.
     """
     if n < 0:
         raise ValueError("moment order must be >= 0")
-    series = phi_series(p, tol=tol, max_k=max_k)
+    series = phi_series(p, tol=1e-13, max_k=max_k)
     k = np.arange(series.k_max + 1, dtype=float)
     return float(np.sum(k ** n * series.probabilities()))
 
@@ -321,7 +312,7 @@ def moment_identity_value(p: DisplacementParams, n: int) -> float:
     if p.w == 0:
         raise ValueError("identity evaluation requires w != 0")
     u0 = abs(p.w)
-    s = p.s if p.s is not None else hermite_argument(p.v, p.w)
+    s = p.s
     s_abs2 = abs(s) ** 2
     s_sq_re = (s * s).real
     half_s2 = 0.5 * math.sinh(2.0 * u0)
@@ -376,7 +367,6 @@ def sl2r_profile(
     t: float,
     *,
     tol: float = DEFAULT_SERIES_TOL,
-    max_n: int = DEFAULT_SERIES_CAP,
 ) -> tuple[AmplitudeSeries, float]:
     """Lowest-weight-module amplitudes and complexity K = 2h sinh^2(beta t).
 
@@ -385,12 +375,13 @@ def sl2r_profile(
     series carry the oscillator-realization group element (v=0, w=i beta t),
     which corresponds to these amplitudes only at h = 1/4 (on even Fock
     levels k = 2n); for other h the params are a bookkeeping label only.
+    The weight index is capped at ``DEFAULT_SERIES_CAP``.
     """
     params = DisplacementParams(v=0.0, w=1j * beta * t)
     bt = beta * t
     K = 2.0 * h.h * math.sinh(bt) ** 2
     z = math.tanh(bt)
-    n_max = min(64, max_n)
+    n_max = 64
     while True:
         weights = np.empty(n_max + 1, dtype=float)
         weights[0] = 1.0
@@ -405,13 +396,13 @@ def sl2r_profile(
                 ),
                 K,
             )
-        if n_max >= max_n:
+        if n_max >= DEFAULT_SERIES_CAP:
             raise NonConvergent(
-                f"weight-module series tail {tail:.3e} above tol at cap {max_n}",
+                f"weight-module series tail {tail:.3e} above tol at cap {DEFAULT_SERIES_CAP}",
                 tail=tail,
-                k_max=max_n,
+                k_max=DEFAULT_SERIES_CAP,
             )
-        n_max = min(2 * n_max, max_n)
+        n_max = min(2 * n_max, DEFAULT_SERIES_CAP)
 
 
 def schrodinger_complexity_t(spec: LiouvillianSpec, t: float) -> float:
@@ -461,10 +452,9 @@ def autocorrelator_alt_closed_form(spec: LiouvillianSpec, t: float) -> float:
     return math.exp(num + 2.0 * beta * t) / math.cosh(2.0 * beta * t)
 
 
-def late_time_growth_exponent(
-    spec: LiouvillianSpec, t_lo: float = 4.0, t_hi: float = 6.0, points: int = 41
-) -> float:
-    """Empirical exponent of K(t) ~ e^{lambda t}: linear fit of log K."""
-    ts = np.linspace(t_lo, t_hi, points)
+def late_time_growth_exponent(spec: LiouvillianSpec) -> float:
+    """Empirical exponent of K(t) ~ e^{lambda t}: linear fit of log K over
+    41 points of t in [4, 6]."""
+    ts = np.linspace(4.0, 6.0, 41)
     lnk = np.log([schrodinger_complexity_t(spec, float(t)) for t in ts])
     return float(np.polyfit(ts, lnk, 1)[0])

@@ -2,12 +2,13 @@
 
 This module is the brute-force side of every cross-check in the library:
 ladder-operator matrices, exact unitary evolution by Hermitian
-eigendecomposition and the guard-band check, all on a finite number basis
-``|0>, ..., |dim-1>``. Operators are stored by their diagonals
-(:class:`OperatorMatrix`): the ladder polynomials of the library are
-banded, so building and applying them costs O(dim), and a dense
-dim x dim array is formed only where an eigendecomposition or a matrix
-product needs one.
+eigendecomposition and the guard band, all on a finite number basis
+``|0>, ..., |dim-1>``. The evolution generator L is stored by its
+diagonals (:class:`OperatorMatrix`), so building and applying it costs
+O(dim) and a dense dim x dim array is formed only for the
+eigendecomposition. The ladder matrices are plain arrays: they feed the
+small symbolic checks of :mod:`~krylovgrowth.algebra` and
+:mod:`~krylovgrowth.bch`.
 
 Truncating the Fock space breaks operator identities near the top of the
 basis (e.g. ``[a, a^dag] = 1`` fails in the last row/column), so a guard
@@ -31,7 +32,6 @@ __all__ = [
     "TruncationConfig",
     "FockVector",
     "OperatorMatrix",
-    "matrix_bandwidth",
     "build_ladders",
     "evolve_state",
     "guard_band_mass",
@@ -39,6 +39,8 @@ __all__ = [
 
 # Share of the top indices held back as the guard band.
 GUARD_FRACTION = 0.125
+# Largest |A[i, j] - conj(A[j, i])| that :meth:`OperatorMatrix.is_hermitian` accepts.
+HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -111,15 +113,9 @@ class FockVector:
         return np.abs(self.amplitudes) ** 2
 
 
-def matrix_bandwidth(entries: np.ndarray) -> int:
-    """Smallest b such that entries[i, j] = 0 whenever |i-j| > b."""
-    rows, cols = np.nonzero(np.abs(entries) > 0)
-    return int(np.max(np.abs(rows - cols))) if rows.size else 0
-
-
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Banded operator on the truncated Fock space.
+    """Banded operator on the truncated Fock space (the generator L).
 
     ``bands`` holds the 2b+1 diagonals of A in the LAPACK general-band
     layout (that of ``scipy.linalg.solve_banded``):
@@ -128,7 +124,7 @@ class OperatorMatrix:
     outermost subdiagonal. Construction zeroes the slots that fall outside
     the matrix, trims all-zero outer diagonals, so that ``bandwidth`` is
     the smallest b with A[i, j] = 0 for |i - j| > b, and stores entries
-    without an imaginary part as float64. Products and applications cost
+    without an imaginary part as float64. Applying it costs
     O(dim * bandwidth); a dense array comes only from :meth:`to_dense`.
     """
 
@@ -161,20 +157,8 @@ class OperatorMatrix:
         b, n = self.bandwidth, self.dim
         return ((d, max(0, -d), n - max(0, d)) for d in range(-b, b + 1))
 
-    @classmethod
-    def from_entries(cls, entries: np.ndarray) -> "OperatorMatrix":
-        ent = np.asarray(entries)
-        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
-            raise DimensionMismatch(f"entries shape {ent.shape} is not square")
-        n = ent.shape[0]
-        b = matrix_bandwidth(ent)
-        bands = np.zeros((2 * b + 1, n), dtype=np.result_type(ent, float))
-        for d in range(-b, b + 1):
-            bands[b - d, max(0, d): n + min(0, d)] = np.diagonal(ent, d)
-        return cls(n, bands)
-
     def to_dense(self) -> np.ndarray:
-        """The full dim x dim matrix (for products and eigendecomposition)."""
+        """The full dim x dim matrix (for the eigendecomposition)."""
         b = self.bandwidth
         out = np.zeros((self.dim, self.dim), dtype=self.bands.dtype)
         for d, lo, hi in self._diagonals():
@@ -193,32 +177,26 @@ class OperatorMatrix:
             y[lo:hi] += self.bands[b - d, lo + d: hi + d] * x[lo + d: hi + d]
         return y
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
+    def is_hermitian(self) -> bool:
         """Hermiticity check, excluding the final truncation row/column."""
         b = self.bandwidth
         n = self.dim - 1 if self.dim > 1 else 1
         # A[i, i+d] against conj(A[i+d, i]) for i + d < n
         return all(
-            np.all(np.abs(self.bands[b - d, d:n] - self.bands[b + d, : n - d].conj()) <= tol)
+            np.all(np.abs(self.bands[b - d, d:n] - self.bands[b + d, : n - d].conj())
+                   <= HERMITIAN_TOL)
             for d in range(b + 1)
         )
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dims {self.dim} and {other.dim} differ")
-        return OperatorMatrix.from_entries(self.to_dense() @ other.to_dense())
 
-
-def build_ladders(cfg: TruncationConfig) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Annihilation and creation matrices: a|k> = sqrt(k)|k-1>, a_dag = a^H."""
+def build_ladders(cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Dense annihilation and creation matrices, float64:
+    a|k> = sqrt(k)|k-1>, so <k-1|a|k> = sqrt(k) on the superdiagonal, and
+    a_dag = a^T."""
     if cfg.dim < 2:
         raise ValueError(f"dim must be >= 2 to hold ladder operators, got {cfg.dim}")
-    root = np.sqrt(np.arange(cfg.dim, dtype=float))
-    zero = np.zeros(cfg.dim)
-    # <k-1|a|k> = sqrt(k) sits on the superdiagonal, at column k
-    a = OperatorMatrix(cfg.dim, np.stack([root, zero, zero]))
-    ad = OperatorMatrix(cfg.dim, np.stack([zero, zero, np.append(root[1:], 0.0)]))
-    return a, ad
+    a = np.diag(np.sqrt(np.arange(1, cfg.dim, dtype=float)), 1)
+    return a, a.T.copy()
 
 
 def guard_band_mass(vec: FockVector, cfg: TruncationConfig) -> float:

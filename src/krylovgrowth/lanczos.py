@@ -22,7 +22,7 @@ sum_n n |phi_n|^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +58,7 @@ class KrylovChain:
     b: np.ndarray = field(repr=False)
     m: int
     residual: float
-    basis: Optional[np.ndarray] = field(default=None, repr=False)
+    basis: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
@@ -97,7 +97,7 @@ def lanczos_tridiagonalize(
     Krylov dimension) and yields a shorter chain, except that fewer than
     two sites raises :class:`Breakdown`.
     """
-    if not L.is_hermitian(1e-12):
+    if not L.is_hermitian():
         raise NonHermitianInput("Lanczos requires a Hermitian generator")
     if L.dim != seed.dim:
         raise DimensionMismatch(f"operator dim {L.dim} != seed dim {seed.dim}")
@@ -200,8 +200,6 @@ def chain_complexity(wf: ChainWavefunction) -> float:
 
 def project_onto_chain(chain: KrylovChain, state: FockVector) -> np.ndarray:
     """Amplitudes of a Fock-space state over the retained Krylov basis."""
-    if chain.basis is None:
-        raise ValueError("chain was built without its basis")
     if chain.basis.shape[1] != state.dim:
         raise DimensionMismatch(
             f"basis dim {chain.basis.shape[1]} != state dim {state.dim}"

@@ -13,12 +13,7 @@ from krylovgrowth.algebra import (
     hamiltonian_to_matrix,
 )
 from krylovgrowth.errors import DimensionMismatch
-from krylovgrowth.fock import TruncationConfig, build_ladders
-
-
-def offguard_dev(X, Y, cfg):
-    gs = cfg.guard_start
-    return np.max(np.abs((X.to_dense() - Y.to_dense())[:gs, :gs]))
+from krylovgrowth.fock import OperatorMatrix, TruncationConfig, build_ladders
 
 
 @pytest.fixture(scope="module")
@@ -37,29 +32,57 @@ class TestGenerators:
 
     def test_central_element_is_identity_off_guard(self, gens16, cfg16):
         gs = cfg16.guard_start
-        dev = np.abs(gens16["M"].to_dense() - np.eye(16))[:gs, :gs]
+        dev = np.abs(gens16["M"] - np.eye(16))[:gs, :gs]
         assert dev.max() <= 1e-12
 
     def test_bandwidths(self, gens16):
+        # zero outside |i - j| <= width, nonzero on diagonal +width or -width
         widths = {"P": 1, "G": 1, "M": 0, "H": 2, "K": 2, "D": 2,
                   "L_plus1": 2, "L_minus1": 2, "L0": 0, "number": 0}
         for label, width in widths.items():
-            assert gens16[label].bandwidth == width, label
+            X = gens16[label]
+            assert not np.triu(X, width + 1).any() and not np.tril(X, -width - 1).any(), label
+            assert np.diagonal(X, width).any() or np.diagonal(X, -width).any(), label
 
     def test_rejects_small_dim(self):
         with pytest.raises(ValueError):
             build_generators(TruncationConfig(dim=4))
 
-    def test_banded_matvec_and_hermiticity_match_dense(self, gens16):
+    def test_banded_matvec_and_hermiticity_match_dense(self):
+        # OperatorMatrix built from band arrays of bandwidth 0-2, real and
+        # complex, Hermitian and not, against its own dense form
+        dim = 9
         rng = np.random.default_rng(5)
-        x = rng.normal(size=16) + 1j * rng.normal(size=16)
-        for label in gens16:
-            op = gens16[label]
-            dense = op.to_dense()
-            assert np.max(np.abs(op.matvec(x) - dense @ x)) <= 1e-12, label
-            block = dense[:-1, :-1]
-            hermitian = np.max(np.abs(block - block.conj().T)) <= 1e-12
-            assert op.is_hermitian() == hermitian, label
+        for b in (0, 1, 2):
+            for complex_entries in (False, True):
+                for hermitian in (False, True):
+                    case = (b, complex_entries, hermitian)
+                    bands = rng.normal(size=(2 * b + 1, dim))
+                    if complex_entries:
+                        bands = bands + 1j * rng.normal(size=(2 * b + 1, dim))
+                    if hermitian:
+                        bands[b] = bands[b].real
+                        for d in range(1, b + 1):
+                            # A[j + d, j] = conj(A[j, j + d])
+                            bands[b + d, : dim - d] = bands[b - d, d:].conj()
+                    op = OperatorMatrix(dim, bands)
+                    dense = op.to_dense()
+                    assert op.bandwidth == b, case
+                    # stored as float64 when no entry has an imaginary part
+                    assert np.iscomplexobj(dense) == bool(np.imag(bands).any()), case
+                    for i in range(dim):
+                        for j in range(dim):
+                            want = bands[b + i - j, j] if abs(i - j) <= b else 0.0
+                            assert dense[i, j] == want, (case, i, j)
+                    x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+                    assert np.max(np.abs(op.matvec(x) - dense @ x)) <= 1e-12, case
+                    block = dense[:-1, :-1]
+                    assert op.is_hermitian() == (
+                        np.max(np.abs(block - block.conj().T)) <= 1e-12
+                    ), case
+                    # a real diagonal is Hermitian whatever its entries
+                    real_diagonal = b == 0 and not complex_entries
+                    assert op.is_hermitian() == (hermitian or real_diagonal), case
 
 
 class TestCommutatorTable:
@@ -67,9 +90,8 @@ class TestCommutatorTable:
 
     def test_heisenberg_weyl_line(self, gens16, cfg16):
         lhs = commutator(gens16["P"], gens16["G"])
-        rhs_entries = -gens16["M"].to_dense()
         gs = cfg16.guard_start
-        assert np.max(np.abs((lhs.to_dense() - rhs_entries)[:gs, :gs])) <= 1e-10
+        assert np.max(np.abs((lhs + gens16["M"])[:gs, :gs])) <= 1e-10
 
     @pytest.mark.parametrize(
         "x, y, target, coef",
@@ -84,7 +106,7 @@ class TestCommutatorTable:
     def test_sl2r_and_cross_lines(self, gens16, cfg16, x, y, target, coef):
         lhs = commutator(gens16[x], gens16[y])
         gs = cfg16.guard_start
-        dev = np.abs(lhs.to_dense() - coef * gens16[target].to_dense())[:gs, :gs]
+        dev = np.abs(lhs - coef * gens16[target])[:gs, :gs]
         assert dev.max() <= 1e-10
 
     @pytest.mark.parametrize(
@@ -98,7 +120,7 @@ class TestCommutatorTable:
     def test_weight_sector_relations(self, gens16, cfg16, x, y, target, coef):
         lhs = commutator(gens16[x], gens16[y])
         gs = cfg16.guard_start
-        dev = np.abs(lhs.to_dense() - coef * gens16[target].to_dense())[:gs, :gs]
+        dev = np.abs(lhs - coef * gens16[target])[:gs, :gs]
         assert dev.max() <= 1e-10
 
     @pytest.mark.parametrize(
@@ -109,17 +131,17 @@ class TestCommutatorTable:
         # translations/boosts transform under the quadratic sector
         lhs = commutator(gens16[x], gens16[y])
         gs = cfg16.guard_start
-        dev = np.abs(lhs.to_dense() - coef * gens16[target].to_dense())[:gs, :gs]
+        dev = np.abs(lhs - coef * gens16[target])[:gs, :gs]
         assert dev.max() <= 1e-10
 
     def test_ladder_commutator(self, gens16, cfg16):
         lhs = commutator(gens16["a"], gens16["a_dagger"])
         gs = cfg16.guard_start
-        assert np.max(np.abs(lhs.to_dense() - np.eye(16))[:gs, :gs]) <= 1e-10
+        assert np.max(np.abs(lhs - np.eye(16))[:gs, :gs]) <= 1e-10
 
     def test_antisymmetry(self, gens16):
         z = commutator(gens16["H"], gens16["H"])
-        assert np.max(np.abs(z.to_dense())) == 0.0
+        assert np.max(np.abs(z)) == 0.0
 
     def test_dimension_mismatch(self, gens16):
         other = build_generators(TruncationConfig(dim=8))
@@ -151,7 +173,7 @@ class TestLiouvillian:
     @pytest.mark.parametrize("dim", [4, 5, 8, 64])
     @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, -0.7)])
     def test_bands_are_the_ladder_polynomial(self, dim, alpha, beta):
-        a, ad = (op.to_dense() for op in build_ladders(TruncationConfig(dim=dim)))
+        a, ad = build_ladders(TruncationConfig(dim=dim))
         dense = alpha * (a + ad) + 0.5 * beta * (a @ a + ad @ ad)
         L = build_liouvillian(LiouvillianSpec(alpha, beta), TruncationConfig(dim=dim))
         b = 1 if beta == 0 else 2
@@ -173,13 +195,13 @@ class TestQuadraticHamiltonian:
         h = QuadraticHamiltonian(R_coef=0.5, L_coef=0.5, r_coef=1.0, l_coef=1.0)
         built = hamiltonian_to_matrix(h, cfg)
         ref = build_liouvillian(LiouvillianSpec(1.0, 1.0), cfg)
-        assert np.max(np.abs(built.to_dense() - ref.to_dense())) <= 1e-14
+        assert np.max(np.abs(built - ref.to_dense())) <= 1e-14
 
     def test_number_term_diagonal(self):
         cfg = TruncationConfig(dim=8)
         built = hamiltonian_to_matrix(QuadraticHamiltonian(eta=1.0), cfg)
-        assert np.allclose(np.diag(built.to_dense()), np.arange(8) + 0.5)
-        assert built.bandwidth == 0
+        assert np.allclose(np.diag(built), np.arange(8) + 0.5)
+        assert np.array_equal(built, np.diag(np.diag(built)))
 
     def test_random_hermitian_instance(self):
         rng = np.random.default_rng(11)
@@ -192,7 +214,7 @@ class TestQuadraticHamiltonian:
                 R_coef=R, L_coef=R.conjugate(), r_coef=r, l_coef=r.conjugate(),
             )
             assert h.is_hermitian()
-            mat = hamiltonian_to_matrix(h, cfg).to_dense()
+            mat = hamiltonian_to_matrix(h, cfg)
             assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
 
     def test_hermiticity_predicate_rejects(self):

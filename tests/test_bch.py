@@ -44,8 +44,8 @@ class TestRep4:
 
         for _ in range(4):
             hx, hy = random_quadratic(rng), random_quadratic(rng)
-            X = hamiltonian_to_matrix(hx, cfg).to_dense()
-            Y = hamiltonian_to_matrix(hy, cfg).to_dense()
+            X = hamiltonian_to_matrix(hx, cfg)
+            Y = hamiltonian_to_matrix(hy, cfg)
             comm_op = X @ Y - Y @ X
             Rx, Ry = to_rep4(hx), to_rep4(hy)
             comm_rep = Rx @ Ry - Ry @ Rx

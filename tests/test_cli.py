@@ -243,6 +243,15 @@ class TestMain:
         cfgfile.write_text("unknown_key = 3\n")
         assert main(["--config", str(cfgfile)]) == 1
 
+    def test_invalid_config_format_exit_code(self, tmp_path, capsys):
+        # a config-file format gets the same check as the --format flag
+        cfgfile = tmp_path / "xml.cfg"
+        cfgfile.write_text("format = xml\nsteps = 2\n")
+        out = tmp_path / "o.txt"
+        assert main(["--config", str(cfgfile), "--out", str(out)]) == 1
+        assert "format" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_exit_code(self, capsys):
         code = main(["--mode", "lanczos", "--dim", "16", "--tmax", "12", "--steps", "4"])
         assert code == 2

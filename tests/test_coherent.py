@@ -12,6 +12,7 @@ from krylovgrowth.coherent import (
     autocorrelator_t,
     closed_form_params,
     complexity_closed,
+    hermite_argument,
     hermite_closed_form,
     late_time_growth_exponent,
     mehler_normalization_check,
@@ -33,16 +34,14 @@ class TestDisplacementParams:
             DisplacementParams(v=0.0, w=0.0, theta=2.0)
 
     def test_s_filled_in_and_validated(self):
-        p = DisplacementParams(v=1.0 + 1j, w=0.5j)
-        q = DisplacementParams(v=1.0 + 1j, w=0.5j, s=p.s)
-        assert q.s == p.s
-        with pytest.raises(ValueError):
-            DisplacementParams(v=1.0 + 1j, w=0.5j, s=p.s + 1.0)
+        # s is derived from (v, w), never an input
+        for v, w in [(1.0 + 1j, 0.5j), (0.3, -0.7 + 0.2j), (0.0, 1j)]:
+            assert DisplacementParams(v=v, w=w).s == hermite_argument(v, w)
+        with pytest.raises(TypeError):
+            DisplacementParams(v=1.0 + 1j, w=0.5j, s=0.0)
 
     def test_s_undefined_on_displacement_branch(self):
         assert DisplacementParams(v=2.0, w=0.0).s is None
-        with pytest.raises(ValueError):
-            DisplacementParams(v=2.0, w=0.0, s=1.0)
 
 
 class TestPhiZero:

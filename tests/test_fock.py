@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from krylovgrowth.algebra import LiouvillianSpec, build_liouvillian
 from krylovgrowth.errors import DimensionMismatch, NonHermitianInput, TruncationOverflow
 from krylovgrowth.fock import (
     FockVector,
@@ -11,7 +12,6 @@ from krylovgrowth.fock import (
     build_ladders,
     evolve_state,
     guard_band_mass,
-    matrix_bandwidth,
 )
 
 
@@ -39,12 +39,12 @@ class TestTruncationConfig:
 class TestLadders:
     def test_dim2_annihilation(self):
         a, _ = build_ladders(TruncationConfig(dim=2))
-        assert np.array_equal(a.to_dense(), np.array([[0, 1], [0, 0]], dtype=complex))
+        assert np.array_equal(a, np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_entry_is_sqrt_n(self):
         a, ad = build_ladders(TruncationConfig(dim=4))
-        assert a.to_dense()[2, 3] == pytest.approx(math.sqrt(3), abs=1e-15)
-        assert np.array_equal(ad.to_dense(), a.to_dense().conj().T)
+        assert a[2, 3] == pytest.approx(math.sqrt(3), abs=1e-15)
+        assert np.array_equal(ad, a.conj().T)
 
     def test_rejects_dim_below_2(self):
         with pytest.raises(ValueError):
@@ -53,20 +53,11 @@ class TestLadders:
     def test_commutator_is_identity_off_guard(self):
         dim = 64
         a, ad = build_ladders(TruncationConfig(dim=dim))
-        comm = a.to_dense() @ ad.to_dense() - ad.to_dense() @ a.to_dense()
+        comm = a @ ad - ad @ a
         dev = np.abs(comm - np.eye(dim))
         assert dev[:63, :63].max() <= 1e-12
         # the defect is confined to the last row/column
         assert dev[63, 63] == pytest.approx(dim, abs=1e-9)
-
-    def test_bandwidth_bookkeeping(self):
-        cfg = TruncationConfig(dim=16)
-        a, ad = build_ladders(cfg)
-        assert a.bandwidth == 1
-        assert (a @ a).bandwidth == 2
-        assert OperatorMatrix.from_entries(a.to_dense() + ad.to_dense()).bandwidth == 1
-        sq = a.to_dense() @ a.to_dense() + ad.to_dense() @ ad.to_dense()
-        assert OperatorMatrix.from_entries(sq).bandwidth == 2
 
     def test_storage_sets_bandwidth(self):
         # bands must be (2b+1, dim); zero outer diagonals and slots outside
@@ -85,8 +76,7 @@ class TestLadders:
 
 
 def hw_generator(alpha, dim):
-    a, ad = build_ladders(TruncationConfig(dim=dim))
-    return OperatorMatrix.from_entries(alpha * (a.to_dense() + ad.to_dense()))
+    return build_liouvillian(LiouvillianSpec(alpha, 0.0), TruncationConfig(dim=dim))
 
 
 class TestEvolveState:
@@ -108,11 +98,8 @@ class TestEvolveState:
 
     def test_unitarity_and_group_property(self):
         cfg = TruncationConfig(dim=128)
-        a, ad = build_ladders(cfg)
-        L = OperatorMatrix.from_entries(
-            0.7 * (a.to_dense() + ad.to_dense())
-            + 0.3 * (a.to_dense() @ a.to_dense() + ad.to_dense() @ ad.to_dense())
-        )
+        # 0.7 (a + a^dag) + 0.3 (a^2 + (a^dag)^2)
+        L = build_liouvillian(LiouvillianSpec(0.7, 0.6), cfg)
         for t in (0.3, 0.9, 1.7):
             psi = evolve_state(L, t, vacuum(128), cfg)
             assert abs(psi.norm_sq - 1.0) <= 1e-10
@@ -122,16 +109,14 @@ class TestEvolveState:
 
     def test_rejects_non_hermitian(self):
         cfg = TruncationConfig(dim=8)
-        a, _ = build_ladders(cfg)
+        # the annihilation operator: sqrt(k) on the superdiagonal only
+        a = OperatorMatrix(8, np.stack([np.sqrt(np.arange(8.0)), np.zeros(8), np.zeros(8)]))
         with pytest.raises(NonHermitianInput):
             evolve_state(a, 1.0, vacuum(8), cfg)
 
     def test_truncation_overflow_when_dim_too_small(self):
         cfg = TruncationConfig(dim=32)
-        a, ad = build_ladders(cfg)
-        L = OperatorMatrix.from_entries(
-            0.5 * (a.to_dense() @ a.to_dense() + ad.to_dense() @ ad.to_dense())
-        )
+        L = build_liouvillian(LiouvillianSpec(0.0, 1.0), cfg)
         with pytest.raises(TruncationOverflow) as err:
             evolve_state(L, 2.0, vacuum(32), cfg)
         assert err.value.context["dim"] == 32
@@ -142,8 +127,3 @@ class TestEvolveState:
         amps[7] = 0.5
         amps[0] = math.sqrt(0.75)
         assert guard_band_mass(FockVector(8, amps), cfg) == pytest.approx(0.25)
-
-
-def test_matrix_bandwidth_dense_and_diagonal():
-    assert matrix_bandwidth(np.eye(4)) == 0
-    assert matrix_bandwidth(np.ones((4, 4))) == 3

@@ -6,7 +6,7 @@ import pytest
 
 from krylovgrowth.algebra import LiouvillianSpec, build_liouvillian
 from krylovgrowth.errors import Breakdown, EdgeLeak, NonHermitianInput
-from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, build_ladders, evolve_state
+from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, evolve_state
 from krylovgrowth.lanczos import (
     ChainWavefunction,
     KrylovChain,
@@ -22,15 +22,11 @@ def vacuum(dim):
 
 
 def hw_generator(alpha, dim):
-    a, ad = build_ladders(TruncationConfig(dim=dim))
-    return OperatorMatrix.from_entries(alpha * (a.to_dense() + ad.to_dense()))
+    return build_liouvillian(LiouvillianSpec(alpha, 0.0), TruncationConfig(dim=dim))
 
 
 def sl2r_generator(beta, dim):
-    a, ad = build_ladders(TruncationConfig(dim=dim))
-    return OperatorMatrix.from_entries(
-        0.5 * beta * (a.to_dense() @ a.to_dense() + ad.to_dense() @ ad.to_dense())
-    )
+    return build_liouvillian(LiouvillianSpec(0.0, beta), TruncationConfig(dim=dim))
 
 
 class TestTridiagonalize:
@@ -78,13 +74,13 @@ class TestTridiagonalize:
         assert chain.residual <= 1e-12
 
     def test_breakdown_on_eigenvector_seed(self):
-        a, ad = build_ladders(TruncationConfig(dim=8))
-        number = OperatorMatrix.from_entries(ad.to_dense() @ a.to_dense())
+        number = OperatorMatrix(8, np.arange(8.0)[np.newaxis])  # a^dag a, diagonal
         with pytest.raises(Breakdown):
             lanczos_tridiagonalize(number, FockVector.basis_state(8, 3), 4)
 
     def test_rejects_non_hermitian_and_bad_seed(self):
-        a, _ = build_ladders(TruncationConfig(dim=8))
+        # the annihilation operator: sqrt(k) on the superdiagonal only
+        a = OperatorMatrix(8, np.stack([np.sqrt(np.arange(8.0)), np.zeros(8), np.zeros(8)]))
         with pytest.raises(NonHermitianInput):
             lanczos_tridiagonalize(a, vacuum(8), 4)
         bad = FockVector(8, 0.5 * vacuum(8).amplitudes)
@@ -107,7 +103,8 @@ class TestTridiagonalize:
 
     def test_chain_validation(self):
         with pytest.raises(ValueError):
-            KrylovChain(a=np.zeros(3), b=np.array([1.0, -1.0]), m=3, residual=0.0)
+            KrylovChain(a=np.zeros(3), b=np.array([1.0, -1.0]), m=3, residual=0.0,
+                        basis=np.eye(3))
 
 
 class TestPropagation:

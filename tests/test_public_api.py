@@ -1,15 +1,18 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import krylovgrowth
-from krylovgrowth.fock import FockVector
 
 MODULES = ("algebra", "bch", "cli", "coherent", "fock", "lanczos")
 
-# Symbols that only their own unit tests used, removed from the library.
+# Symbols that only their own unit tests used, removed from the library;
+# "Class.attr" names a removed method.
 REMOVED = {
     "algebra": ("GeneratorSet",),
     "bch": (
@@ -18,7 +21,10 @@ REMOVED = {
     ),
     "coherent": ("MomentReport", "moment_report", "variance_closed", "hw_profile",
                  "interaction_term"),
-    "fock": ("inner",),
+    "fock": (
+        "inner", "matrix_bandwidth", "FockVector.to_json_pairs", "FockVector.from_json_pairs",
+        "OperatorMatrix.from_entries", "OperatorMatrix.__matmul__",
+    ),
 }
 
 
@@ -54,8 +60,24 @@ def test_removed_symbols_are_gone():
     for name, symbols in REMOVED.items():
         module = importlib.import_module(f"krylovgrowth.{name}")
         for symbol in symbols:
+            owner, _, attr = symbol.rpartition(".")
+            if owner:
+                assert not hasattr(getattr(module, owner), attr), f"{name}.{symbol}"
+                continue
             assert not hasattr(module, symbol), f"{name}.{symbol}"
             assert symbol not in getattr(module, "__all__", ())
             assert not hasattr(krylovgrowth, symbol), symbol
-    for method in ("to_json_pairs", "from_json_pairs"):
-        assert not hasattr(FockVector, method)
+
+
+def test_cli_import_loads_no_scipy():
+    # a fresh interpreter: this process may already hold scipy
+    src = Path(krylovgrowth.__file__).resolve().parents[1]
+    code = (
+        "import sys, krylovgrowth.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m == 'krylovgrowth.bch'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"
