@@ -52,7 +52,6 @@ from .errors import (
     EdgeLeak,
     KrylovGrowthError,
     NonConvergent,
-    NonHermitianInput,
     TruncationOverflow,
 )
 from .fock import (

@@ -68,15 +68,6 @@ class QuadraticHamiltonian:
     r_coef: complex = 0.0
     l_coef: complex = 0.0
 
-    def is_hermitian(self) -> bool:
-        tol = 1e-14
-        return (
-            abs(complex(self.eta).imag) <= tol
-            and abs(complex(self.delta).imag) <= tol
-            and abs(self.L_coef - complex(self.R_coef).conjugate()) <= tol
-            and abs(self.l_coef - complex(self.r_coef).conjugate()) <= tol
-        )
-
 
 GENERATOR_LABELS = (
     "a", "a_dagger", "P", "G", "M", "H", "K", "D",
@@ -127,8 +118,8 @@ def build_liouvillian(spec: LiouvillianSpec, cfg: TruncationConfig) -> OperatorM
     """Evolution generator alpha*(a^dag + a) + (beta/2)*((a^dag)^2 + a^2).
 
     Real symmetric; pentadiagonal (bandwidth 2) when beta is nonzero,
-    tridiagonal (bandwidth 1) when only alpha is. The diagonals are written
-    directly, in O(dim) and in float64:
+    tridiagonal (bandwidth 1) otherwise. The main diagonal (zero) and the
+    upper diagonals are written directly, in O(dim) and in float64:
     <k-1|L|k> = alpha sqrt(k) and <k-2|L|k> = (beta/2) sqrt(k-1) sqrt(k).
     """
     if cfg.dim < 4:
@@ -136,13 +127,10 @@ def build_liouvillian(spec: LiouvillianSpec, cfg: TruncationConfig) -> OperatorM
     root = np.sqrt(np.arange(cfg.dim, dtype=float))
     # sqrt(k-1) * sqrt(k) rather than sqrt(k(k-1)): the same rounding as the
     # ladder product a @ a, so L is bitwise the dense ladder polynomial
-    linear = spec.alpha * root[1:]
-    pair = 0.5 * spec.beta * (root[1:-1] * root[2:])
-    bands = np.zeros((5, cfg.dim))
-    bands[0, 2:] = pair
-    bands[1, 1:] = linear
-    bands[3, :-1] = linear
-    bands[4, :-2] = pair
+    bands = np.zeros((3 if spec.beta else 2, cfg.dim))
+    bands[-2, 1:] = spec.alpha * root[1:]
+    if spec.beta:
+        bands[0, 2:] = 0.5 * spec.beta * (root[1:-1] * root[2:])
     return OperatorMatrix(cfg.dim, bands)
 
 

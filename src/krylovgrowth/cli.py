@@ -4,10 +4,11 @@ One entry point (``krylov-growth``) drives the library over a time grid.
 Grid points are evaluated independently in grid order, so identical
 configurations produce byte-identical output files.
 
-Exit codes: 0 success, 1 invalid configuration, 2 numerical failure
-(truncation overflow, chain edge leak, non-convergent series; the message
-carries the offending alpha, beta, t, dim), 3 authoritative verification
-failure.
+Exit codes: 0 success, 1 invalid configuration (a non-finite alpha,
+beta, time or tolerance included), 2 numerical failure (truncation
+overflow, chain edge leak, non-convergent series, a result beyond the
+float range; the message carries the offending alpha, beta, t, dim), 3
+authoritative verification failure.
 """
 
 from __future__ import annotations
@@ -62,6 +63,9 @@ class SweepConfig:
     mode: str = "complexity"
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "t_min", "t_max", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.t_min > self.t_max:
             raise ValueError(f"t_min {self.t_min} exceeds t_max {self.t_max}")
         if self.steps < 1:
@@ -90,8 +94,15 @@ class ResultRow:
     amplitudes: Optional[FockVector] = field(default=None, compare=False)
 
 
-def _attach(err: KrylovGrowthError, cfg: SweepConfig, t: float) -> KrylovGrowthError:
-    err.context.update(alpha=cfg.alpha, beta=cfg.beta, t=t, dim=cfg.dim)
+def _attach(err: Exception, cfg: SweepConfig, t: Optional[float]) -> KrylovGrowthError:
+    """The numerical failure to report for ``err``, with the run's alpha,
+    beta, dim and (when known) t attached. A float-range overflow becomes a
+    :class:`KrylovGrowthError` here, and only here."""
+    if isinstance(err, OverflowError):
+        err = KrylovGrowthError(f"result beyond the float range: {err}")
+    err.context.update(alpha=cfg.alpha, beta=cfg.beta, dim=cfg.dim)
+    if t is not None:
+        err.context["t"] = t
     return err
 
 
@@ -158,8 +169,10 @@ _ROWS: Dict[str, Callable[[SweepConfig, Iterable[float]], List[ResultRow]]] = {
 def run_sweep(cfg: SweepConfig) -> List[ResultRow]:
     """One row per grid point; deterministic for a fixed config.
 
-    A numerical failure carries alpha, beta, dim and the t it occurred at:
-    the time the error names, else the last grid time the mode had drawn.
+    A numerical failure, a float-range overflow included, raises
+    :class:`KrylovGrowthError` carrying alpha, beta, dim and the t it
+    occurred at: the time the error names, else the last grid time the mode
+    had drawn.
     """
     rows_of = _ROWS.get(cfg.mode)
     if rows_of is None:
@@ -173,7 +186,7 @@ def run_sweep(cfg: SweepConfig) -> List[ResultRow]:
 
     try:
         return rows_of(cfg, grid())
-    except KrylovGrowthError as e:
+    except (KrylovGrowthError, OverflowError) as e:
         raise _attach(e, cfg, getattr(e, "t", drawn[-1]))
 
 
@@ -447,7 +460,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         if cfg.mode == "verify":
-            report, ok = verify(cfg)
+            try:
+                report, ok = verify(cfg)
+            except (KrylovGrowthError, OverflowError) as e:
+                raise _attach(e, cfg, getattr(e, "t", None))
             text = json.dumps(report, indent=2) + "\n"
             if merged["out"]:
                 Path(merged["out"]).write_text(text)

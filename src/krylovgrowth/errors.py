@@ -27,10 +27,6 @@ class DimensionMismatch(KrylovGrowthError, ValueError):
     """Operands live in truncated spaces of different sizes."""
 
 
-class NonHermitianInput(KrylovGrowthError, ValueError):
-    """A matrix required to be Hermitian failed the hermiticity check."""
-
-
 class TruncationOverflow(KrylovGrowthError, RuntimeError):
     """Probability mass leaked into the guard band: the truncation dim is
     too small for the requested evolution or squeeze strength."""

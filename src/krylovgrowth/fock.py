@@ -1,14 +1,14 @@
 """Truncated-Fock-space linear algebra.
 
 This module is the brute-force side of every cross-check in the library:
-ladder-operator matrices, exact unitary evolution by Hermitian
+ladder-operator matrices, exact unitary evolution by symmetric
 eigendecomposition and the guard band, all on a finite number basis
-``|0>, ..., |dim-1>``. The evolution generator L is stored by its
-diagonals (:class:`OperatorMatrix`), so building and applying it costs
-O(dim) and a dense dim x dim array is formed only for the
-eigendecomposition. The ladder matrices are plain arrays: they feed the
-small symbolic checks of :mod:`~krylovgrowth.algebra` and
-:mod:`~krylovgrowth.bch`.
+``|0>, ..., |dim-1>``. The evolution generator L is real and symmetric,
+so it is stored by its main and upper diagonals (:class:`OperatorMatrix`):
+building and applying it costs O(dim), and a dense dim x dim array is
+formed only for the eigendecomposition. The ladder matrices are plain
+arrays: they feed the small symbolic checks of
+:mod:`~krylovgrowth.algebra` and :mod:`~krylovgrowth.bch`.
 
 Truncating the Fock space breaks operator identities near the top of the
 basis (e.g. ``[a, a^dag] = 1`` fails in the last row/column), so a guard
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianInput, TruncationOverflow
+from .errors import DimensionMismatch, TruncationOverflow
 
 __all__ = [
     "TruncationConfig",
@@ -39,8 +39,6 @@ __all__ = [
 
 # Share of the top indices held back as the guard band.
 GUARD_FRACTION = 0.125
-# Largest |A[i, j] - conj(A[j, i])| that :meth:`OperatorMatrix.is_hermitian` accepts.
-HERMITIAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,78 +113,60 @@ class FockVector:
 
 @dataclass(frozen=True, eq=False)
 class OperatorMatrix:
-    """Banded operator on the truncated Fock space (the generator L).
+    """Real symmetric banded operator on the truncated Fock space (the
+    generator L).
 
-    ``bands`` holds the 2b+1 diagonals of A in the LAPACK general-band
-    layout (that of ``scipy.linalg.solve_banded``):
-    ``bands[b + i - j, j] = A[i, j]`` for |i - j| <= b. Row 0 is the
-    outermost superdiagonal, row b the main diagonal and row 2b the
-    outermost subdiagonal. Construction zeroes the slots that fall outside
-    the matrix, trims all-zero outer diagonals, so that ``bandwidth`` is
-    the smallest b with A[i, j] = 0 for |i - j| > b, and stores entries
-    without an imaginary part as float64. Applying it costs
-    O(dim * bandwidth); a dense array comes only from :meth:`to_dense`.
+    ``bands`` holds the main and the b upper diagonals of A in the LAPACK
+    upper symmetric-band layout (that of ``scipy.linalg.eig_banded``):
+    ``bands[b + i - j, j] = A[i, j] = A[j, i]`` for 0 <= j - i <= b. Row b
+    is the main diagonal and row 0 the outermost superdiagonal; the first
+    b - r slots of row r lie outside the matrix and are never read.
+    Applying it costs O(dim * bandwidth); a dense array comes only from
+    :meth:`to_dense`.
     """
 
     dim: int
     bands: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        bands = np.array(self.bands, dtype=complex if np.iscomplexobj(self.bands) else float)
-        if bands.ndim != 2 or bands.shape[0] % 2 == 0 or bands.shape[1] != self.dim:
+        bands = np.array(self.bands, dtype=float)
+        if bands.ndim != 2 or bands.shape[0] < 1 or bands.shape[1] != self.dim:
             raise DimensionMismatch(
-                f"bands shape {bands.shape} is not (2b+1, {self.dim})"
+                f"bands shape {bands.shape} is not (b+1, {self.dim})"
             )
-        b = bands.shape[0] // 2
-        for k in range(1, b + 1):
-            bands[b - k, :k] = 0
-            bands[b + k, self.dim - k:] = 0
-        while b > 0 and not (bands[0].any() or bands[-1].any()):
-            bands = bands[1:-1]
-            b -= 1
-        if np.iscomplexobj(bands) and not bands.imag.any():
-            bands = bands.real.copy()
         object.__setattr__(self, "bands", _freeze(bands))
 
     @property
     def bandwidth(self) -> int:
-        return self.bands.shape[0] // 2
-
-    def _diagonals(self):
-        """(offset d, first row, end row) of each stored diagonal A[i, i+d]."""
-        b, n = self.bandwidth, self.dim
-        return ((d, max(0, -d), n - max(0, d)) for d in range(-b, b + 1))
+        return self.bands.shape[0] - 1
 
     def to_dense(self) -> np.ndarray:
         """The full dim x dim matrix (for the eigendecomposition)."""
         b = self.bandwidth
-        out = np.zeros((self.dim, self.dim), dtype=self.bands.dtype)
-        for d, lo, hi in self._diagonals():
-            rows = np.arange(lo, hi)
-            out[rows, rows + d] = self.bands[b - d, lo + d: hi + d]
+        out = np.zeros((self.dim, self.dim))
+        for k in range(b + 1):
+            np.fill_diagonal(out[:, k:], self.bands[b - k, k:])
+            np.fill_diagonal(out[k:], self.bands[b - k, k:])
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x from the stored diagonals, in O(dim * bandwidth)."""
+        """A @ x from the stored diagonals, in O(dim * bandwidth).
+
+        The diagonals are added in a fixed order, subdiagonals from the
+        outermost in, then the main diagonal, then superdiagonals from the
+        innermost out, so that the rounding of every entry is reproducible.
+        """
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"vector shape {x.shape} does not match dim {self.dim}")
-        b = self.bandwidth
-        y = np.zeros(self.dim, dtype=np.result_type(self.bands, x))
-        for d, lo, hi in self._diagonals():
-            y[lo:hi] += self.bands[b - d, lo + d: hi + d] * x[lo + d: hi + d]
+        b, n = self.bandwidth, self.dim
+        y = np.zeros(n, dtype=np.result_type(self.bands, x))
+        for k in range(b, 0, -1):
+            y[k:] += self.bands[b - k, k:] * x[: n - k]
+        y += self.bands[b] * x
+        for k in range(1, b + 1):
+            y[: n - k] += self.bands[b - k, k:] * x[k:]
         return y
-
-    def is_hermitian(self) -> bool:
-        """Hermiticity check, excluding the final truncation row/column."""
-        b = self.bandwidth
-        n = self.dim - 1 if self.dim > 1 else 1
-        # A[i, i+d] against conj(A[i+d, i]) for i + d < n
-        return all(
-            np.all(np.abs(self.bands[b - d, d:n] - self.bands[b + d, : n - d].conj())
-                   <= HERMITIAN_TOL)
-            for d in range(b + 1)
-        )
 
 
 def build_ladders(cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +187,7 @@ def guard_band_mass(vec: FockVector, cfg: TruncationConfig) -> float:
 def evolve_state(
     L: OperatorMatrix, t: float, v0: FockVector, cfg: TruncationConfig
 ) -> FockVector:
-    """Apply exp(i t L) to v0 by Hermitian eigendecomposition.
+    """Apply exp(i t L) to v0 by symmetric eigendecomposition.
 
     Eigendecomposition (rather than a series method) keeps the evolution
     unitary to machine precision. The result is rejected with
@@ -217,11 +197,9 @@ def evolve_state(
     """
     if L.dim != v0.dim:
         raise DimensionMismatch(f"operator dim {L.dim} != state dim {v0.dim}")
-    if not L.is_hermitian():
-        raise NonHermitianInput("evolution generator is not Hermitian")
-    # real symmetric L (stored as float64) is diagonalised in real arithmetic
+    # L is real symmetric: real eigenvalues and real orthogonal eigenvectors
     eigvals, eigvecs = np.linalg.eigh(L.to_dense())
-    psi = eigvecs @ (np.exp(1j * t * eigvals) * (eigvecs.conj().T @ v0.amplitudes))
+    psi = eigvecs @ (np.exp(1j * t * eigvals) * (eigvecs.T @ v0.amplitudes))
     out = FockVector(v0.dim, psi)
     drift = abs(out.norm_sq - v0.norm_sq)
     if drift > 1e-10:

@@ -1,12 +1,12 @@
 """Conventional Krylov machinery: Lanczos tridiagonalization and the chain.
 
-Lanczos with full reorthogonalization turns a Hermitian generator L and a
-seed state into an orthonormal Krylov basis in which L is tridiagonal,
-with hopping coefficients b_n and diagonal coefficients a_n. L enters
-only through its banded matrix-vector product
+Lanczos with full reorthogonalization turns the real symmetric generator
+L and a real seed state into an orthonormal Krylov basis in which L is
+tridiagonal, with hopping coefficients b_n and diagonal coefficients a_n.
+L enters only through its banded matrix-vector product
 (:meth:`~krylovgrowth.fock.OperatorMatrix.matvec`), O(dim) per step for
-the pentadiagonal generator, so no dense dim x dim matrix is formed; a
-real L with a real seed runs in float64. For
+the pentadiagonal generator, so no dense dim x dim matrix is formed, and
+the recursion runs in float64. For
 generators with odd-moment symmetry (pure linear or pure two-photon) the
 diagonal vanishes identically; for the mixed generator it does not
 (<0|L^3|0> = 2 alpha^2 beta), so the chain carries both sets of
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import Breakdown, DimensionMismatch, EdgeLeak, NonHermitianInput
+from .errors import Breakdown, DimensionMismatch, EdgeLeak
 from .fock import FockVector, OperatorMatrix
 
 __all__ = [
@@ -85,20 +85,19 @@ def lanczos_tridiagonalize(
 ) -> KrylovChain:
     """Orthonormalize the Krylov sequence seed, L seed, L^2 seed, ...
 
-    Retains at most ``m`` chain sites. L is applied by its banded matvec;
-    the Krylov vectors are float64 when L and the seed have no imaginary
-    part, complex otherwise. The candidate vector is re-projected against
-    every retained vector twice per step (classical Gram-Schmidt squared),
-    which holds pairwise orthogonality at the 1e-10 level that finite
-    precision otherwise destroys.
+    Retains at most ``m`` chain sites. L is applied by its banded matvec
+    and the Krylov vectors are float64, so the seed must be real: one with
+    an imaginary part raises ``ValueError``. The candidate vector is
+    re-projected against every retained vector twice per step (classical
+    Gram-Schmidt squared), which holds pairwise orthogonality at the 1e-10
+    level that finite precision otherwise destroys.
 
     A candidate hopping at or below the breakdown tolerance exhausts the
     Krylov space: termination is normal (the truncated space has finite
     Krylov dimension) and yields a shorter chain, except that fewer than
-    two sites raises :class:`Breakdown`.
+    two sites raises :class:`Breakdown`. A hopping beyond the float range
+    raises ``OverflowError``.
     """
-    if not L.is_hermitian():
-        raise NonHermitianInput("Lanczos requires a Hermitian generator")
     if L.dim != seed.dim:
         raise DimensionMismatch(f"operator dim {L.dim} != seed dim {seed.dim}")
     if not 2 <= m <= L.dim:
@@ -106,25 +105,26 @@ def lanczos_tridiagonalize(
     nrm = np.sqrt(seed.norm_sq)
     if abs(nrm - 1.0) > 1e-10:
         raise ValueError(f"seed must be normalized, got |seed|={nrm}")
+    if seed.amplitudes.imag.any():
+        raise ValueError("seed must be real")
 
-    q0 = seed.amplitudes / nrm
-    if not q0.imag.any():
-        q0 = q0.real
-    Q = np.zeros((m, L.dim), dtype=np.result_type(L.bands, q0))
-    Q[0] = q0
+    Q = np.zeros((m, L.dim))
+    Q[0] = seed.amplitudes.real / nrm
     adiag = np.zeros(m)
     hops: list[float] = []
     residual = 0.0
     sites = m
     for j in range(1, m + 1):
         work = L.matvec(Q[j - 1])
-        adiag[j - 1] = float((Q[j - 1].conj() @ work).real)
+        adiag[j - 1] = float(Q[j - 1] @ work)
         work = work - adiag[j - 1] * Q[j - 1]
         if j >= 2:
             work = work - hops[-1] * Q[j - 2]
         for _ in range(2):
-            work = work - Q[:j].T @ (Q[:j].conj() @ work)
+            work = work - Q[:j].T @ (Q[:j] @ work)
         bn = float(np.linalg.norm(work))
+        if not np.isfinite(bn):
+            raise OverflowError(f"Lanczos hopping b_{j} = {bn} is beyond the float range")
         if bn <= BREAKDOWN_TOL:
             if j < 2:
                 raise Breakdown(j)
@@ -165,21 +165,20 @@ def propagate_chain(
     """Evolve phi_n(0) = delta_{n0} over the time grid.
 
     Uses one eigendecomposition of the chain matrix (exact exponential, no
-    integrator tolerance); t = 0 returns the initial condition exactly,
-    without the round-off of the eigenbasis. Raises :class:`EdgeLeak` at
-    the first grid time where the last retained site holds more than
-    ``EDGE_LEAK_TOL`` probability, and checks norm conservation to 1e-8
-    at every point.
+    integrator tolerance) and evolves each time on its own, so the grid may
+    hold any real times in any order; the chain matrix is real, so phi(-t)
+    is the complex conjugate of phi(t). t = 0 returns the initial condition
+    exactly, without the round-off of the eigenbasis. Raises
+    :class:`EdgeLeak` at the first grid time where the last retained site
+    holds more than ``EDGE_LEAK_TOL`` probability, and checks norm
+    conservation to 1e-8 at every point.
     """
     if chain.m < 2:
         raise ValueError("chain must have at least 2 sites")
-    ts = list(t_grid)
-    if any(t2 < t1 for t1, t2 in zip(ts, ts[1:])) or (ts and ts[0] < 0):
-        raise ValueError("t_grid must be sorted ascending from 0")
     evals, evecs = np.linalg.eigh(chain.tridiagonal())
-    start = evecs.conj().T[:, 0]  # overlap of each eigenvector with site 0
+    start = evecs[0]  # overlap of each eigenvector with site 0
     out = []
-    for t in ts:
+    for t in t_grid:
         if t == 0:
             phi = np.zeros(chain.m, dtype=complex)
             phi[0] = 1.0
@@ -204,4 +203,4 @@ def project_onto_chain(chain: KrylovChain, state: FockVector) -> np.ndarray:
         raise DimensionMismatch(
             f"basis dim {chain.basis.shape[1]} != state dim {state.dim}"
         )
-    return chain.basis.conj() @ state.amplitudes
+    return chain.basis @ state.amplitudes

@@ -49,40 +49,25 @@ class TestGenerators:
             build_generators(TruncationConfig(dim=4))
 
     def test_banded_matvec_and_hermiticity_match_dense(self):
-        # OperatorMatrix built from band arrays of bandwidth 0-2, real and
-        # complex, Hermitian and not, against its own dense form
+        # OperatorMatrix built from real symmetric band arrays of bandwidth
+        # 0-2 against its own dense form, which is symmetric (Hermitian)
         dim = 9
         rng = np.random.default_rng(5)
         for b in (0, 1, 2):
-            for complex_entries in (False, True):
-                for hermitian in (False, True):
-                    case = (b, complex_entries, hermitian)
-                    bands = rng.normal(size=(2 * b + 1, dim))
-                    if complex_entries:
-                        bands = bands + 1j * rng.normal(size=(2 * b + 1, dim))
-                    if hermitian:
-                        bands[b] = bands[b].real
-                        for d in range(1, b + 1):
-                            # A[j + d, j] = conj(A[j, j + d])
-                            bands[b + d, : dim - d] = bands[b - d, d:].conj()
-                    op = OperatorMatrix(dim, bands)
-                    dense = op.to_dense()
-                    assert op.bandwidth == b, case
-                    # stored as float64 when no entry has an imaginary part
-                    assert np.iscomplexobj(dense) == bool(np.imag(bands).any()), case
-                    for i in range(dim):
-                        for j in range(dim):
-                            want = bands[b + i - j, j] if abs(i - j) <= b else 0.0
-                            assert dense[i, j] == want, (case, i, j)
-                    x = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-                    assert np.max(np.abs(op.matvec(x) - dense @ x)) <= 1e-12, case
-                    block = dense[:-1, :-1]
-                    assert op.is_hermitian() == (
-                        np.max(np.abs(block - block.conj().T)) <= 1e-12
-                    ), case
-                    # a real diagonal is Hermitian whatever its entries
-                    real_diagonal = b == 0 and not complex_entries
-                    assert op.is_hermitian() == (hermitian or real_diagonal), case
+            bands = rng.normal(size=(b + 1, dim))
+            op = OperatorMatrix(dim, bands)
+            dense = op.to_dense()
+            assert op.bandwidth == b
+            assert dense.dtype == np.float64
+            assert np.array_equal(dense, dense.T), b
+            for i in range(dim):
+                for j in range(i, dim):
+                    want = bands[b + i - j, j] if j - i <= b else 0.0
+                    assert dense[i, j] == want, (b, i, j)
+            x = rng.normal(size=dim)
+            assert np.max(np.abs(op.matvec(x) - dense @ x)) <= 1e-12, b
+            z = x + 1j * rng.normal(size=dim)
+            assert np.max(np.abs(op.matvec(z) - dense @ z)) <= 1e-12, b
 
 
 class TestCommutatorTable:
@@ -168,7 +153,8 @@ class TestLiouvillian:
         cfg = TruncationConfig(dim=32)
         L = build_liouvillian(LiouvillianSpec(1.0, 1.0), cfg)
         assert L.bandwidth == 2
-        assert L.is_hermitian()
+        dense = L.to_dense()
+        assert np.array_equal(dense, dense.T)
 
     @pytest.mark.parametrize("dim", [4, 5, 8, 64])
     @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, -0.7)])
@@ -177,12 +163,16 @@ class TestLiouvillian:
         dense = alpha * (a + ad) + 0.5 * beta * (a @ a + ad @ ad)
         L = build_liouvillian(LiouvillianSpec(alpha, beta), TruncationConfig(dim=dim))
         b = 1 if beta == 0 else 2
-        assert L.bandwidth == b
+        assert L.bands.shape == (b + 1, dim)
         assert L.bands.dtype == np.float64
+        # upper symmetric-band layout, and the unused slots hold zeros
+        for r in range(b):
+            assert not L.bands[r, : b - r].any()
         for i in range(dim):
             for j in range(dim):
-                stored = L.bands[b + i - j, j] if abs(i - j) <= b else 0.0
+                stored = L.bands[b - abs(i - j), max(i, j)] if abs(i - j) <= b else 0.0
                 assert abs(stored - dense[i, j]) <= 1e-14, (i, j)
+        assert np.array_equal(L.to_dense(), dense)
 
     def test_rejects_nonfinite_spec(self):
         with pytest.raises(ValueError):
@@ -213,10 +203,5 @@ class TestQuadraticHamiltonian:
                 eta=rng.normal(), delta=rng.normal(),
                 R_coef=R, L_coef=R.conjugate(), r_coef=r, l_coef=r.conjugate(),
             )
-            assert h.is_hermitian()
             mat = hamiltonian_to_matrix(h, cfg)
             assert np.max(np.abs(mat - mat.conj().T)) <= 1e-12
-
-    def test_hermiticity_predicate_rejects(self):
-        assert not QuadraticHamiltonian(eta=1j).is_hermitian()
-        assert not QuadraticHamiltonian(R_coef=1.0, L_coef=0.5).is_hermitian()

@@ -27,7 +27,9 @@ class TestSweepConfig:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(t_min=2.0, t_max=1.0), dict(steps=0), dict(mode="nope"), dict(tol=0.0), dict(dim=2)],
+        [dict(t_min=2.0, t_max=1.0), dict(steps=0), dict(mode="nope"), dict(tol=0.0), dict(dim=2),
+         dict(alpha=math.nan), dict(beta=math.inf), dict(t_min=math.nan), dict(t_max=math.inf),
+         dict(tol=math.inf)],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
@@ -93,6 +95,8 @@ class TestRunSweep:
             (dict(mode="lanczos", t_max=12.0, steps=5, dim=16), 3.0),
             # a chain failure without a time: the last grid time
             (dict(mode="lanczos", alpha=0.0, beta=0.0, t_max=1.0, steps=3), 1.0),
+            # a float-range overflow: the grid time it occurred at
+            (dict(t_max=800.0, steps=3), 400.0),
         ],
     )
     def test_numerical_error_names_its_grid_time(self, kwargs, t):
@@ -185,6 +189,21 @@ class TestVerify:
         assert disc["late_time_exponent"]["measured_over_t_4_to_6"] == pytest.approx(2.0, abs=0.02)
 
 
+# Inputs that once ended in a traceback, and the exit code each documents.
+EXIT_CASES = (
+    # non-finite inputs are invalid configurations
+    [(["--mode", "lanczos", "--alpha", "nan"], 1), (["--tmin", "nan"], 1), (["--tmax", "inf"], 1)]
+    # results beyond the float range are numerical failures
+    + [(["--mode", mode, "--tmax", "800"], 2)
+       for mode in ("complexity", "variance", "distribution", "autocorrelator")]
+    + [(["--mode", mode, "--alpha", "1e200"], 2)
+       for mode in ("complexity", "variance", "distribution", "autocorrelator", "lanczos", "verify")]
+    + [(["--mode", "autocorrelator", "--tmax", "4.8", "--alpha", "0.2", "--beta", "1.4"], 2)]
+    # negative times are valid in every mode
+    + [(["--mode", "lanczos", "--tmin", "-1", "--tmax", "1"], 0)]
+)
+
+
 class TestMain:
     def test_sweep_to_file_and_determinism(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -257,6 +276,19 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert "dim=16" in err
+
+    @pytest.mark.parametrize(
+        "argv, code", EXIT_CASES, ids=[" ".join(argv) for argv, _ in EXIT_CASES]
+    )
+    def test_documented_exit_code_without_traceback(self, argv, code, capsys):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            kind = "invalid configuration" if code == 1 else "numerical failure"
+            assert captured.err.splitlines()[-1].startswith(kind)
+        if code == 2:
+            assert "alpha=" in captured.err and "dim=" in captured.err
 
     def test_lanczos_prints_zero_at_t0(self, capsys):
         code = main(["--mode", "lanczos", "--dim", "64", "--tmax", "0.5", "--steps", "3"])

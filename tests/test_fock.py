@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from krylovgrowth.algebra import LiouvillianSpec, build_liouvillian
-from krylovgrowth.errors import DimensionMismatch, NonHermitianInput, TruncationOverflow
+from krylovgrowth.coherent import closed_form_params, phi_series
+from krylovgrowth.errors import DimensionMismatch, TruncationOverflow
 from krylovgrowth.fock import (
     FockVector,
     OperatorMatrix,
@@ -60,19 +61,11 @@ class TestLadders:
         assert dev[63, 63] == pytest.approx(dim, abs=1e-9)
 
     def test_storage_sets_bandwidth(self):
-        # bands must be (2b+1, dim); zero outer diagonals and slots outside
-        # the matrix do not count towards the bandwidth
-        with pytest.raises(DimensionMismatch):
-            OperatorMatrix(3, np.ones((2, 3)))
-        with pytest.raises(DimensionMismatch):
-            OperatorMatrix(3, np.ones((3, 4)))
-        bands = np.zeros((5, 4), dtype=complex)
-        bands[0, :2] = 7.0  # outside the matrix
-        bands[2] = 1.0
-        op = OperatorMatrix(4, bands)
-        assert op.bandwidth == 0
-        assert op.bands.dtype == np.float64
-        assert np.array_equal(op.to_dense(), np.eye(4))
+        # bands must be (b+1, dim): at least one row, one column per index
+        for bad in (np.ones(3), np.ones((0, 3)), np.ones((3, 4))):
+            with pytest.raises(DimensionMismatch):
+                OperatorMatrix(3, bad)
+        assert OperatorMatrix(3, np.ones((2, 3))).bandwidth == 1
 
 
 def hw_generator(alpha, dim):
@@ -107,12 +100,17 @@ class TestEvolveState:
         one_step = evolve_state(L, 1.3, vacuum(128), cfg)
         assert np.max(np.abs(two_step.amplitudes - one_step.amplitudes)) <= 1e-9
 
-    def test_rejects_non_hermitian(self):
-        cfg = TruncationConfig(dim=8)
-        # the annihilation operator: sqrt(k) on the superdiagonal only
-        a = OperatorMatrix(8, np.stack([np.sqrt(np.arange(8.0)), np.zeros(8), np.zeros(8)]))
-        with pytest.raises(NonHermitianInput):
-            evolve_state(a, 1.0, vacuum(8), cfg)
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.5, 0.25), (1.0, 0.0), (0.0, 1.0)])
+    def test_amplitudes_match_closed_form_with_phases(self, alpha, beta):
+        # the complex amplitudes, not only their moduli, at points the
+        # truncation covers; (0.25, 1.5) at t = 1 is truncation-limited
+        # (4.5e-7) and left out
+        cfg = TruncationConfig(dim=256)
+        spec = LiouvillianSpec(alpha, beta)
+        psi = evolve_state(build_liouvillian(spec, cfg), 0.5, vacuum(256), cfg)
+        series = phi_series(closed_form_params(spec, 0.5), tol=1e-12)
+        n = min(series.k_max + 1, cfg.dim)
+        assert np.max(np.abs(psi.amplitudes[:n] - series.phi[:n])) <= 1e-12
 
     def test_truncation_overflow_when_dim_too_small(self):
         cfg = TruncationConfig(dim=32)

@@ -14,7 +14,7 @@ MODULES = ("algebra", "bch", "cli", "coherent", "fock", "lanczos")
 # Symbols that only their own unit tests used, removed from the library;
 # "Class.attr" names a removed method.
 REMOVED = {
-    "algebra": ("GeneratorSet",),
+    "algebra": ("GeneratorSet", "QuadraticHamiltonian.is_hermitian"),
     "bch": (
         "Rep4Matrix", "displacement_operator", "squeeze_operator", "bogoliubov",
         "bogoliubov_safe_block", "conjugated_annihilation",
@@ -23,8 +23,10 @@ REMOVED = {
                  "interaction_term"),
     "fock": (
         "inner", "matrix_bandwidth", "FockVector.to_json_pairs", "FockVector.from_json_pairs",
-        "OperatorMatrix.from_entries", "OperatorMatrix.__matmul__",
+        "OperatorMatrix.from_entries", "OperatorMatrix.__matmul__", "OperatorMatrix.is_hermitian",
+        "HERMITIAN_TOL",
     ),
+    "errors": ("NonHermitianInput",),
 }
 
 
