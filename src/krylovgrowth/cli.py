@@ -148,9 +148,10 @@ def _autocorrelator_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRo
 
 
 def _lanczos_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
-    ts = list(ts)
+    # the chain is built before any grid time is drawn: its failures have no t
     L = build_liouvillian(cfg.spec(), TruncationConfig(dim=cfg.dim, tail_tolerance=cfg.tol))
     chain = lanczos_tridiagonalize(L, FockVector.basis_state(cfg.dim, 0), min(cfg.dim // 2, 128))
+    ts = list(ts)
     wfs = propagate_chain(chain, ts)
     return [ResultRow(t, {"K_chain": chain_complexity(wf)}, "lanczos_chain")
             for t, wf in zip(ts, wfs)]
@@ -172,7 +173,8 @@ def run_sweep(cfg: SweepConfig) -> List[ResultRow]:
     A numerical failure, a float-range overflow included, raises
     :class:`KrylovGrowthError` carrying alpha, beta, dim and the t it
     occurred at: the time the error names, else the last grid time the mode
-    had drawn.
+    had drawn. A failure before the mode drew any grid time (the Lanczos
+    chain construction) carries no t.
     """
     rows_of = _ROWS.get(cfg.mode)
     if rows_of is None:
@@ -187,7 +189,7 @@ def run_sweep(cfg: SweepConfig) -> List[ResultRow]:
     try:
         return rows_of(cfg, grid())
     except (KrylovGrowthError, OverflowError) as e:
-        raise _attach(e, cfg, getattr(e, "t", drawn[-1]))
+        raise _attach(e, cfg, getattr(e, "t", drawn[-1] if drawn else None))
 
 
 def _fmt(x: float) -> str:

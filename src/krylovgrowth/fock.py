@@ -150,22 +150,33 @@ class OperatorMatrix:
         return out
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x from the stored diagonals, in O(dim * bandwidth).
-
-        The diagonals are added in a fixed order, subdiagonals from the
-        outermost in, then the main diagonal, then superdiagonals from the
-        innermost out, so that the rounding of every entry is reproducible.
-        """
+        """A @ x from the stored diagonals, in O(dim * bandwidth)."""
         x = np.asarray(x)
         if x.shape != (self.dim,):
             raise DimensionMismatch(f"vector shape {x.shape} does not match dim {self.dim}")
-        b, n = self.bandwidth, self.dim
-        y = np.zeros(n, dtype=np.result_type(self.bands, x))
+        return self.leading_matvec(x)
+
+    def leading_matvec(self, x: np.ndarray) -> np.ndarray:
+        """A[:n, :n] @ x for a vector of length n <= dim, in O(n * bandwidth).
+
+        When x holds the first n entries of a vector whose entries from
+        n - bandwidth on are zero, this is the first n entries of A times
+        that vector. The diagonals are added in a fixed order, subdiagonals
+        from the outermost in, then the main diagonal, then superdiagonals
+        from the innermost out, so that the rounding of every entry is
+        reproducible and the same at every n.
+        """
+        x = np.asarray(x)
+        n = x.shape[0]
+        if x.ndim != 1 or n > self.dim:
+            raise DimensionMismatch(f"vector shape {x.shape} exceeds dim {self.dim}")
+        b, d = self.bandwidth, self.bands[:, :n]
+        y = np.zeros(n, dtype=np.result_type(d, x))
         for k in range(b, 0, -1):
-            y[k:] += self.bands[b - k, k:] * x[: n - k]
-        y += self.bands[b] * x
+            y[k:] += d[b - k, k:] * x[: n - k]
+        y += d[b] * x
         for k in range(1, b + 1):
-            y[: n - k] += self.bands[b - k, k:] * x[k:]
+            y[: n - k] += d[b - k, k:] * x[k:]
         return y
 
 

@@ -4,9 +4,14 @@ Lanczos with full reorthogonalization turns the real symmetric generator
 L and a real seed state into an orthonormal Krylov basis in which L is
 tridiagonal, with hopping coefficients b_n and diagonal coefficients a_n.
 L enters only through its banded matrix-vector product
-(:meth:`~krylovgrowth.fock.OperatorMatrix.matvec`), O(dim) per step for
-the pentadiagonal generator, so no dense dim x dim matrix is formed, and
-the recursion runs in float64. For
+(:meth:`~krylovgrowth.fock.OperatorMatrix.leading_matvec`), so no dense
+dim x dim matrix is formed, and the recursion runs in float64. L has
+bandwidth b, so Krylov vector j of a seed with highest level s0 lives on
+Fock levels 0..s0 + b*j, and step j works on that prefix only: O(j) work
+for the matvec and O(j^2) for the reorthogonalization, independent of dim
+once dim >= b*m + s0 + 1. The chain is a property of L and the seed, not
+of the truncation (the recursion method of Viswanath & Mueller, *The
+Recursion Method*, Springer 1994). For
 generators with odd-moment symmetry (pure linear or pure two-photon) the
 diagonal vanishes identically; for the mixed generator it does not
 (<0|L^3|0> = 2 alpha^2 beta), so the chain carries both sets of
@@ -39,6 +44,11 @@ __all__ = [
 ]
 
 BREAKDOWN_TOL = 1e-12
+# The Krylov prefix length is rounded up to a multiple of this, so that the
+# BLAS dot products and projections (OpenBLAS, one thread) round as they do
+# over the full zero-padded vector: the chain is bitwise that of a full-length
+# recursion.
+PREFIX_BLOCK = 32
 # Largest probability the last retained chain site may hold at a grid time.
 EDGE_LEAK_TOL = 1e-8
 
@@ -87,7 +97,9 @@ def lanczos_tridiagonalize(
 
     Retains at most ``m`` chain sites. L is applied by its banded matvec
     and the Krylov vectors are float64, so the seed must be real: one with
-    an imaginary part raises ``ValueError``. The candidate vector is
+    an imaginary part raises ``ValueError``. Step j runs on the Fock levels
+    that L^j seed can reach, not on all ``dim`` of them, and the rows of
+    ``basis`` are zero beyond them. The candidate vector is
     re-projected against every retained vector twice per step (classical
     Gram-Schmidt squared), which holds pairwise orthogonality at the 1e-10
     level that finite precision otherwise destroys.
@@ -110,32 +122,40 @@ def lanczos_tridiagonalize(
 
     Q = np.zeros((m, L.dim))
     Q[0] = seed.amplitudes.real / nrm
+    # Q[j - 1] lives on levels 0..s0 + b*(j - 1), so L Q[j - 1] fits in the
+    # first s0 + b*j + 1 entries, and step j works on those alone.
+    s0 = int(np.flatnonzero(Q[0])[-1])
     adiag = np.zeros(m)
     hops: list[float] = []
     residual = 0.0
     sites = m
-    for j in range(1, m + 1):
-        work = L.matvec(Q[j - 1])
-        adiag[j - 1] = float(Q[j - 1] @ work)
-        work = work - adiag[j - 1] * Q[j - 1]
-        if j >= 2:
-            work = work - hops[-1] * Q[j - 2]
-        for _ in range(2):
-            work = work - Q[:j].T @ (Q[:j] @ work)
-        bn = float(np.linalg.norm(work))
-        if not np.isfinite(bn):
-            raise OverflowError(f"Lanczos hopping b_{j} = {bn} is beyond the float range")
-        if bn <= BREAKDOWN_TOL:
-            if j < 2:
-                raise Breakdown(j)
-            sites = j
-            residual = bn
-            break
-        if j == m:
-            residual = bn
-            break
-        Q[j] = work / bn
-        hops.append(bn)
+    # a hopping beyond the float range is quietly inf or nan, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, m + 1):
+            reach = s0 + L.bandwidth * j + 1
+            n = min(L.dim, -(-reach // PREFIX_BLOCK) * PREFIX_BLOCK)
+            basis, q = Q[:j, :n], Q[j - 1, :n]
+            work = L.leading_matvec(q)
+            adiag[j - 1] = float(q @ work)
+            work = work - adiag[j - 1] * q
+            if j >= 2:
+                work = work - hops[-1] * Q[j - 2, :n]
+            for _ in range(2):
+                work = work - basis.T @ (basis @ work)
+            bn = float(np.linalg.norm(work))
+            if not np.isfinite(bn):
+                raise OverflowError(f"Lanczos hopping b_{j} = {bn} is beyond the float range")
+            if bn <= BREAKDOWN_TOL:
+                if j < 2:
+                    raise Breakdown(j)
+                sites = j
+                residual = bn
+                break
+            if j == m:
+                residual = bn
+                break
+            Q[j, :n] = work / bn
+            hops.append(bn)
     return KrylovChain(
         a=adiag[:sites], b=np.array(hops[: sites - 1]), m=sites,
         residual=residual, basis=Q[:sites],
@@ -177,6 +197,7 @@ def propagate_chain(
         raise ValueError("chain must have at least 2 sites")
     evals, evecs = np.linalg.eigh(chain.tridiagonal())
     start = evecs[0]  # overlap of each eigenvector with site 0
+    evecs = evecs.astype(complex)  # cast once, not at every grid time
     out = []
     for t in t_grid:
         if t == 0:

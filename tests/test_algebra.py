@@ -68,6 +68,18 @@ class TestGenerators:
             assert np.max(np.abs(op.matvec(x) - dense @ x)) <= 1e-12, b
             z = x + 1j * rng.normal(size=dim)
             assert np.max(np.abs(op.matvec(z) - dense @ z)) <= 1e-12, b
+            for n in (1, 4, dim):
+                y = op.leading_matvec(x[:n])
+                assert np.max(np.abs(y - dense[:n, :n] @ x[:n])) <= 1e-12, (b, n)
+            # a vector that is zero from n - b on: the leading product is
+            # the full product, bit for bit, and nothing lies beyond n
+            n = 6
+            padded = np.where(np.arange(dim) < n - b, x, 0.0)
+            full = op.matvec(padded)
+            assert full[:n].tobytes() == op.leading_matvec(padded[:n]).tobytes(), b
+            assert not full[n:].any(), b
+            with pytest.raises(DimensionMismatch):
+                op.leading_matvec(np.zeros(dim + 1))
 
 
 class TestCommutatorTable:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -93,8 +94,8 @@ class TestRunSweep:
             (dict(mode="distribution", t_min=2.0, t_max=3.5, steps=4), 3.0),
             # the time the EdgeLeak names
             (dict(mode="lanczos", t_max=12.0, steps=5, dim=16), 3.0),
-            # a chain failure without a time: the last grid time
-            (dict(mode="lanczos", alpha=0.0, beta=0.0, t_max=1.0, steps=3), 1.0),
+            # a chain failure happens before any grid time: no t
+            (dict(mode="lanczos", alpha=0.0, beta=0.0, t_max=1.0, steps=3), None),
             # a float-range overflow: the grid time it occurred at
             (dict(t_max=800.0, steps=3), 400.0),
         ],
@@ -104,7 +105,10 @@ class TestRunSweep:
 
         with pytest.raises(KrylovGrowthError) as err:
             run_sweep(SweepConfig(**kwargs))
-        assert err.value.context["t"] == t
+        if t is None:
+            assert "t" not in err.value.context
+        else:
+            assert err.value.context["t"] == t
 
     def test_determinism(self):
         cfg = SweepConfig(alpha=0.7, beta=0.3, steps=7, mode="variance")
@@ -289,6 +293,17 @@ class TestMain:
             assert captured.err.splitlines()[-1].startswith(kind)
         if code == 2:
             assert "alpha=" in captured.err and "dim=" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+    def test_chain_overflow_prints_one_line(self, flag, capsys):
+        # a numpy RuntimeWarning would raise here instead of reaching stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--mode", "lanczos", flag, "1e200"])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+        assert "t=" not in lines[0]
 
     def test_lanczos_prints_zero_at_t0(self, capsys):
         code = main(["--mode", "lanczos", "--dim", "64", "--tmax", "0.5", "--steps", "3"])

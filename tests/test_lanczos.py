@@ -98,6 +98,55 @@ class TestTridiagonalize:
         assert chain.m == 128
         assert chain.basis.dtype == np.float64
 
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.25, 1.5), (1.5, 0.0), (0.0, 1.0)])
+    def test_chain_does_not_depend_on_dim(self, alpha, beta):
+        # Krylov vector j lives on levels 0..b*j: the truncation is bookkeeping
+        chains = [
+            lanczos_tridiagonalize(
+                build_liouvillian(LiouvillianSpec(alpha, beta), TruncationConfig(dim=dim)),
+                vacuum(dim), 128,
+            )
+            for dim in (512, 4096)
+        ]
+        small, large = chains
+        assert small.m == large.m == 128
+        assert small.a.tobytes() == large.a.tobytes()
+        assert small.b.tobytes() == large.b.tobytes()
+        assert small.residual == large.residual
+
+    @pytest.mark.parametrize("seed_kind", ["spread", "level7"])
+    def test_general_seed_matches_full_length_lanczos(self, seed_kind):
+        dim, m = 200, 60
+        L = build_liouvillian(LiouvillianSpec(0.8, 1.1), TruncationConfig(dim=dim))
+        amps = np.zeros(dim)
+        if seed_kind == "spread":
+            amps[:6] = np.random.default_rng(3).standard_normal(6)
+            amps /= np.linalg.norm(amps)
+        else:
+            amps[7] = 1.0
+        top = int(np.flatnonzero(amps)[-1])
+        chain = lanczos_tridiagonalize(L, FockVector(dim, amps), m)
+
+        # reference: every step over all dim entries of the dense matrix
+        A = L.to_dense()
+        Q = np.zeros((m, dim))
+        Q[0] = amps
+        ref_b = []
+        for j in range(1, m):
+            w = A @ Q[j - 1]
+            for _ in range(2):
+                w -= Q[:j].T @ (Q[:j] @ w)
+            ref_b.append(np.linalg.norm(w))
+            Q[j] = w / ref_b[-1]
+
+        assert chain.m == m
+        assert np.max(np.abs(chain.b / np.array(ref_b) - 1.0)) <= 1e-12
+        Qc = chain.basis
+        assert Qc.shape == (m, dim)
+        assert np.max(np.abs(Qc @ Qc.T - np.eye(m))) <= 1e-10
+        for j in range(m):
+            assert not Qc[j, top + L.bandwidth * j + 1:].any()
+
     def test_chain_validation(self):
         with pytest.raises(ValueError):
             KrylovChain(a=np.zeros(3), b=np.array([1.0, -1.0]), m=3, residual=0.0,
