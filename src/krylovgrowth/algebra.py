@@ -128,9 +128,11 @@ def build_liouvillian(spec: LiouvillianSpec, cfg: TruncationConfig) -> OperatorM
     # sqrt(k-1) * sqrt(k) rather than sqrt(k(k-1)): the same rounding as the
     # ladder product a @ a, so L is bitwise the dense ladder polynomial
     bands = np.zeros((3 if spec.beta else 2, cfg.dim))
-    bands[-2, 1:] = spec.alpha * root[1:]
-    if spec.beta:
-        bands[0, 2:] = 0.5 * spec.beta * (root[1:-1] * root[2:])
+    # an entry beyond the float range becomes inf; its user reports it
+    with np.errstate(over="ignore"):
+        bands[-2, 1:] = spec.alpha * root[1:]
+        if spec.beta:
+            bands[0, 2:] = 0.5 * spec.beta * (root[1:-1] * root[2:])
     return OperatorMatrix(cfg.dim, bands)
 
 

@@ -39,6 +39,7 @@ from .coherent import (
     schrodinger_complexity_t,
     sl2r_profile,
     variance_alt_closed_form,
+    _moments,
 )
 from .errors import KrylovGrowthError, TruncationOverflow
 from .fock import FockVector, TruncationConfig, evolve_state
@@ -115,9 +116,7 @@ def _variance_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
     spec = cfg.spec()
     rows = []
     for t in ts:
-        p = closed_form_params(spec, t)
-        m1 = moment_n(p, 1)
-        m2 = moment_n(p, 2)
+        m1, m2 = _moments(closed_form_params(spec, t), (1, 2))
         rows.append(ResultRow(t, {"K": m1, "sigma2": m2 - m1 * m1}, "closed_form"))
     return rows
 
@@ -126,11 +125,12 @@ def _distribution_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]
     spec = cfg.spec()
     series = [(t, phi_series(closed_form_params(spec, t), tol=cfg.tol)) for t in ts]
     width = max(s.k_max + 1 for _, s in series)
+    keys = [f"p{k}" for k in range(width)]
     rows = []
     for t, s in series:
         probs = np.zeros(width)
         probs[: s.k_max + 1] = s.probabilities()
-        values = {f"p{k}": float(probs[k]) for k in range(width)}
+        values = dict(zip(keys, probs.tolist()))
         rows.append(ResultRow(t, values, "closed_form",
                               amplitudes=FockVector(width, np.pad(s.phi, (0, width - s.k_max - 1)))))
     return rows
@@ -204,25 +204,46 @@ def rows_to_csv(rows: List[ResultRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Encoders for the blocks of a row that may be wide: the C encoder of
+# ``json`` (no indent) with item separators that already hold the newline
+# and indent of ``json.dumps(indent=2)`` at their depth in the payload.
+_VALUES_JSON = json.JSONEncoder(separators=(",\n" + " " * 8, ": "))
+_PAIRS_JSON = json.JSONEncoder(separators=(",\n" + " " * 10, ": "))
+# Stands for a pre-rendered block in the skeleton; no config value or
+# method name is a lone NUL.
+_HOLE = "\0"
+
+
+def _values_block(values: Dict[str, float]) -> str:
+    text = _VALUES_JSON.encode(values)
+    return "{\n        " + text[1:-1] + "\n      }" if values else text
+
+
+def _amplitudes_block(amplitudes: np.ndarray) -> str:
+    # [re, im] pairs: the brackets of each pair go on their own lines
+    text = _PAIRS_JSON.encode(amplitudes.view(float).reshape(-1, 2).tolist())
+    if not len(amplitudes):
+        return text
+    inner = text[2:-2].replace("],\n" + " " * 10 + "[", "\n        ],\n        [\n          ")
+    return "[\n        [\n          " + inner + "\n        ]\n      ]"
+
+
 def rows_to_json(cfg: SweepConfig, rows: List[ResultRow]) -> str:
-    payload = {
-        "config": asdict(cfg),
-        "rows": [
-            {
-                "t": row.t,
-                "values": row.values,
-                "method": row.method,
-                **(
-                    {"amplitudes": [[float(z.real), float(z.imag)]
-                                    for z in row.amplitudes.amplitudes]}
-                    if row.amplitudes is not None
-                    else {}
-                ),
-            }
-            for row in rows
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """``{"config": ..., "rows": [...]}`` as ``json.dumps(..., indent=2)``
+    writes it, byte for byte. Each row's ``values`` and ``amplitudes`` are
+    encoded by the C encoder and spliced into the indented skeleton."""
+    blocks = []
+    skeleton = []
+    for row in rows:
+        blocks.append(_values_block(row.values))
+        entry = {"t": row.t, "values": _HOLE, "method": row.method}
+        if row.amplitudes is not None:
+            blocks.append(_amplitudes_block(row.amplitudes.amplitudes))
+            entry["amplitudes"] = _HOLE
+        skeleton.append(entry)
+    parts = json.dumps({"config": asdict(cfg), "rows": skeleton}, indent=2).split(
+        json.dumps(_HOLE))
+    return parts[0] + "".join(b + part for b, part in zip(blocks, parts[1:])) + "\n"
 
 
 def figure_data(which: str, outdir: Path) -> List[Path]:

@@ -172,23 +172,45 @@ class AmplitudeSeries:
         return np.abs(self.phi) ** 2
 
 
-def _recurrence(p: DisplacementParams, k_max: int) -> np.ndarray:
-    phi = np.zeros(k_max + 1, dtype=complex)
-    phi[0] = phi_zero(p)
-    rk = np.sqrt(np.arange(k_max + 1, dtype=float))
+# x * (1 - 0j) is (x.re + x.im*0, x.im - x.re*0), signed zeros included:
+# the numerator of Smith's formula for x / d at real d > 0.
+_SMITH = complex(1.0, -0.0)
+
+
+def _recurrence(p: DisplacementParams, k_max: int, phi: Optional[list] = None) -> list:
+    """phi_0..phi_{k_max} by the forward recurrence, as a list of Python complex.
+
+    ``phi``, if given, holds phi_0..phi_j from an earlier call; it is
+    extended in place from k = j, so a series grown in steps is bitwise the
+    series computed at once. Each step uses numpy's complex128 formulas:
+    products and sums are Python's (the same), and the division by the real
+    d = sqrt(k+1) cosh|w| multiplies the Smith numerator
+    (x.re + x.im*0, x.im - x.re*0) by the reciprocal 1/d.
+    """
+    if phi is None:
+        phi = [phi_zero(p)]
+    start = len(phi) - 1
+    rk = np.sqrt(np.arange(start, k_max + 1, dtype=float)).tolist()
+    cur = phi[-1]
+    append = phi.append
     if p.w == 0:
         vb = -p.v.conjugate()
-        for k in range(k_max):
-            phi[k + 1] = vb * phi[k] / rk[k + 1]
+        for s in [1.0 / r for r in rk[1:]]:
+            n = vb * cur * _SMITH
+            cur = complex(n.real * s, n.imag * s)
+            append(cur)
         return phi
     aw = abs(p.w)
     mubar = p.w.conjugate() / aw
     ch, sh = math.cosh(aw), math.sinh(aw)
     mix = p.v.conjugate() * ch + p.v * mubar * sh
     hop = mubar * sh
-    for k in range(k_max):
-        prev = phi[k - 1] if k >= 1 else 0.0
-        phi[k + 1] = -(rk[k] * hop * prev + mix * phi[k]) / (rk[k + 1] * ch)
+    prev = phi[-2] if start else 0.0
+    for a, s in zip([r * hop for r in rk[:-1]], [1.0 / (r * ch) for r in rk[1:]]):
+        n = -(a * prev + mix * cur) * _SMITH
+        prev = cur
+        cur = complex(n.real * s, n.imag * s)
+        append(cur)
     return phi
 
 
@@ -201,13 +223,16 @@ def phi_series(
 
     ``k_max`` starts at 64 and doubles until the missing probability
     1 - sum |phi_k|^2 is at most ``tol`` in magnitude; exceeding ``max_k``
-    raises :class:`NonConvergent`.
+    raises :class:`NonConvergent`. Each doubling extends the series from
+    the last computed term instead of recomputing it.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     k_max = min(64, max_k)
+    terms = None
     while True:
-        phi = _recurrence(p, k_max)
+        terms = _recurrence(p, k_max, terms)
+        phi = np.array(terms, dtype=complex)
         tail = 1.0 - float(np.sum(np.abs(phi) ** 2))
         if abs(tail) <= tol:
             return AmplitudeSeries(params=p, k_max=k_max, phi=phi, tail_bound=tail)
@@ -294,9 +319,17 @@ def moment_n(
     """
     if n < 0:
         raise ValueError("moment order must be >= 0")
+    return _moments(p, (n,), max_k)[0]
+
+
+def _moments(
+    p: DisplacementParams, orders: tuple[int, ...], max_k: int = 2 * DEFAULT_SERIES_CAP
+) -> list[float]:
+    """:func:`moment_n` for each of ``orders``, all from one series."""
     series = phi_series(p, tol=1e-13, max_k=max_k)
     k = np.arange(series.k_max + 1, dtype=float)
-    return float(np.sum(k ** n * series.probabilities()))
+    probs = series.probabilities()
+    return [float(np.sum(k ** n * probs)) for n in orders]
 
 
 def moment_identity_value(p: DisplacementParams, n: int) -> float:

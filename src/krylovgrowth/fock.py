@@ -23,6 +23,7 @@ wrong answer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -149,6 +150,12 @@ class OperatorMatrix:
             np.fill_diagonal(out[k:], self.bands[b - k, k:])
         return out
 
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and orthogonal eigenvectors, computed once per operator."""
+        eigvals, eigvecs = np.linalg.eigh(self.to_dense())
+        return _freeze(eigvals), _freeze(eigvecs)
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x from the stored diagonals, in O(dim * bandwidth)."""
         x = np.asarray(x)
@@ -201,15 +208,16 @@ def evolve_state(
     """Apply exp(i t L) to v0 by symmetric eigendecomposition.
 
     Eigendecomposition (rather than a series method) keeps the evolution
-    unitary to machine precision. The result is rejected with
-    :class:`TruncationOverflow` if its guard-band mass exceeds
-    ``cfg.tail_tolerance``, which signals that ``cfg.dim`` is too small
-    for this evolution time.
+    unitary to machine precision. It is computed on the first call for an
+    ``L`` and reused by every later call with the same ``L``. The result is
+    rejected with :class:`TruncationOverflow` if its guard-band mass
+    exceeds ``cfg.tail_tolerance``, which signals that ``cfg.dim`` is too
+    small for this evolution time.
     """
     if L.dim != v0.dim:
         raise DimensionMismatch(f"operator dim {L.dim} != state dim {v0.dim}")
     # L is real symmetric: real eigenvalues and real orthogonal eigenvectors
-    eigvals, eigvecs = np.linalg.eigh(L.to_dense())
+    eigvals, eigvecs = L._eigh
     psi = eigvecs @ (np.exp(1j * t * eigvals) * (eigvecs.T @ v0.amplitudes))
     out = FockVector(v0.dim, psi)
     drift = abs(out.norm_sq - v0.norm_sq)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from krylovgrowth.algebra import LiouvillianSpec
-from krylovgrowth.coherent import closed_form_params, phi_series
+from krylovgrowth.coherent import closed_form_params, moment_n, phi_series
+from krylovgrowth.fock import FockVector
 from krylovgrowth.cli import (
     ResultRow,
     SweepConfig,
@@ -55,6 +56,20 @@ class TestRunSweep:
             assert set(row.values) == {"K", "sigma2"}
             assert row.values["sigma2"] >= 0.0
             assert row.method == "closed_form"
+
+    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (0.0, 1.2), (1.1, 0.0)])
+    def test_variance_row_is_bitwise_the_moments(self, alpha, beta):
+        # one series per row gives what two moment_n calls give
+        def bits(x):
+            return np.float64(x).view(np.int64)
+
+        spec = LiouvillianSpec(alpha, beta)
+        cfg = SweepConfig(alpha=alpha, beta=beta, t_min=0.0, t_max=1.8, steps=4, mode="variance")
+        for row in run_sweep(cfg):
+            p = closed_form_params(spec, row.t)
+            m1, m2 = moment_n(p, 1), moment_n(p, 2)
+            assert bits(row.values["K"]) == bits(m1)
+            assert bits(row.values["sigma2"]) == bits(m2 - m1 * m1)
 
     def test_distribution_parity(self):
         rows = run_sweep(SweepConfig(alpha=0.0, beta=1.0, t_min=1.0, t_max=1.0, steps=1,
@@ -136,6 +151,55 @@ class TestFormats:
         assert set(payload["rows"][0]) == {"t", "values", "method"}
 
 
+def reference_json(cfg, rows):
+    """The JSON document by the pure-Python indented encoder."""
+    payload = {
+        "config": asdict(cfg),
+        "rows": [
+            {"t": row.t, "values": row.values, "method": row.method,
+             **({"amplitudes": [[float(z.real), float(z.imag)] for z in row.amplitudes.amplitudes]}
+                if row.amplitudes is not None else {})}
+            for row in rows
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestJsonWriter:
+    # every sweep mode; L = 0 has no Lanczos chain (Breakdown)
+    @pytest.mark.parametrize("mode, alpha, beta", [
+        (mode, alpha, beta)
+        for mode in ("complexity", "variance", "distribution", "autocorrelator", "lanczos")
+        for alpha, beta in ((0.7, 0.9), (0.0, 0.9), (0.7, 0.0), (0.0, 0.0))
+        if (mode, alpha, beta) != ("lanczos", 0.0, 0.0)
+    ])
+    def test_sweep_rows_byte_identical(self, mode, alpha, beta):
+        # the grid starts at t = 0, where the amplitudes hold signed zeros
+        cfg = SweepConfig(alpha=alpha, beta=beta, t_min=0.0, t_max=1.0, steps=3, mode=mode)
+        rows = run_sweep(cfg)
+        assert rows_to_json(cfg, rows) == reference_json(cfg, rows)
+
+    @pytest.mark.parametrize("mode", ["variance", "distribution"])
+    def test_single_step_byte_identical(self, mode):
+        cfg = SweepConfig(t_min=0.4, t_max=0.4, steps=1, mode=mode)
+        rows = run_sweep(cfg)
+        assert rows_to_json(cfg, rows) == reference_json(cfg, rows)
+
+    def test_non_finite_and_signed_zero_tokens(self):
+        amps = np.array([complex(math.nan, -0.0), complex(math.inf, -math.inf), 0.5 - 0.0j])
+        rows = [
+            ResultRow(-0.0, {"a": math.nan, "b": math.inf, "c": -math.inf, "d": -0.0}, "x",
+                      amplitudes=FockVector(3, amps)),
+            ResultRow(1.0, {}, "closed_form"),
+            ResultRow(2.0, {"p0": 1.0}, "closed_form", amplitudes=FockVector(0, np.zeros(0))),
+        ]
+        cfg = SweepConfig()
+        text = rows_to_json(cfg, rows)
+        assert text == reference_json(cfg, rows)
+        assert "NaN" in text and "-Infinity" in text and "-0.0" in text
+        assert rows_to_json(cfg, []) == reference_json(cfg, [])
+
+
 class TestFigureData:
     def test_fig1_parity_and_pairing(self, tmp_path):
         (path,) = figure_data("fig1", tmp_path)
@@ -175,6 +239,13 @@ class TestFigureData:
 
 
 class TestVerify:
+    def test_one_eigendecomposition_per_run(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        verify(SweepConfig(t_max=1.0, steps=5, dim=64, mode="verify"))
+        assert calls == [(64, 64)]
+
     def test_passes_with_truncation_skips(self):
         cfg = SweepConfig(alpha=1.0, beta=1.0, t_min=0.0, t_max=2.0, steps=5,
                           dim=256, mode="verify")
@@ -294,12 +365,14 @@ class TestMain:
         if code == 2:
             assert "alpha=" in captured.err and "dim=" in captured.err
 
-    @pytest.mark.parametrize("flag", ["--alpha", "--beta"])
-    def test_chain_overflow_prints_one_line(self, flag, capsys):
+    @pytest.mark.parametrize("flags", [
+        ["--alpha", "1e200"], ["--beta", "1e200"], ["--alpha", "1e308", "--beta", "1e308"],
+    ], ids=["--alpha", "--beta", "--alpha --beta 1e308"])
+    def test_chain_overflow_prints_one_line(self, flags, capsys):
         # a numpy RuntimeWarning would raise here instead of reaching stderr
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = main(["--mode", "lanczos", flag, "1e200"])
+            code = main(["--mode", "lanczos", *flags])
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure:")

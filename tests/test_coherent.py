@@ -24,6 +24,7 @@ from krylovgrowth.coherent import (
     scrambling_time,
     sl2r_profile,
     variance_alt_closed_form,
+    _recurrence,
 )
 from krylovgrowth.errors import NonConvergent
 
@@ -103,6 +104,60 @@ class TestPhiSeries:
     def test_hermite_form_rejects_displacement_branch(self):
         with pytest.raises(ValueError):
             hermite_closed_form(DisplacementParams(v=1.0, w=0.0), 10)
+
+
+def numpy_recurrence(p, k_max):
+    """The recurrence evaluated in numpy complex128 scalars (reference)."""
+    phi = np.zeros(k_max + 1, dtype=complex)
+    phi[0] = phi_zero(p)
+    rk = np.sqrt(np.arange(k_max + 1, dtype=float))
+    if p.w == 0:
+        for k in range(k_max):
+            phi[k + 1] = -p.v.conjugate() * phi[k] / rk[k + 1]
+        return phi
+    aw = abs(p.w)
+    mubar = p.w.conjugate() / aw
+    ch, sh = math.cosh(aw), math.sinh(aw)
+    mix = p.v.conjugate() * ch + p.v * mubar * sh
+    for k in range(k_max):
+        prev = phi[k - 1] if k >= 1 else 0.0
+        phi[k + 1] = -(rk[k] * (mubar * sh) * prev + mix * phi[k]) / (rk[k + 1] * ch)
+    return phi
+
+
+def bits(a):
+    """Bit patterns of a complex array, so that signed zeros count."""
+    return np.asarray(a, dtype=complex).view(np.int64)
+
+
+# t = 0 (v = w = 0), pure displacement, pure squeeze and a general point,
+# plus the sign-flipped and tiny-amplitude corners where zeros carry signs
+SERIES_POINTS = [
+    DisplacementParams(v=0.0, w=0.0),
+    DisplacementParams(v=6j, w=0.0),
+    DisplacementParams(v=0.0, w=1.5j),
+    DisplacementParams(v=1.2 - 0.8j, w=-0.4 + 1.1j),
+    closed_form_params(LiouvillianSpec(0.0, 1.0), 1.6),
+    closed_form_params(LiouvillianSpec(-0.9, 0.0), -2.0),
+    closed_form_params(LiouvillianSpec(1e-5, 1e-5), 1e-3),
+]
+
+
+class TestRecurrence:
+    @pytest.mark.parametrize("p", SERIES_POINTS)
+    def test_grown_series_is_bitwise_the_series_computed_at_once(self, p):
+        series = phi_series(p, tol=1e-13, max_k=8192)
+        assert np.array_equal(bits(series.phi), bits(_recurrence(p, series.k_max)))
+        grown = _recurrence(p, 300, _recurrence(p, 64, _recurrence(p, 1)))
+        assert np.array_equal(bits(grown), bits(_recurrence(p, 300)))
+
+    @pytest.mark.parametrize("p", SERIES_POINTS)
+    def test_bitwise_numpy_complex_arithmetic(self, p):
+        assert np.array_equal(bits(_recurrence(p, 300)), bits(numpy_recurrence(p, 300)))
+
+    def test_points_grow_the_series(self):
+        # the first test compares series that doubled at least once
+        assert all(phi_series(p, tol=1e-13, max_k=8192).k_max > 64 for p in SERIES_POINTS[1:5])
 
 
 class TestMehlerNormalization:
