@@ -63,7 +63,6 @@ from .fock import (
     guard_band_mass,
 )
 from .lanczos import (
-    ChainWavefunction,
     KrylovChain,
     chain_complexity,
     lanczos_tridiagonalize,

@@ -133,7 +133,7 @@ def build_liouvillian(spec: LiouvillianSpec, cfg: TruncationConfig) -> OperatorM
         bands[-2, 1:] = spec.alpha * root[1:]
         if spec.beta:
             bands[0, 2:] = 0.5 * spec.beta * (root[1:-1] * root[2:])
-    return OperatorMatrix(cfg.dim, bands)
+    return OperatorMatrix(bands)
 
 
 def hamiltonian_to_matrix(h: QuadraticHamiltonian, cfg: TruncationConfig) -> np.ndarray:

@@ -136,4 +136,4 @@ def apply_displacement_squeeze(p: DisplacementParams, cfg: TruncationConfig) -> 
     psi[0] = 1.0
     psi = expm_multiply(csr_matrix(gen_s), psi)
     psi = expm_multiply(csr_matrix(gen_d), psi)
-    return FockVector(cfg.dim, p.theta * psi)
+    return FockVector(p.theta * psi)

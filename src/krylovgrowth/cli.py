@@ -132,7 +132,7 @@ def _distribution_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]
         probs[: s.k_max + 1] = s.probabilities()
         values = dict(zip(keys, probs.tolist()))
         rows.append(ResultRow(t, values, "closed_form",
-                              amplitudes=FockVector(width, np.pad(s.phi, (0, width - s.k_max - 1)))))
+                              amplitudes=FockVector(np.pad(s.phi, (0, width - s.k_max - 1)))))
     return rows
 
 
@@ -149,12 +149,11 @@ def _autocorrelator_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRo
 
 def _lanczos_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
     # the chain is built before any grid time is drawn: its failures have no t
-    L = build_liouvillian(cfg.spec(), TruncationConfig(dim=cfg.dim, tail_tolerance=cfg.tol))
+    L = build_liouvillian(cfg.spec(), TruncationConfig(dim=cfg.dim))
     chain = lanczos_tridiagonalize(L, FockVector.basis_state(cfg.dim, 0), min(cfg.dim // 2, 128))
     ts = list(ts)
-    wfs = propagate_chain(chain, ts)
-    return [ResultRow(t, {"K_chain": chain_complexity(wf)}, "lanczos_chain")
-            for t, wf in zip(ts, wfs)]
+    return [ResultRow(t, {"K_chain": chain_complexity(phi)}, "lanczos_chain")
+            for t, phi in zip(ts, propagate_chain(chain, ts))]
 
 
 # Row function of each sweep mode; it draws the grid times in order.
@@ -303,19 +302,18 @@ def verify(cfg: SweepConfig) -> tuple[dict, bool]:
     exponent) are reported with their deviations and never affect the flag.
     """
     spec = cfg.spec()
-    tc = TruncationConfig(dim=cfg.dim, tail_tolerance=cfg.tol)
     report: dict = {"config": asdict(cfg)}
     ok = True
 
     # oracle vs closed form on the representable grid points
-    L = build_liouvillian(spec, tc)
+    L = build_liouvillian(spec, TruncationConfig(dim=cfg.dim))
     seed = FockVector.basis_state(cfg.dim, 0)
     max_dev = 0.0
     checked, skipped = [], []
     for t in cfg.t_grid():
         t = float(t)
         try:
-            psi = evolve_state(L, t, seed, tc)
+            psi = evolve_state(L, t, seed, cfg.tol)
         except TruncationOverflow:
             skipped.append(t)
             continue

@@ -154,19 +154,21 @@ def phi_zero(p: DisplacementParams) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class AmplitudeSeries:
-    """Amplitudes phi_0..phi_{k_max} with truncation metadata."""
+    """Amplitudes phi_0..phi_{k_max} with truncation metadata;
+    k_max = ``len(phi) - 1``."""
 
     params: DisplacementParams
-    k_max: int
     phi: np.ndarray = field(repr=False)
     tail_bound: float
 
     def __post_init__(self):
         arr = np.asarray(self.phi, dtype=complex)
-        if arr.shape != (self.k_max + 1,):
-            raise ValueError(f"phi length {arr.shape} does not match k_max {self.k_max}")
         arr.setflags(write=False)
         object.__setattr__(self, "phi", arr)
+
+    @property
+    def k_max(self) -> int:
+        return len(self.phi) - 1
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.phi) ** 2
@@ -235,7 +237,7 @@ def phi_series(
         phi = np.array(terms, dtype=complex)
         tail = 1.0 - float(np.sum(np.abs(phi) ** 2))
         if abs(tail) <= tol:
-            return AmplitudeSeries(params=p, k_max=k_max, phi=phi, tail_bound=tail)
+            return AmplitudeSeries(params=p, phi=phi, tail_bound=tail)
         if k_max >= max_k:
             raise NonConvergent(
                 f"series tail {tail:.3e} still above tol {tol:.1e} at cap k_max={max_k}",
@@ -423,12 +425,7 @@ def sl2r_profile(
         phi = np.sqrt(weights) * z ** np.arange(n_max + 1) / math.cosh(bt) ** (2 * h.h)
         tail = 1.0 - float(np.sum(phi ** 2))
         if abs(tail) <= tol:
-            return (
-                AmplitudeSeries(
-                    params=params, k_max=n_max, phi=phi.astype(complex), tail_bound=tail
-                ),
-                K,
-            )
+            return AmplitudeSeries(params=params, phi=phi.astype(complex), tail_bound=tail), K
         if n_max >= DEFAULT_SERIES_CAP:
             raise NonConvergent(
                 f"weight-module series tail {tail:.3e} above tol at cap {DEFAULT_SERIES_CAP}",
@@ -446,6 +443,8 @@ def schrodinger_complexity_t(spec: LiouvillianSpec, t: float) -> float:
     sinh^2(beta t) + alpha^2 * 4 cosh(beta t) sinh^2(beta t / 2) / beta^2.
     """
     alpha, beta = spec.alpha, spec.beta
+    if t == 0:  # before any power of alpha, which may overflow
+        return 0.0
     if beta == 0:
         return alpha ** 2 * t ** 2
     bt = beta * t
@@ -479,6 +478,8 @@ def autocorrelator_alt_closed_form(spec: LiouvillianSpec, t: float) -> float:
     report quantifies its deviation from :func:`autocorrelator_t`.
     """
     alpha, beta = spec.alpha, spec.beta
+    if t == 0:  # before any power of alpha, which may overflow
+        return 1.0
     if beta == 0:
         return math.exp(-(alpha ** 2) * t ** 2)
     num = -(alpha ** 2) * (math.expm1(2.0 * beta * t)) ** 2 / (8.0 * beta ** 2)

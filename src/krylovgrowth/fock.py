@@ -17,7 +17,10 @@ reserved for *detecting* leakage: :func:`evolve_state` refuses to return
 a state whose guard-band mass exceeds ``tail_tolerance``. That turns
 truncation error into a loud
 :class:`~krylovgrowth.errors.TruncationOverflow` instead of a silently
-wrong answer.
+wrong answer. Every size is that of an array: :func:`evolve_state` and
+:func:`guard_band_mass` take the guard band from the dim of the state
+they are given, and :class:`TruncationConfig` only sizes what the
+builders make.
 """
 
 from __future__ import annotations
@@ -44,35 +47,20 @@ GUARD_FRACTION = 0.125
 
 @dataclass(frozen=True)
 class TruncationConfig:
-    """Size and leak-detection policy of the truncated Fock space.
-
-    Parameters
-    ----------
-    dim : int
-        Truncation size N; the basis is |0>..|N-1>.
-    tail_tolerance : float
-        Maximum admissible probability mass on the guard band, the top
-        ``GUARD_FRACTION`` of the indices.
-    """
+    """Size of the truncated Fock space the builders make: the basis is
+    |0>..|dim-1>."""
 
     dim: int = 256
-    tail_tolerance: float = 1e-10
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
-        if not self.tail_tolerance > 0:
-            raise ValueError("tail_tolerance must be > 0")
 
-    @property
-    def guard_size(self) -> int:
-        """Number of indices in the guard band (at least 1)."""
-        return max(1, int(self.dim * GUARD_FRACTION))
 
-    @property
-    def guard_start(self) -> int:
-        """First index of the guard band."""
-        return self.dim - self.guard_size
+def _guard_start(dim: int) -> int:
+    """First index of the guard band, the top ``GUARD_FRACTION`` of a
+    dim-dimensional basis (at least 1 index)."""
+    return dim - max(1, int(dim * GUARD_FRACTION))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -82,18 +70,19 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FockVector:
-    """State coefficients over the truncated number basis."""
+    """State coefficients over the truncated number basis |0>..|dim-1>."""
 
-    dim: int
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.dim,):
-            raise DimensionMismatch(
-                f"amplitudes shape {amps.shape} does not match dim {self.dim}"
-            )
+        if amps.ndim != 1:
+            raise DimensionMismatch(f"amplitudes shape {amps.shape} is not 1-D")
         object.__setattr__(self, "amplitudes", _freeze(amps))
+
+    @property
+    def dim(self) -> int:
+        return len(self.amplitudes)
 
     @classmethod
     def basis_state(cls, dim: int, k: int) -> "FockVector":
@@ -102,7 +91,7 @@ class FockVector:
             raise ValueError(f"basis index {k} outside [0, {dim})")
         amps = np.zeros(dim, dtype=complex)
         amps[k] = 1.0
-        return cls(dim, amps)
+        return cls(amps)
 
     @property
     def norm_sq(self) -> float:
@@ -126,16 +115,17 @@ class OperatorMatrix:
     :meth:`to_dense`.
     """
 
-    dim: int
     bands: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         bands = np.array(self.bands, dtype=float)
-        if bands.ndim != 2 or bands.shape[0] < 1 or bands.shape[1] != self.dim:
-            raise DimensionMismatch(
-                f"bands shape {bands.shape} is not (b+1, {self.dim})"
-            )
+        if bands.ndim != 2 or bands.shape[0] < 1:
+            raise DimensionMismatch(f"bands shape {bands.shape} is not (b+1, dim)")
         object.__setattr__(self, "bands", _freeze(bands))
+
+    @property
+    def dim(self) -> int:
+        return self.bands.shape[1]
 
     @property
     def bandwidth(self) -> int:
@@ -197,13 +187,13 @@ def build_ladders(cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
     return a, a.T.copy()
 
 
-def guard_band_mass(vec: FockVector, cfg: TruncationConfig) -> float:
-    """Probability mass sitting on the guard band."""
-    return float(np.sum(np.abs(vec.amplitudes[cfg.guard_start:]) ** 2))
+def guard_band_mass(vec: FockVector) -> float:
+    """Probability mass sitting on the guard band of ``vec``'s own dim."""
+    return float(np.sum(np.abs(vec.amplitudes[_guard_start(vec.dim):]) ** 2))
 
 
 def evolve_state(
-    L: OperatorMatrix, t: float, v0: FockVector, cfg: TruncationConfig
+    L: OperatorMatrix, t: float, v0: FockVector, tail_tolerance: float = 1e-10
 ) -> FockVector:
     """Apply exp(i t L) to v0 by symmetric eigendecomposition.
 
@@ -211,25 +201,27 @@ def evolve_state(
     unitary to machine precision. It is computed on the first call for an
     ``L`` and reused by every later call with the same ``L``. The result is
     rejected with :class:`TruncationOverflow` if its guard-band mass
-    exceeds ``cfg.tail_tolerance``, which signals that ``cfg.dim`` is too
-    small for this evolution time.
+    exceeds ``tail_tolerance``, which signals that ``L.dim`` is too small
+    for this evolution time.
     """
+    if not tail_tolerance > 0:
+        raise ValueError("tail_tolerance must be > 0")
     if L.dim != v0.dim:
         raise DimensionMismatch(f"operator dim {L.dim} != state dim {v0.dim}")
     # L is real symmetric: real eigenvalues and real orthogonal eigenvectors
     eigvals, eigvecs = L._eigh
     psi = eigvecs @ (np.exp(1j * t * eigvals) * (eigvecs.T @ v0.amplitudes))
-    out = FockVector(v0.dim, psi)
+    out = FockVector(psi)
     drift = abs(out.norm_sq - v0.norm_sq)
     if drift > 1e-10:
         raise ArithmeticError(f"unitarity lost: norm drift {drift:.3e}")
-    mass = guard_band_mass(out, cfg)
-    if mass > cfg.tail_tolerance:
+    mass = guard_band_mass(out)
+    if mass > tail_tolerance:
         raise TruncationOverflow(
             f"guard-band mass {mass:.3e} exceeds tail tolerance "
-            f"{cfg.tail_tolerance:.1e}; increase dim",
+            f"{tail_tolerance:.1e}; increase dim",
             guard_mass=mass,
-            dim=cfg.dim,
+            dim=L.dim,
             t=t,
         )
     return out

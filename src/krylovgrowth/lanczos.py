@@ -20,8 +20,9 @@ coefficients.
 The chain wavefunction solves
     -i d phi_n / dt = b_{n+1} phi_{n+1} + a_n phi_n + b_n phi_{n-1}
 with phi_n(0) = delta_{n0}, integrated by the exact exponential of the
-m x m tridiagonal matrix, and the chain complexity is the mean position
-sum_n n |phi_n|^2.
+m x m tridiagonal matrix; :func:`propagate_chain` returns it as an array
+with one row per grid time, and the chain complexity of a row is the mean
+position sum_n n |phi_n|^2.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .fock import FockVector, OperatorMatrix
 
 __all__ = [
     "KrylovChain",
-    "ChainWavefunction",
     "lanczos_tridiagonalize",
     "propagate_chain",
     "chain_complexity",
@@ -55,7 +55,7 @@ EDGE_LEAK_TOL = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class KrylovChain:
-    """Lanczos coefficients of a retained m-site chain.
+    """Lanczos coefficients of a retained m-site chain, m = ``len(a)``.
 
     ``a`` holds the m diagonal coefficients a_0..a_{m-1}; ``b`` the m-1
     interior hoppings b_1..b_{m-1}; ``residual`` is the norm of the first
@@ -66,22 +66,23 @@ class KrylovChain:
 
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
-    m: int
     residual: float
     basis: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
         b = np.asarray(self.b, dtype=float)
-        if a.shape != (self.m,):
-            raise ValueError(f"diagonal length {a.shape} does not match m={self.m}")
-        if b.shape != (self.m - 1,):
-            raise ValueError(f"hopping length {b.shape} does not match m={self.m}")
-        if self.m >= 2 and not np.all(b > 0):
+        if a.ndim != 1 or b.shape != (len(a) - 1,):
+            raise ValueError(f"hopping shape {b.shape} does not fit diagonal shape {a.shape}")
+        if not np.all(b > 0):
             raise ValueError("hopping coefficients must be positive up to termination")
         for name, arr in (("a", a), ("b", b)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    @property
+    def m(self) -> int:
+        return len(self.a)
 
     def tridiagonal(self) -> np.ndarray:
         """The m x m chain matrix (diagonal a, off-diagonals b)."""
@@ -157,65 +158,45 @@ def lanczos_tridiagonalize(
             Q[j, :n] = work / bn
             hops.append(bn)
     return KrylovChain(
-        a=adiag[:sites], b=np.array(hops[: sites - 1]), m=sites,
-        residual=residual, basis=Q[:sites],
+        a=adiag[:sites], b=np.array(hops[: sites - 1]), residual=residual, basis=Q[:sites],
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ChainWavefunction:
-    """Chain amplitudes at one time."""
-
-    t: float
-    phi: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.phi, dtype=complex)
-        arr.setflags(write=False)
-        object.__setattr__(self, "phi", arr)
-
-    @property
-    def m(self) -> int:
-        return len(self.phi)
-
-
-def propagate_chain(
-    chain: KrylovChain, t_grid: Sequence[float]
-) -> list[ChainWavefunction]:
+def propagate_chain(chain: KrylovChain, t_grid: Sequence[float]) -> np.ndarray:
     """Evolve phi_n(0) = delta_{n0} over the time grid.
 
-    Uses one eigendecomposition of the chain matrix (exact exponential, no
-    integrator tolerance) and evolves each time on its own, so the grid may
-    hold any real times in any order; the chain matrix is real, so phi(-t)
-    is the complex conjugate of phi(t). t = 0 returns the initial condition
-    exactly, without the round-off of the eigenbasis. Raises
-    :class:`EdgeLeak` at the first grid time where the last retained site
-    holds more than ``EDGE_LEAK_TOL`` probability, and checks norm
-    conservation to 1e-8 at every point.
+    Returns a read-only complex array of shape ``(len(t_grid), m)`` whose
+    row i is phi at ``t_grid[i]``. Uses one eigendecomposition of the chain
+    matrix (exact exponential, no integrator tolerance) and evolves each
+    time on its own, so the grid may hold any real times in any order; the
+    chain matrix is real, so phi(-t) is the complex conjugate of phi(t).
+    t = 0 returns the initial condition exactly, without the round-off of
+    the eigenbasis. Raises :class:`EdgeLeak` at the first grid time where
+    the last retained site holds more than ``EDGE_LEAK_TOL`` probability,
+    and checks norm conservation to 1e-8 at every point.
     """
     if chain.m < 2:
         raise ValueError("chain must have at least 2 sites")
     evals, evecs = np.linalg.eigh(chain.tridiagonal())
     start = evecs[0]  # overlap of each eigenvector with site 0
     evecs = evecs.astype(complex)  # cast once, not at every grid time
-    out = []
-    for t in t_grid:
+    out = np.zeros((len(t_grid), chain.m), dtype=complex)
+    for phi, t in zip(out, t_grid):
         if t == 0:
-            phi = np.zeros(chain.m, dtype=complex)
             phi[0] = 1.0
         else:
-            phi = evecs @ (np.exp(1j * t * evals) * start)
+            phi[:] = evecs @ (np.exp(1j * t * evals) * start)
         if abs(phi[-1]) ** 2 > EDGE_LEAK_TOL:
             raise EdgeLeak(t, m=chain.m, edge_mass=float(abs(phi[-1]) ** 2))
         if abs(float(np.sum(np.abs(phi) ** 2)) - 1.0) > 1e-8:
             raise ArithmeticError(f"chain norm lost at t={t}")
-        out.append(ChainWavefunction(t=float(t), phi=phi))
+    out.setflags(write=False)
     return out
 
 
-def chain_complexity(wf: ChainWavefunction) -> float:
-    """Mean chain position sum_n n |phi_n|^2."""
-    return float(np.sum(np.arange(wf.m) * np.abs(wf.phi) ** 2))
+def chain_complexity(phi: np.ndarray) -> float:
+    """Mean chain position sum_n n |phi_n|^2 of one row of chain amplitudes."""
+    return float(np.sum(np.arange(len(phi)) * np.abs(phi) ** 2))
 
 
 def project_onto_chain(chain: KrylovChain, state: FockVector) -> np.ndarray:

@@ -13,25 +13,20 @@ from krylovgrowth.algebra import (
     hamiltonian_to_matrix,
 )
 from krylovgrowth.errors import DimensionMismatch
-from krylovgrowth.fock import OperatorMatrix, TruncationConfig, build_ladders
+from krylovgrowth.fock import OperatorMatrix, TruncationConfig, _guard_start, build_ladders
 
 
 @pytest.fixture(scope="module")
-def cfg16():
-    return TruncationConfig(dim=16)
-
-
-@pytest.fixture(scope="module")
-def gens16(cfg16):
-    return build_generators(cfg16)
+def gens16():
+    return build_generators(TruncationConfig(dim=16))
 
 
 class TestGenerators:
     def test_all_labels_present(self, gens16):
         assert set(gens16) == set(GENERATOR_LABELS)
 
-    def test_central_element_is_identity_off_guard(self, gens16, cfg16):
-        gs = cfg16.guard_start
+    def test_central_element_is_identity_off_guard(self, gens16):
+        gs = _guard_start(16)
         dev = np.abs(gens16["M"] - np.eye(16))[:gs, :gs]
         assert dev.max() <= 1e-12
 
@@ -55,7 +50,7 @@ class TestGenerators:
         rng = np.random.default_rng(5)
         for b in (0, 1, 2):
             bands = rng.normal(size=(b + 1, dim))
-            op = OperatorMatrix(dim, bands)
+            op = OperatorMatrix(bands)
             dense = op.to_dense()
             assert op.bandwidth == b
             assert dense.dtype == np.float64
@@ -85,9 +80,9 @@ class TestGenerators:
 class TestCommutatorTable:
     """The defining relations, checked off the guard band at 1e-10."""
 
-    def test_heisenberg_weyl_line(self, gens16, cfg16):
+    def test_heisenberg_weyl_line(self, gens16):
         lhs = commutator(gens16["P"], gens16["G"])
-        gs = cfg16.guard_start
+        gs = _guard_start(16)
         assert np.max(np.abs((lhs + gens16["M"])[:gs, :gs])) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -100,9 +95,9 @@ class TestCommutatorTable:
             ("D", "G", "G", 1.0),
         ],
     )
-    def test_sl2r_and_cross_lines(self, gens16, cfg16, x, y, target, coef):
+    def test_sl2r_and_cross_lines(self, gens16, x, y, target, coef):
         lhs = commutator(gens16[x], gens16[y])
-        gs = cfg16.guard_start
+        gs = _guard_start(16)
         dev = np.abs(lhs - coef * gens16[target])[:gs, :gs]
         assert dev.max() <= 1e-10
 
@@ -114,9 +109,9 @@ class TestCommutatorTable:
             ("L_plus1", "L_minus1", "L0", 2.0),
         ],
     )
-    def test_weight_sector_relations(self, gens16, cfg16, x, y, target, coef):
+    def test_weight_sector_relations(self, gens16, x, y, target, coef):
         lhs = commutator(gens16[x], gens16[y])
-        gs = cfg16.guard_start
+        gs = _guard_start(16)
         dev = np.abs(lhs - coef * gens16[target])[:gs, :gs]
         assert dev.max() <= 1e-10
 
@@ -124,16 +119,16 @@ class TestCommutatorTable:
         "x, y, target, coef",
         [("H", "G", "P", 1.0), ("K", "P", "G", -1.0)],
     )
-    def test_semidirect_action(self, gens16, cfg16, x, y, target, coef):
+    def test_semidirect_action(self, gens16, x, y, target, coef):
         # translations/boosts transform under the quadratic sector
         lhs = commutator(gens16[x], gens16[y])
-        gs = cfg16.guard_start
+        gs = _guard_start(16)
         dev = np.abs(lhs - coef * gens16[target])[:gs, :gs]
         assert dev.max() <= 1e-10
 
-    def test_ladder_commutator(self, gens16, cfg16):
+    def test_ladder_commutator(self, gens16):
         lhs = commutator(gens16["a"], gens16["a_dagger"])
-        gs = cfg16.guard_start
+        gs = _guard_start(16)
         assert np.max(np.abs(lhs - np.eye(16))[:gs, :gs]) <= 1e-10
 
     def test_antisymmetry(self, gens16):

@@ -135,7 +135,7 @@ class TestStateLevelIdentity:
         spec = LiouvillianSpec(alpha, beta)
         psi_group = apply_displacement_squeeze(closed_form_params(spec, t), cfg)
         L = build_liouvillian(spec, cfg)
-        psi_exact = evolve_state(L, t, FockVector.basis_state(256, 0), cfg)
+        psi_exact = evolve_state(L, t, FockVector.basis_state(256, 0))
         assert np.max(np.abs(psi_group.amplitudes - psi_exact.amplitudes)) <= 1e-8
 
     def test_operators_are_unitary(self):

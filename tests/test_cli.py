@@ -189,9 +189,9 @@ class TestJsonWriter:
         amps = np.array([complex(math.nan, -0.0), complex(math.inf, -math.inf), 0.5 - 0.0j])
         rows = [
             ResultRow(-0.0, {"a": math.nan, "b": math.inf, "c": -math.inf, "d": -0.0}, "x",
-                      amplitudes=FockVector(3, amps)),
+                      amplitudes=FockVector(amps)),
             ResultRow(1.0, {}, "closed_form"),
-            ResultRow(2.0, {"p0": 1.0}, "closed_form", amplitudes=FockVector(0, np.zeros(0))),
+            ResultRow(2.0, {"p0": 1.0}, "closed_form", amplitudes=FockVector(np.zeros(0))),
         ]
         cfg = SweepConfig()
         text = rows_to_json(cfg, rows)
@@ -383,6 +383,15 @@ class TestMain:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == ["t,K_chain", "0,0"]
+
+    @pytest.mark.parametrize("mode, row", [("complexity", "0,0"), ("autocorrelator", "0,1,1")])
+    def test_t0_needs_no_power_of_alpha(self, mode, row, capsys):
+        # K = 0 and both autocorrelator forms are 1 at t = 0, whatever alpha
+        argv = ["--mode", mode, "--alpha", "1e200"]
+        assert main(argv + ["--tmin", "0", "--tmax", "0", "--steps", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == row
+        assert main(argv) == 2
+        assert capsys.readouterr().err.rstrip().endswith("t=0.05]")
 
     def test_figure_flag(self, tmp_path):
         assert main(["--figure", "fig2", "--out", str(tmp_path)]) == 0

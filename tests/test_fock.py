@@ -22,19 +22,24 @@ def vacuum(dim):
 
 class TestTruncationConfig:
     def test_defaults(self):
-        cfg = TruncationConfig()
-        assert cfg.dim == 256
-        assert cfg.tail_tolerance == 1e-10
-        assert cfg.guard_size == 32
-        assert cfg.guard_start == 224
+        assert TruncationConfig().dim == 256
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(dim=0), dict(tail_tolerance=0.0), dict(dim=-3), dict(tail_tolerance=float("nan"))],
-    )
+    @pytest.mark.parametrize("kwargs", [dict(dim=0), dict(dim=-3)])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             TruncationConfig(**kwargs)
+
+
+class TestSizes:
+    def test_dim_is_the_length_of_the_array(self):
+        assert FockVector(np.zeros(5)).dim == 5
+        assert OperatorMatrix(np.ones((2, 7))).dim == 7
+        assert isinstance(FockVector.basis_state(4, 1).dim, int)
+
+    @pytest.mark.parametrize("bad", [np.float64(1.0), np.zeros((2, 3))], ids=["0-D", "2-D"])
+    def test_state_must_be_1d(self, bad):
+        with pytest.raises(DimensionMismatch):
+            FockVector(bad)
 
 
 class TestLadders:
@@ -61,11 +66,11 @@ class TestLadders:
         assert dev[63, 63] == pytest.approx(dim, abs=1e-9)
 
     def test_storage_sets_bandwidth(self):
-        # bands must be (b+1, dim): at least one row, one column per index
-        for bad in (np.ones(3), np.ones((0, 3)), np.ones((3, 4))):
+        # bands must be (b+1, dim): 2-D with at least one row
+        for bad in (np.ones(3), np.ones((0, 3))):
             with pytest.raises(DimensionMismatch):
-                OperatorMatrix(3, bad)
-        assert OperatorMatrix(3, np.ones((2, 3))).bandwidth == 1
+                OperatorMatrix(bad)
+        assert OperatorMatrix(np.ones((2, 3))).bandwidth == 1
 
 
 def hw_generator(alpha, dim):
@@ -74,15 +79,13 @@ def hw_generator(alpha, dim):
 
 class TestEvolveState:
     def test_t0_identity(self):
-        cfg = TruncationConfig(dim=32)
         L = hw_generator(0.8, 32)
-        psi = evolve_state(L, 0.0, vacuum(32), cfg)
+        psi = evolve_state(L, 0.0, vacuum(32))
         assert np.allclose(psi.amplitudes, vacuum(32).amplitudes, atol=1e-14)
 
     def test_poisson_distribution(self):
         # |<k|e^{i t alpha (a+ad)}|0>|^2 is Poisson with mean (alpha t)^2
-        cfg = TruncationConfig(dim=64)
-        psi = evolve_state(hw_generator(1.0, 64), 0.5, vacuum(64), cfg)
+        psi = evolve_state(hw_generator(1.0, 64), 0.5, vacuum(64))
         probs = psi.probabilities()
         lam = 0.25
         for k in range(3):
@@ -90,14 +93,13 @@ class TestEvolveState:
             assert probs[k] == pytest.approx(expected, abs=1e-8)
 
     def test_unitarity_and_group_property(self):
-        cfg = TruncationConfig(dim=128)
         # 0.7 (a + a^dag) + 0.3 (a^2 + (a^dag)^2)
-        L = build_liouvillian(LiouvillianSpec(0.7, 0.6), cfg)
+        L = build_liouvillian(LiouvillianSpec(0.7, 0.6), TruncationConfig(dim=128))
         for t in (0.3, 0.9, 1.7):
-            psi = evolve_state(L, t, vacuum(128), cfg)
+            psi = evolve_state(L, t, vacuum(128))
             assert abs(psi.norm_sq - 1.0) <= 1e-10
-        two_step = evolve_state(L, 0.9, evolve_state(L, 0.4, vacuum(128), cfg), cfg)
-        one_step = evolve_state(L, 1.3, vacuum(128), cfg)
+        two_step = evolve_state(L, 0.9, evolve_state(L, 0.4, vacuum(128)))
+        one_step = evolve_state(L, 1.3, vacuum(128))
         assert np.max(np.abs(two_step.amplitudes - one_step.amplitudes)) <= 1e-9
 
     @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.5, 0.25), (1.0, 0.0), (0.0, 1.0)])
@@ -105,23 +107,43 @@ class TestEvolveState:
         # the complex amplitudes, not only their moduli, at points the
         # truncation covers; (0.25, 1.5) at t = 1 is truncation-limited
         # (4.5e-7) and left out
-        cfg = TruncationConfig(dim=256)
         spec = LiouvillianSpec(alpha, beta)
-        psi = evolve_state(build_liouvillian(spec, cfg), 0.5, vacuum(256), cfg)
+        psi = evolve_state(build_liouvillian(spec, TruncationConfig(dim=256)), 0.5, vacuum(256))
         series = phi_series(closed_form_params(spec, 0.5), tol=1e-12)
-        n = min(series.k_max + 1, cfg.dim)
+        n = min(series.k_max + 1, psi.dim)
         assert np.max(np.abs(psi.amplitudes[:n] - series.phi[:n])) <= 1e-12
 
     def test_truncation_overflow_when_dim_too_small(self):
-        cfg = TruncationConfig(dim=32)
-        L = build_liouvillian(LiouvillianSpec(0.0, 1.0), cfg)
+        L = build_liouvillian(LiouvillianSpec(0.0, 1.0), TruncationConfig(dim=32))
         with pytest.raises(TruncationOverflow) as err:
-            evolve_state(L, 2.0, vacuum(32), cfg)
-        assert err.value.context["dim"] == 32
+            evolve_state(L, 2.0, vacuum(32))
+        assert err.value.context["dim"] == L.dim == 32
+
+    @pytest.mark.parametrize("tail_tolerance", [0.0, -1e-10, float("nan")])
+    def test_rejects_bad_tail_tolerance(self, tail_tolerance):
+        L = hw_generator(0.8, 32)
+        with pytest.raises(ValueError):
+            evolve_state(L, 0.1, vacuum(32), tail_tolerance)
+
+    def test_tail_tolerance_sets_the_guard_bar(self):
+        # at t = 1.2 the dim-256 guard band holds a little mass, below the
+        # default bar: a bar under it trips
+        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=256))
+        mass = guard_band_mass(evolve_state(L, 1.2, vacuum(256)))
+        assert 0 < mass <= 1e-10
+        with pytest.raises(TruncationOverflow):
+            evolve_state(L, 1.2, vacuum(256), mass / 2)
 
     def test_guard_band_mass_reports_top_block(self):
-        cfg = TruncationConfig(dim=8)  # guard = index 7 only
+        # dim 8: the guard is index 7 only
         amps = np.zeros(8, dtype=complex)
         amps[7] = 0.5
         amps[0] = math.sqrt(0.75)
-        assert guard_band_mass(FockVector(8, amps), cfg) == pytest.approx(0.25)
+        assert guard_band_mass(FockVector(amps)) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("dim, start", [(1, 0), (7, 6), (8, 7), (16, 14), (256, 224)])
+    def test_guard_band_is_the_top_eighth(self, dim, start):
+        # the top eighth of the indices, and at least one
+        amps = np.zeros(dim)
+        amps[start:] = 1.0
+        assert guard_band_mass(FockVector(amps)) == dim - start

@@ -8,7 +8,6 @@ from krylovgrowth.algebra import LiouvillianSpec, build_liouvillian
 from krylovgrowth.errors import Breakdown, EdgeLeak
 from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, evolve_state
 from krylovgrowth.lanczos import (
-    ChainWavefunction,
     KrylovChain,
     chain_complexity,
     lanczos_tridiagonalize,
@@ -74,13 +73,13 @@ class TestTridiagonalize:
         assert chain.residual <= 1e-12
 
     def test_breakdown_on_eigenvector_seed(self):
-        number = OperatorMatrix(8, np.arange(8.0)[np.newaxis])  # a^dag a, diagonal
+        number = OperatorMatrix(np.arange(8.0)[np.newaxis])  # a^dag a, diagonal
         with pytest.raises(Breakdown):
             lanczos_tridiagonalize(number, FockVector.basis_state(8, 3), 4)
 
     @pytest.mark.parametrize("scale", [0.5, 1j], ids=["unnormalized", "complex"])
     def test_rejects_bad_seed(self, scale):
-        bad = FockVector(8, scale * vacuum(8).amplitudes)
+        bad = FockVector(scale * vacuum(8).amplitudes)
         with pytest.raises(ValueError):
             lanczos_tridiagonalize(hw_generator(1.0, 8), bad, 4)
 
@@ -125,7 +124,7 @@ class TestTridiagonalize:
         else:
             amps[7] = 1.0
         top = int(np.flatnonzero(amps)[-1])
-        chain = lanczos_tridiagonalize(L, FockVector(dim, amps), m)
+        chain = lanczos_tridiagonalize(L, FockVector(amps), m)
 
         # reference: every step over all dim entries of the dense matrix
         A = L.to_dense()
@@ -148,36 +147,37 @@ class TestTridiagonalize:
             assert not Qc[j, top + L.bandwidth * j + 1:].any()
 
     def test_chain_validation(self):
-        with pytest.raises(ValueError):
-            KrylovChain(a=np.zeros(3), b=np.array([1.0, -1.0]), m=3, residual=0.0,
-                        basis=np.eye(3))
+        # m = len(a) = 3 sites take 2 positive hoppings
+        for b in ([1.0, -1.0], [1.0], [1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError):
+                KrylovChain(a=np.zeros(3), b=np.array(b), residual=0.0, basis=np.eye(3))
 
 
 class TestPropagation:
     def test_initial_condition(self):
         chain = lanczos_tridiagonalize(hw_generator(1.0, 64), vacuum(64), 30)
-        wf0 = propagate_chain(chain, [0.0])[0]
-        assert wf0.phi[0] == 1.0
-        assert np.all(wf0.phi[1:] == 0)
-        assert chain_complexity(wf0) == 0.0
+        phi0 = propagate_chain(chain, [0.0])[0]
+        assert phi0[0] == 1.0
+        assert np.all(phi0[1:] == 0)
+        assert chain_complexity(phi0) == 0.0
 
     def test_hw_chain_gives_poisson(self):
         chain = lanczos_tridiagonalize(hw_generator(1.0, 256), vacuum(256), 80)
-        wf = propagate_chain(chain, [0.7])[0]
+        phi = propagate_chain(chain, [0.7])[0]
         lam = 0.49
-        probs = np.abs(wf.phi) ** 2
+        probs = np.abs(phi) ** 2
         for n in range(8):
             assert probs[n] == pytest.approx(
                 math.exp(-lam) * lam**n / math.factorial(n), abs=1e-8
             )
-        assert chain_complexity(wf) == pytest.approx(lam, abs=1e-8)
+        assert chain_complexity(phi) == pytest.approx(lam, abs=1e-8)
 
     def test_norm_preserved(self):
         cfg = TruncationConfig(dim=256)
         L = build_liouvillian(LiouvillianSpec(1.0, 1.0), cfg)
         chain = lanczos_tridiagonalize(L, vacuum(256), 120)
-        for wf in propagate_chain(chain, [0.0, 0.5, 1.0, 1.5]):
-            assert abs(np.sum(np.abs(wf.phi) ** 2) - 1.0) <= 1e-8
+        for phi in propagate_chain(chain, [0.0, 0.5, 1.0, 1.5]):
+            assert abs(np.sum(np.abs(phi) ** 2) - 1.0) <= 1e-8
 
     def test_edge_leak_raises(self):
         chain = lanczos_tridiagonalize(hw_generator(1.0, 64), vacuum(64), 6)
@@ -192,31 +192,40 @@ class TestPropagation:
         ts = np.linspace(0.05, 1.5, 30)
         forward = propagate_chain(chain, ts)
         backward = propagate_chain(chain, -ts)
-        for wf, wb in zip(forward, backward):
-            assert wb.t == -wf.t
-            assert chain_complexity(wb) == chain_complexity(wf)
+        for pf, pb in zip(forward, backward):
+            assert chain_complexity(pb) == chain_complexity(pf)
+
+    def test_rows_are_the_single_time_results(self):
+        # one row per grid time, computed as that time alone would be
+        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=256))
+        chain = lanczos_tridiagonalize(L, vacuum(256), 64)
+        ts = [0.3, 0.0, -0.7, 1.1, -0.0, -0.3]
+        phis = propagate_chain(chain, ts)
+        assert phis.shape == (len(ts), chain.m) and phis.dtype == complex
+        assert not phis.flags.writeable
+        for i, t in enumerate(ts):
+            assert phis[i].tobytes() == propagate_chain(chain, [t])[0].tobytes()
+        assert propagate_chain(chain, []).shape == (0, chain.m)
 
 
 class TestChainComplexity:
     def test_point_mass_at_origin(self):
-        wf = ChainWavefunction(t=0.0, phi=np.array([1.0, 0.0, 0.0], dtype=complex))
-        assert chain_complexity(wf) == 0.0
+        assert chain_complexity(np.array([1.0, 0.0, 0.0], dtype=complex)) == 0.0
 
     def test_sl2r_weight_quarter_complexity(self):
         chain = lanczos_tridiagonalize(sl2r_generator(1.0, 512), vacuum(512), 100)
-        wf = propagate_chain(chain, [1.0])[0]
-        assert chain_complexity(wf) == pytest.approx(0.5 * math.sinh(1.0) ** 2, abs=1e-6)
+        phi = propagate_chain(chain, [1.0])[0]
+        assert chain_complexity(phi) == pytest.approx(0.5 * math.sinh(1.0) ** 2, abs=1e-6)
 
     def test_equivalence_with_projected_evolution(self):
-        cfg = TruncationConfig(dim=256)
-        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), cfg)
+        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=256))
         chain = lanczos_tridiagonalize(L, vacuum(256), 120)
-        wfs = propagate_chain(chain, [0.5, 1.0])
-        for wf in wfs:
-            psi = evolve_state(L, wf.t, vacuum(256), cfg)
+        ts = [0.5, 1.0]
+        for t, phi in zip(ts, propagate_chain(chain, ts)):
+            psi = evolve_state(L, t, vacuum(256))
             proj = project_onto_chain(chain, psi)
             K_proj = float(np.sum(np.arange(chain.m) * np.abs(proj) ** 2))
-            assert chain_complexity(wf) == pytest.approx(K_proj, abs=1e-9)
+            assert chain_complexity(phi) == pytest.approx(K_proj, abs=1e-9)
 
     def test_quadratic_start(self):
         # K(t) = b_1^2 t^2 + O(t^3): fitted quadratic coefficient on [0, 0.01]
@@ -224,7 +233,7 @@ class TestChainComplexity:
         L = build_liouvillian(LiouvillianSpec(1.0, 1.0), cfg)
         chain = lanczos_tridiagonalize(L, vacuum(128), 30)
         ts = np.linspace(0.0, 0.01, 11)
-        Ks = [chain_complexity(wf) for wf in propagate_chain(chain, list(ts))]
+        Ks = [chain_complexity(phi) for phi in propagate_chain(chain, ts)]
         coef = np.polyfit(ts, Ks, 2)[0]
         assert coef == pytest.approx(chain.b[0] ** 2, rel=1e-3)
         assert Ks[0] <= 1e-15

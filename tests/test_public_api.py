@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -24,8 +25,10 @@ REMOVED = {
     "fock": (
         "inner", "matrix_bandwidth", "FockVector.to_json_pairs", "FockVector.from_json_pairs",
         "OperatorMatrix.from_entries", "OperatorMatrix.__matmul__", "OperatorMatrix.is_hermitian",
-        "HERMITIAN_TOL",
+        "HERMITIAN_TOL", "TruncationConfig.tail_tolerance", "TruncationConfig.guard_size",
+        "TruncationConfig.guard_start",
     ),
+    "lanczos": ("ChainWavefunction",),
     "errors": ("NonHermitianInput",),
 }
 
@@ -90,3 +93,22 @@ def test_readme_quick_start_runs():
     section = readme.split("## Library quick start", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md", "exec"), {})
+
+
+def test_bench_warm_up_runs_on_the_library(tmp_path):
+    # the benchmark worker's warm-up calls into every layer before timing:
+    # an API change it cannot follow fails here, not in a benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
+    found = importlib.util.spec_from_file_location("bench_worker", path)
+    worker = importlib.util.module_from_spec(found)
+    found.loader.exec_module(worker)
+    worker.warm_up({"cli", "coherent", "algebra", "lanczos"}, tmp_path / "warm.json")
+
+    from krylovgrowth import algebra, coherent, fock, lanczos
+
+    spec = algebra.LiouvillianSpec(0.5, 0.5)
+    L = algebra.build_liouvillian(spec, fock.TruncationConfig(dim=16))
+    chain = lanczos.lanczos_tridiagonalize(L, fock.FockVector.basis_state(16, 0), 8)
+    series = coherent.phi_series(coherent.closed_form_params(spec, 0.1))
+    # the tracer sizes its records by these
+    assert type(L.dim) is int and type(chain.m) is int and type(series.k_max) is int
