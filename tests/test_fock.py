@@ -24,7 +24,7 @@ class TestTruncationConfig:
     def test_defaults(self):
         assert TruncationConfig().dim == 256
 
-    @pytest.mark.parametrize("kwargs", [dict(dim=0), dict(dim=-3)])
+    @pytest.mark.parametrize("kwargs", [dict(dim=0), dict(dim=-1), dict(dim=-3)])
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             TruncationConfig(**kwargs)
