@@ -152,8 +152,8 @@ def _lanczos_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
     L = build_liouvillian(cfg.spec(), TruncationConfig(dim=cfg.dim))
     chain = lanczos_tridiagonalize(L, FockVector.basis_state(cfg.dim, 0), min(cfg.dim // 2, 128))
     ts = list(ts)
-    return [ResultRow(t, {"K_chain": chain_complexity(phi)}, "lanczos_chain")
-            for t, phi in zip(ts, propagate_chain(chain, ts))]
+    Ks = chain_complexity(propagate_chain(chain, ts)).tolist()
+    return [ResultRow(t, {"K_chain": K}, "lanczos_chain") for t, K in zip(ts, Ks)]
 
 
 # Row function of each sweep mode; it draws the grid times in order.

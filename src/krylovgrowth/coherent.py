@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -116,6 +117,11 @@ def _sinh_minus_arg(x: float) -> float:
     return math.sinh(x) - x
 
 
+def _sinhc(x: float) -> float:
+    """sinh(x) / x, with its limit 1 at x = 0."""
+    return math.sinh(x) / x if x else 1.0
+
+
 def closed_form_params(spec: LiouvillianSpec, t: float) -> DisplacementParams:
     """Map generator parameters and time to (v, w, theta).
 
@@ -133,7 +139,19 @@ def closed_form_params(spec: LiouvillianSpec, t: float) -> DisplacementParams:
     ab = alpha / beta
     v = -2.0 * ab * math.sinh(0.5 * bt) ** 2 + 1j * ab * math.sinh(bt)
     w = 1j * bt
-    theta = cmath.exp(1j * ab * ab * _sinh_minus_arg(bt))
+    if math.isfinite(ab * ab):
+        theta = cmath.exp(1j * ab * ab * _sinh_minus_arg(bt))
+    else:
+        # |alpha/beta| > 1.3e154: (alpha/beta)^2 overflows, and so does
+        # alpha/beta at subnormal beta. Use the forms that stay regular as
+        # beta -> 0 at fixed alpha t: v = alpha t (i sinhc(bt) - (bt/2)
+        # sinhc(bt/2)^2), and the phase (alpha t)^2 (bt/6) (1 + O(bt^2)).
+        # Here |bt| < |alpha t| / 1.3e154, so the O(bt^2) term is below
+        # double precision unless |alpha t| > 1e146, where the phase has
+        # no digit left modulo 2 pi anyway.
+        at = alpha * t
+        v = at * complex(-0.5 * bt * _sinhc(0.5 * bt) ** 2, _sinhc(bt))
+        theta = cmath.exp(1j * (at * at * bt / 6.0))
     return DisplacementParams(v=v, w=w, theta=theta)
 
 
@@ -448,6 +466,10 @@ def schrodinger_complexity_t(spec: LiouvillianSpec, t: float) -> float:
     if beta == 0:
         return alpha ** 2 * t ** 2
     bt = beta * t
+    if beta ** 2 < sys.float_info.min:  # |beta| < 1.5e-154: never square beta
+        return math.sinh(bt) ** 2 + alpha ** 2 * (
+            math.cosh(bt) * (t * _sinhc(bt / 2.0)) ** 2
+        )
     return math.sinh(bt) ** 2 + alpha ** 2 * (
         4.0 * math.cosh(bt) * math.sinh(bt / 2.0) ** 2 / beta ** 2
     )
@@ -482,7 +504,11 @@ def autocorrelator_alt_closed_form(spec: LiouvillianSpec, t: float) -> float:
         return 1.0
     if beta == 0:
         return math.exp(-(alpha ** 2) * t ** 2)
-    num = -(alpha ** 2) * (math.expm1(2.0 * beta * t)) ** 2 / (8.0 * beta ** 2)
+    if beta ** 2 < sys.float_info.min:  # |beta| < 1.5e-154: never square beta
+        # expm1(2 beta t) / beta = 2 t e^{beta t} sinh(beta t) / (beta t)
+        num = -(alpha ** 2) * (t * math.exp(beta * t) * _sinhc(beta * t)) ** 2 / 2.0
+    else:
+        num = -(alpha ** 2) * (math.expm1(2.0 * beta * t)) ** 2 / (8.0 * beta ** 2)
     return math.exp(num + 2.0 * beta * t) / math.cosh(2.0 * beta * t)
 
 

@@ -393,6 +393,43 @@ class TestMain:
         assert main(argv) == 2
         assert capsys.readouterr().err.rstrip().endswith("t=0.05]")
 
+    @pytest.mark.parametrize("beta", ["1e-200", "1e-160", "5e-324"])
+    @pytest.mark.parametrize("mode", ["complexity", "variance", "distribution", "autocorrelator"])
+    def test_tiny_beta_rows_are_the_beta_zero_rows(self, mode, beta, tmp_path, capsys):
+        # beta^2 and sinh(beta t) - beta t underflow and (alpha/beta)^2
+        # overflows here; every row is the beta -> 0 limit
+        def rows(b):
+            out = tmp_path / f"{b}.json"
+            assert main(["--mode", mode, "--beta", b, "--tmax", "2", "--steps", "5",
+                         "--format", "json", "--out", str(out)]) == 0
+            return json.loads(out.read_text())["rows"]
+
+        for tiny, zero in zip(rows(beta), rows("0")):
+            if mode == "autocorrelator":
+                # the comparison-only form is not continuous at beta = 0: its
+                # beta = 0 branch gives exp(-alpha^2 t^2), its expression
+                # tends to exp(-alpha^2 t^2 / 2)
+                alt = tiny["values"].pop("alt_form")
+                zero["values"].pop("alt_form")
+                assert alt == pytest.approx(math.exp(-tiny["t"] ** 2 / 2), rel=1e-12)
+            assert tiny["values"] == pytest.approx(zero["values"], rel=1e-12, abs=1e-12)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("beta", ["1e-200", "1e-160"])
+    def test_tiny_beta_verifies_as_beta_zero(self, beta, tmp_path, capsys):
+        def report(b):
+            out = tmp_path / f"{b}.json"
+            assert main(["--mode", "verify", "--beta", b, "--dim", "64", "--tmax", "2",
+                         "--steps", "3", "--out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        tiny, zero = report(beta), report("0")
+        assert tiny["pass"] is True
+        for check in ("oracle_vs_closed_form", "normalization", "complexity_closed_vs_direct",
+                      "limit_recovery"):
+            assert tiny[check] == pytest.approx(zero[check], rel=1e-12, abs=1e-12)
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_figure_flag(self, tmp_path):
         assert main(["--figure", "fig2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig2.csv").exists()

@@ -44,6 +44,21 @@ class TestDisplacementParams:
     def test_s_undefined_on_displacement_branch(self):
         assert DisplacementParams(v=2.0, w=0.0).s is None
 
+    @pytest.mark.parametrize("beta", [1e-200, -1e-160, 5e-324])
+    def test_tiny_beta_is_the_displacement_limit(self, beta):
+        # (alpha/beta)^2 overflows and sinh(beta t) - beta t underflows
+        p = closed_form_params(LiouvillianSpec(1.0, beta), 2.0)
+        q = closed_form_params(LiouvillianSpec(1.0, 0.0), 2.0)
+        assert abs(p.v - q.v) <= 1e-12 and abs(p.theta - q.theta) <= 1e-12
+        assert autocorrelator_t(LiouvillianSpec(1.0, beta), 2.0) == pytest.approx(
+            math.exp(-4.0), rel=1e-12
+        )
+
+    def test_theta_stays_unit_where_alpha_over_beta_squared_overflows(self):
+        # a phase of 1.3e295 has no digit left modulo 2 pi, but it is a phase
+        p = closed_form_params(LiouvillianSpec(1e150, 1e-5), 2.0)
+        assert abs(abs(p.theta) - 1.0) <= 1e-12
+
 
 class TestPhiZero:
     def test_identity_element(self):
@@ -311,6 +326,13 @@ class TestComplexityOfTime:
             coef = np.polyfit(ts, [schrodinger_complexity_t(spec, float(t)) for t in ts], 2)[0]
             assert coef == pytest.approx(alpha**2 + beta**2, rel=0.01)
 
+    @pytest.mark.parametrize("beta", [1e-200, 1e-160, -1e-155, 5e-324])
+    def test_tiny_beta_is_never_squared(self, beta):
+        # beta^2 below the normal range: K = alpha^2 t^2 in the limit
+        spec = LiouvillianSpec(1.5, beta)
+        for t in (2.0, -0.5, 1e-150):
+            assert schrodinger_complexity_t(spec, t) == pytest.approx(2.25 * t * t, rel=1e-12)
+
     def test_monotone_first_and_second_differences(self):
         spec = LiouvillianSpec(1.0, 1.0)
         ts = np.linspace(0.0, 3.0, 301)
@@ -359,6 +381,13 @@ class TestAutocorrelator:
         alt = autocorrelator_alt_closed_form(spec, 0.1)
         assert alt > 1.0
         assert abs(alt - auth) > 0.1
+
+    @pytest.mark.parametrize("beta", [1e-161, 1e-200, 5e-324])
+    def test_alt_form_at_tiny_beta(self, beta):
+        # its expression tends to exp(-alpha^2 t^2 / 2); with beta^2 taken
+        # subnormal it read 0.13199 instead of 0.13534 at beta = 1e-161
+        spec = LiouvillianSpec(1.0, beta)
+        assert autocorrelator_alt_closed_form(spec, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_small_t_expansion(self):
         # |<0|e^{iLt}|0>|^2 = 1 - (alpha^2 + beta^2/2) t^2 + O(t^4)

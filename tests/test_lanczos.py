@@ -1,9 +1,11 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
+from krylovgrowth import lanczos
 from krylovgrowth.algebra import LiouvillianSpec, build_liouvillian
 from krylovgrowth.errors import Breakdown, EdgeLeak
 from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, evolve_state
@@ -146,6 +148,31 @@ class TestTridiagonalize:
         for j in range(m):
             assert not Qc[j, top + L.bandwidth * j + 1:].any()
 
+    def test_second_pass_runs_only_where_the_first_cancels(self, monkeypatch):
+        # at Krylov-space exhaustion the candidate is rounding noise, and the
+        # first pass cancels almost all of it; on a long chain far from
+        # exhaustion, removing the second pass changes no bit
+        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=16))
+        exhausted = lanczos_tridiagonalize(L, vacuum(16), 16)
+        L512 = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=512))
+        long = lanczos_tridiagonalize(L512, vacuum(512), 128)
+        monkeypatch.setattr(lanczos, "_TWICE_IS_ENOUGH", 0.0)  # never a second pass
+        once = lanczos_tridiagonalize(L, vacuum(16), 16)
+        long_once = lanczos_tridiagonalize(L512, vacuum(512), 128)
+        assert exhausted.m == once.m == 16
+        assert exhausted.residual != once.residual
+        assert long.a.tobytes() == long_once.a.tobytes()
+        assert long.b.tobytes() == long_once.b.tobytes()
+        assert long.residual == long_once.residual
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.5, 0.01), (0.01, 1.5), (1.5, 0.25)])
+    def test_long_chain_basis_is_orthonormal(self, alpha, beta):
+        # at (1.5, 0.01) the plain three-term recursion loses orthogonality
+        dim, m = 1024, 512
+        L = build_liouvillian(LiouvillianSpec(alpha, beta), TruncationConfig(dim=dim))
+        Q = lanczos_tridiagonalize(L, vacuum(dim), m).basis
+        assert np.max(np.abs(Q @ Q.T - np.eye(m))) <= 1e-14
+
     def test_chain_validation(self):
         # m = len(a) = 3 sites take 2 positive hoppings
         for b in ([1.0, -1.0], [1.0], [1.0, 1.0, 1.0]):
@@ -185,6 +212,17 @@ class TestPropagation:
             propagate_chain(chain, [0.0, 3.0])
         assert err.value.t == 3.0
 
+    def test_first_failing_time_in_grid_order(self):
+        # 3.0 and 4.0 both leak; the error names the first in the grid, with
+        # the edge mass that time alone gives
+        chain = lanczos_tridiagonalize(hw_generator(1.0, 64), vacuum(64), 6)
+        with pytest.raises(EdgeLeak) as err:
+            propagate_chain(chain, [0.0, 0.1, 4.0, 0.2, 3.0])
+        evals, evecs = np.linalg.eigh(chain.tridiagonal())
+        phi = evecs.astype(complex) @ (np.exp(4.0j * evals) * evecs[0])
+        assert err.value.t == 4.0
+        assert err.value.context == {"m": 6, "edge_mass": float(abs(phi[-1]) ** 2)}
+
     def test_negative_times_mirror_positive(self):
         # the chain matrix is real, so phi(-t) = conj(phi(t)): the same K
         L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=256))
@@ -212,6 +250,14 @@ class TestChainComplexity:
     def test_point_mass_at_origin(self):
         assert chain_complexity(np.array([1.0, 0.0, 0.0], dtype=complex)) == 0.0
 
+    def test_rows_at_once_are_the_rows_alone(self):
+        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=256))
+        phis = propagate_chain(lanczos_tridiagonalize(L, vacuum(256), 128), np.linspace(-1, 1.5, 41))
+        Ks = chain_complexity(phis)
+        assert Ks.shape == (41,)
+        assert Ks.tobytes() == np.array([chain_complexity(phi) for phi in phis]).tobytes()
+        assert isinstance(chain_complexity(phis[3]), float)
+
     def test_sl2r_weight_quarter_complexity(self):
         chain = lanczos_tridiagonalize(sl2r_generator(1.0, 512), vacuum(512), 100)
         phi = propagate_chain(chain, [1.0])[0]
@@ -237,3 +283,70 @@ class TestChainComplexity:
         coef = np.polyfit(ts, Ks, 2)[0]
         assert coef == pytest.approx(chain.b[0] ** 2, rel=1e-3)
         assert Ks[0] <= 1e-15
+
+
+def reference_chain(alpha, beta, m, dps):
+    """a_0..a_{m-1} and b_1..b_{m-1} of the chain from the vacuum, by the plain
+    three-term Lanczos recursion on the number basis in mpmath at ``dps``
+    digits. Krylov vector j lives on levels 0..2j, so no truncation enters;
+    without reorthogonalization the working precision alone keeps the
+    recursion accurate, which the dps-80 comparison below checks."""
+    with mpmath.workdps(dps):
+        levels = 2 * m + 1
+        # L[k, k-1] = alpha sqrt(k) and L[k, k-2] = (beta/2) sqrt(k (k-1))
+        r1 = np.array([mpmath.mpf(alpha) * mpmath.sqrt(k) for k in range(levels)], dtype=object)
+        r2 = np.array([mpmath.mpf(beta) / 2 * mpmath.sqrt(k * (k - 1)) for k in range(levels)],
+                      dtype=object)
+        q_prev, q = None, np.array([mpmath.mpf(1)], dtype=object)
+        a, b = [], []
+        for j in range(m):
+            n = len(q)
+            w = np.array([mpmath.mpf(0)] * (n + 2), dtype=object)
+            w[1:n + 1] += r1[1:n + 1] * q
+            w[2:n + 2] += r2[2:n + 2] * q
+            w[:n - 1] += r1[1:n] * q[1:]
+            if n > 2:
+                w[:n - 2] += r2[2:n] * q[2:]
+            a.append(np.dot(q, w[:n]))
+            w[:n] -= a[-1] * q
+            if q_prev is not None:
+                w[:n - 2] -= b[-1] * q_prev
+            if j == m - 1:
+                break
+            b.append(mpmath.sqrt(np.dot(w, w)))
+            q_prev, q = q, w / b[-1]
+        return np.array(a), np.array(b)
+
+
+REFERENCE_POINTS = [(1.0, 1.0), (1.5, 0.01), (0.01, 1.5), (1.5, 0.25), (0.3, 0.3)]
+
+
+@pytest.fixture(scope="module")
+def reference_chains():
+    return {p: reference_chain(*p, 128, 50) for p in REFERENCE_POINTS}
+
+
+class TestReferenceChain:
+    def test_reference_is_converged_in_precision(self, reference_chains):
+        # (1.5, 0.25) is the point where the float chain is least accurate
+        a50, b50 = reference_chains[(1.5, 0.25)]
+        a80, b80 = reference_chain(1.5, 0.25, 128, 80)
+        assert max(abs(b50 / b80 - 1)) <= 1e-40
+        assert max(abs(a50 - a80)) <= 1e-40 * max(b80)
+
+    def test_pure_displacement_hoppings(self):
+        # b_n = alpha sqrt(n) and a_n = 0 at beta = 0
+        a, b = reference_chain(0.5, 0.0, 20, 50)
+        with mpmath.workdps(50):
+            exact = [mpmath.sqrt(n) / 2 for n in range(1, 20)]
+        assert all(abs(b - exact) <= 1e-45)
+        assert not any(a)
+
+    @pytest.mark.parametrize("alpha, beta", REFERENCE_POINTS)
+    def test_float_chain_matches_reference(self, alpha, beta, reference_chains):
+        a_ref, b_ref = (x.astype(float) for x in reference_chains[(alpha, beta)])
+        L = build_liouvillian(LiouvillianSpec(alpha, beta), TruncationConfig(dim=512))
+        chain = lanczos_tridiagonalize(L, vacuum(512), 128)
+        # worst measured, at (1.5, 0.25): 1.7e-13 relative in b, 3.3e-13 max(b) in a
+        assert np.max(np.abs(chain.b / b_ref - 1.0)) <= 1e-12
+        assert np.max(np.abs(chain.a - a_ref)) <= 1e-12 * np.max(b_ref)
