@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -109,17 +108,22 @@ class DisplacementParams:
             object.__setattr__(self, "s", hermite_argument(self.v, self.w))
 
 
-def _sinh_minus_arg(x: float) -> float:
-    """sinh(x) - x without the cancellation that zeroes it for small x."""
+def _sinh_minus_arg_over_sq(x: float) -> float:
+    """(sinh(x) - x) / x^2, without the cancellation that zeroes it for small x."""
     if abs(x) < 1e-3:
         x2 = x * x
-        return x * x2 / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0))
-    return math.sinh(x) - x
+        return x / 6.0 * (1.0 + x2 / 20.0 * (1.0 + x2 / 42.0))
+    return (math.sinh(x) - x) / (x * x)
 
 
 def _sinhc(x: float) -> float:
-    """sinh(x) / x, with its limit 1 at x = 0."""
-    return math.sinh(x) / x if x else 1.0
+    """sinh(x) / x, with its limit 1 at x = 0. Like ``math.sinh`` past its
+    range, an infinite x (beta t that overflowed) raises ``OverflowError``."""
+    if x == 0:
+        return 1.0
+    if math.isinf(x):
+        raise OverflowError(f"beta t = {x} is beyond the float range")
+    return math.sinh(x) / x
 
 
 def closed_form_params(spec: LiouvillianSpec, t: float) -> DisplacementParams:
@@ -128,30 +132,20 @@ def closed_form_params(spec: LiouvillianSpec, t: float) -> DisplacementParams:
     v = (alpha/beta)(1 - cosh(beta t)) + i (alpha/beta) sinh(beta t),
     w = i beta t,
     theta = exp[i (alpha/beta)^2 (sinh(beta t) - beta t)],
-    with the beta -> 0 limit v = i alpha t, w = 0, theta = 1. The real part
-    of v is evaluated as -2 (alpha/beta) sinh^2(beta t / 2), which stays
-    accurate where 1 - cosh loses all digits.
+    with the beta -> 0 limit v = i alpha t, w = 0, theta = 1. With
+    sinhc(x) = sinh(x) / x they are evaluated as
+    v = alpha t [-(beta t / 2) sinhc^2(beta t / 2) + i sinhc(beta t)] and
+    theta = exp[i (alpha t)^2 (sinh(beta t) - beta t) / (beta t)^2], which
+    never divide by beta and stay accurate where 1 - cosh and sinh x - x
+    lose all digits, down to subnormal beta.
     """
     alpha, beta = spec.alpha, spec.beta
     if beta == 0 or t == 0:
         return DisplacementParams(v=1j * alpha * t, w=0.0)
-    bt = beta * t
-    ab = alpha / beta
-    v = -2.0 * ab * math.sinh(0.5 * bt) ** 2 + 1j * ab * math.sinh(bt)
+    at, bt = alpha * t, beta * t
+    v = complex(-at * (0.5 * bt) * _sinhc(0.5 * bt) ** 2, at * _sinhc(bt))
     w = 1j * bt
-    if math.isfinite(ab * ab):
-        theta = cmath.exp(1j * ab * ab * _sinh_minus_arg(bt))
-    else:
-        # |alpha/beta| > 1.3e154: (alpha/beta)^2 overflows, and so does
-        # alpha/beta at subnormal beta. Use the forms that stay regular as
-        # beta -> 0 at fixed alpha t: v = alpha t (i sinhc(bt) - (bt/2)
-        # sinhc(bt/2)^2), and the phase (alpha t)^2 (bt/6) (1 + O(bt^2)).
-        # Here |bt| < |alpha t| / 1.3e154, so the O(bt^2) term is below
-        # double precision unless |alpha t| > 1e146, where the phase has
-        # no digit left modulo 2 pi anyway.
-        at = alpha * t
-        v = at * complex(-0.5 * bt * _sinhc(0.5 * bt) ** 2, _sinhc(bt))
-        theta = cmath.exp(1j * (at * at * bt / 6.0))
+    theta = cmath.exp(1j * (at * (at * _sinh_minus_arg_over_sq(bt))))
     return DisplacementParams(v=v, w=w, theta=theta)
 
 
@@ -458,21 +452,15 @@ def schrodinger_complexity_t(spec: LiouvillianSpec, t: float) -> float:
 
     Equals alpha^2 t^2 + sinh^2(beta t) plus the non-negative interaction
     term; evaluated in the cancellation-free form
-    sinh^2(beta t) + alpha^2 * 4 cosh(beta t) sinh^2(beta t / 2) / beta^2.
+    sinh^2(beta t) + alpha^2 cosh(beta t) (t sinhc(beta t / 2))^2, with
+    sinhc(x) = sinh(x) / x, which is alpha^2 t^2 at beta = 0 and never
+    squares beta.
     """
     alpha, beta = spec.alpha, spec.beta
     if t == 0:  # before any power of alpha, which may overflow
         return 0.0
-    if beta == 0:
-        return alpha ** 2 * t ** 2
     bt = beta * t
-    if beta ** 2 < sys.float_info.min:  # |beta| < 1.5e-154: never square beta
-        return math.sinh(bt) ** 2 + alpha ** 2 * (
-            math.cosh(bt) * (t * _sinhc(bt / 2.0)) ** 2
-        )
-    return math.sinh(bt) ** 2 + alpha ** 2 * (
-        4.0 * math.cosh(bt) * math.sinh(bt / 2.0) ** 2 / beta ** 2
-    )
+    return math.sinh(bt) ** 2 + alpha ** 2 * (math.cosh(bt) * (t * _sinhc(bt / 2.0)) ** 2)
 
 
 def scrambling_time(spec: LiouvillianSpec) -> float:
@@ -504,11 +492,9 @@ def autocorrelator_alt_closed_form(spec: LiouvillianSpec, t: float) -> float:
         return 1.0
     if beta == 0:
         return math.exp(-(alpha ** 2) * t ** 2)
-    if beta ** 2 < sys.float_info.min:  # |beta| < 1.5e-154: never square beta
-        # expm1(2 beta t) / beta = 2 t e^{beta t} sinh(beta t) / (beta t)
-        num = -(alpha ** 2) * (t * math.exp(beta * t) * _sinhc(beta * t)) ** 2 / 2.0
-    else:
-        num = -(alpha ** 2) * (math.expm1(2.0 * beta * t)) ** 2 / (8.0 * beta ** 2)
+    # (e^{2 beta t} - 1) / beta = 2 t e^{beta t} sinhc(beta t), so beta is
+    # never squared
+    num = -(alpha ** 2) * (t * math.exp(beta * t) * _sinhc(beta * t)) ** 2 / 2.0
     return math.exp(num + 2.0 * beta * t) / math.cosh(2.0 * beta * t)
 
 

@@ -393,6 +393,12 @@ class TestMain:
         assert main(argv) == 2
         assert capsys.readouterr().err.rstrip().endswith("t=0.05]")
 
+    @pytest.mark.parametrize("mode", ["complexity", "variance", "autocorrelator"])
+    def test_overflowing_beta_t_exits_2(self, mode, capsys):
+        # beta t = 1e154 * 5e307 overflows; the rows would read inf or nan
+        assert main(["--mode", mode, "--beta", "1e154", "--tmax", "1e308", "--steps", "3"]) == 2
+        assert "beta t = inf is beyond the float range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("beta", ["1e-200", "1e-160", "5e-324"])
     @pytest.mark.parametrize("mode", ["complexity", "variance", "distribution", "autocorrelator"])
     def test_tiny_beta_rows_are_the_beta_zero_rows(self, mode, beta, tmp_path, capsys):

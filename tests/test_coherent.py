@@ -333,6 +333,13 @@ class TestComplexityOfTime:
         for t in (2.0, -0.5, 1e-150):
             assert schrodinger_complexity_t(spec, t) == pytest.approx(2.25 * t * t, rel=1e-12)
 
+    @pytest.mark.parametrize("f", [schrodinger_complexity_t, autocorrelator_alt_closed_form,
+                                   closed_form_params])
+    def test_overflowing_beta_t_is_beyond_the_float_range(self, f):
+        # beta t = inf: no inf or NaN result, the float-range error instead
+        with pytest.raises(OverflowError, match="beta t = inf"):
+            f(LiouvillianSpec(1.0, 1e154), 1e308)
+
     def test_monotone_first_and_second_differences(self):
         spec = LiouvillianSpec(1.0, 1.0)
         ts = np.linspace(0.0, 3.0, 301)
