@@ -27,7 +27,6 @@ from .algebra import (
 from .coherent import (
     AmplitudeSeries,
     DisplacementParams,
-    SL2RWeight,
     amplitude_deviation,
     autocorrelator_alt_closed_form,
     autocorrelator_t,

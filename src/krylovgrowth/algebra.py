@@ -32,7 +32,6 @@ from .fock import OperatorMatrix, TruncationConfig, build_ladders
 __all__ = [
     "LiouvillianSpec",
     "QuadraticHamiltonian",
-    "GENERATOR_LABELS",
     "build_generators",
     "commutator",
     "build_liouvillian",
@@ -69,15 +68,10 @@ class QuadraticHamiltonian:
     l_coef: complex = 0.0
 
 
-GENERATOR_LABELS = (
-    "a", "a_dagger", "P", "G", "M", "H", "K", "D",
-    "L0", "L_plus1", "L_minus1", "number",
-)
-
-
 def build_generators(cfg: TruncationConfig) -> Dict[str, np.ndarray]:
     """Construct every generator as a dense array from the ladder matrices,
-    keyed by the labels of :data:`GENERATOR_LABELS`.
+    keyed by the labels below; ``a``, ``a_dagger`` and ``number`` = a^dag a
+    are the ladder matrices and their product.
 
     P = (a^dag - a)/sqrt(2)        translation
     G = (a^dag + a)/sqrt(2)        boost
@@ -85,7 +79,7 @@ def build_generators(cfg: TruncationConfig) -> Dict[str, np.ndarray]:
     H = -(a - a^dag)^2 / 4         free Hamiltonian p^2/2
     K = -(a + a^dag)^2 / 4         special conformal -x^2/2
     D = (a^2 - (a^dag)^2) / 2      dilatation
-    L0 = (a^dag a + a a^dag)/4,  L+1 = a^2/2,  L-1 = (a^dag)^2/2
+    L0 = (a^dag a + a a^dag)/4,  L_plus1 = a^2/2,  L_minus1 = (a^dag)^2/2
     """
     if cfg.dim < 8:
         raise ValueError(f"dim must be >= 8 for the generator set, got {cfg.dim}")

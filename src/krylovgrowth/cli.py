@@ -26,7 +26,6 @@ import numpy as np
 from .algebra import LiouvillianSpec, build_liouvillian
 from .coherent import (
     DisplacementParams,
-    SL2RWeight,
     amplitude_deviation,
     autocorrelator_alt_closed_form,
     autocorrelator_t,
@@ -258,14 +257,14 @@ def figure_data(which: str, outdir: Path) -> List[Path]:
     path = outdir / f"{which}.csv"
     if which == "fig1":
         series = phi_series(closed_form_params(LiouvillianSpec(0.0, 1.0), 1.0), tol=1e-12)
-        sl2r, _ = sl2r_profile(SL2RWeight(0.25), 1.0, 1.0, tol=1e-12)
+        sl2r, _ = sl2r_profile(0.25, 1.0, 1.0, tol=1e-12)
         kmax = 60
         probs = series.probabilities()
-        sl2r_probs = sl2r.probabilities()
+        sl2r_probs = sl2r ** 2
         lines = ["k,schrodinger_prob,sl2r_prob"]
         for k in range(kmax + 1):
             p1 = float(probs[k]) if k <= series.k_max else 0.0
-            p2 = float(sl2r_probs[k]) if k <= sl2r.k_max else 0.0
+            p2 = float(sl2r_probs[k]) if k < len(sl2r) else 0.0
             lines.append(f"{k},{_fmt(p1)},{_fmt(p2)}")
     elif which == "fig2":
         ts = np.linspace(0.0, 5.0, 101)
@@ -361,21 +360,16 @@ def verify(cfg: SweepConfig) -> tuple[dict, bool]:
 
     # documented discrepancies: reported, never asserted
     poisson_point = DisplacementParams(v=2j, w=0.0)
-    direct_var = moment_n(poisson_point, 2) - moment_n(poisson_point, 1) ** 2
+    m1, m2 = _moments(poisson_point, (1, 2))
+    direct_var = m2 - m1 ** 2
     alt_var = variance_alt_closed_form(poisson_point)
     probe_spec = spec if spec.beta != 0 else LiouvillianSpec(1.0, 1.0)
-    auto_ts = [0.1, 0.2, 0.4]
-    auto_rows = [
-        {
-            "t": t,
-            "authoritative": autocorrelator_t(probe_spec, t),
-            "alt_form": autocorrelator_alt_closed_form(probe_spec, t),
-            "deviation": abs(
-                autocorrelator_t(probe_spec, t) - autocorrelator_alt_closed_form(probe_spec, t)
-            ),
-        }
-        for t in auto_ts
-    ]
+    auto_rows = []
+    for t in (0.1, 0.2, 0.4):
+        auth = autocorrelator_t(probe_spec, t)
+        alt = autocorrelator_alt_closed_form(probe_spec, t)
+        auto_rows.append({"t": t, "authoritative": auth, "alt_form": alt,
+                          "deviation": abs(auth - alt)})
     exponent = late_time_growth_exponent(probe_spec)
     report["documented_discrepancies"] = {
         "variance_alt_form_first_term": {

@@ -40,7 +40,6 @@ from .errors import NonConvergent
 __all__ = [
     "DisplacementParams",
     "AmplitudeSeries",
-    "SL2RWeight",
     "hermite_argument",
     "closed_form_params",
     "phi_zero",
@@ -86,17 +85,16 @@ def hermite_argument(v: complex, w: complex) -> complex:
 
 @dataclass(frozen=True)
 class DisplacementParams:
-    """Group-element parameters (v, w, theta) and the derived argument s.
+    """Group-element parameters (v, w, theta), stored as complex.
 
-    ``s`` is :func:`hermite_argument` (v, w), computed on construction; it
-    is None on the pure-displacement branch w = 0, where every
-    conj(w)/|w| factor is taken in the w -> 0 limit.
+    On the pure-displacement branch w = 0 every conj(w)/|w| factor is taken
+    in the w -> 0 limit. The Hermite argument is not stored: the routes
+    that read it call :func:`hermite_argument` (v, w) themselves.
     """
 
     v: complex
     w: complex
     theta: complex = 1.0 + 0.0j
-    s: Optional[complex] = field(default=None, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "v", complex(self.v))
@@ -104,8 +102,6 @@ class DisplacementParams:
         object.__setattr__(self, "theta", complex(self.theta))
         if abs(abs(self.theta) - 1.0) > 1e-12:
             raise ValueError(f"|theta| must be 1, got {abs(self.theta)}")
-        if self.w != 0:
-            object.__setattr__(self, "s", hermite_argument(self.v, self.w))
 
 
 def _sinh_minus_arg_over_sq(x: float) -> float:
@@ -283,7 +279,7 @@ def hermite_closed_form(p: DisplacementParams, k_max: int) -> np.ndarray:
         raise ValueError("closed form requires w != 0; use the recurrence branch")
     if k_max > 170:
         raise ValueError("k_max above float factorial range (170)")
-    s = p.s
+    s = hermite_argument(p.v, p.w)
     c = _phase_root(p.w) * math.sqrt(math.tanh(abs(p.w)) / 2.0)
     H = np.zeros(k_max + 1, dtype=complex)
     H[0] = 1.0
@@ -305,7 +301,7 @@ def mehler_normalization_check(p: DisplacementParams) -> float:
     """
     if p.w == 0:
         return abs(phi_zero(p)) ** 2 * math.exp(abs(p.v) ** 2)
-    s = p.s
+    s = hermite_argument(p.v, p.w)
     z = math.tanh(abs(p.w))
     num = 2.0 * abs(s) ** 2 * z - 2.0 * (s * s).real * z * z
     return (
@@ -359,7 +355,7 @@ def moment_identity_value(p: DisplacementParams, n: int) -> float:
     if p.w == 0:
         raise ValueError("identity evaluation requires w != 0")
     u0 = abs(p.w)
-    s = p.s
+    s = hermite_argument(p.v, p.w)
     s_abs2 = abs(s) ** 2
     s_sq_re = (s * s).real
     half_s2 = 0.5 * math.sinh(2.0 * u0)
@@ -396,48 +392,40 @@ def variance_alt_closed_form(p: DisplacementParams) -> float:
     )
 
 
-@dataclass(frozen=True)
-class SL2RWeight:
-    """Lowest-weight label of the sl(2,R) sector (1/4 in the oscillator
-    realization, where the module states live on even Fock levels)."""
-
-    h: float
-
-    def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError(f"weight h must be positive, got {self.h}")
-
-
 def sl2r_profile(
-    h: SL2RWeight,
+    h: float,
     beta: float,
     t: float,
     *,
     tol: float = DEFAULT_SERIES_TOL,
-) -> tuple[AmplitudeSeries, float]:
+) -> tuple[np.ndarray, float]:
     """Lowest-weight-module amplitudes and complexity K = 2h sinh^2(beta t).
 
     phi_n = sqrt(Gamma(2h+n) / (n! Gamma(2h))) tanh^n(beta t) / cosh^{2h}(beta t)
-    over the weight-basis index n. The ``params`` attached to the returned
-    series carry the oscillator-realization group element (v=0, w=i beta t),
-    which corresponds to these amplitudes only at h = 1/4 (on even Fock
-    levels k = 2n); for other h the params are a bookkeeping label only.
-    The weight index is capped at ``DEFAULT_SERIES_CAP``.
+    over the weight-basis index n, for a weight h > 0; returns the real,
+    read-only phi_0..phi_{n_max} and K. The weight index n_max starts at 64
+    and doubles until 1 - sum phi_n^2 is at most ``tol`` in magnitude,
+    capped at ``DEFAULT_SERIES_CAP``. In the oscillator realization the
+    sector is h = 1/4, where phi_n is the modulus of the number-basis
+    amplitude on the even level k = 2n of the squeezed vacuum
+    (v = 0, w = i beta t).
     """
-    params = DisplacementParams(v=0.0, w=1j * beta * t)
+    if not h > 0:
+        raise ValueError(f"weight h must be positive, got {h}")
     bt = beta * t
-    K = 2.0 * h.h * math.sinh(bt) ** 2
+    K = 2.0 * h * math.sinh(bt) ** 2
     z = math.tanh(bt)
     n_max = 64
     while True:
         weights = np.empty(n_max + 1, dtype=float)
         weights[0] = 1.0
         for n in range(n_max):
-            weights[n + 1] = weights[n] * (2.0 * h.h + n) / (n + 1.0)
-        phi = np.sqrt(weights) * z ** np.arange(n_max + 1) / math.cosh(bt) ** (2 * h.h)
+            weights[n + 1] = weights[n] * (2.0 * h + n) / (n + 1.0)
+        phi = np.sqrt(weights) * z ** np.arange(n_max + 1) / math.cosh(bt) ** (2 * h)
         tail = 1.0 - float(np.sum(phi ** 2))
         if abs(tail) <= tol:
-            return AmplitudeSeries(params=params, phi=phi.astype(complex), tail_bound=tail), K
+            phi.setflags(write=False)
+            return phi, K
         if n_max >= DEFAULT_SERIES_CAP:
             raise NonConvergent(
                 f"weight-module series tail {tail:.3e} above tol at cap {DEFAULT_SERIES_CAP}",
@@ -483,15 +471,16 @@ def autocorrelator_alt_closed_form(spec: LiouvillianSpec, t: float) -> float:
     """Alternative closed autocorrelator expression, for comparison only.
 
     Reads exp[-alpha^2 (e^{2 beta t} - 1)^2 / (8 beta^2) + 2 beta t]
-    / cosh(2 beta t). It is inconsistent with the small-t expansion of the
-    survival probability (it even carries a term linear in t); the verify
-    report quantifies its deviation from :func:`autocorrelator_t`.
+    / cosh(2 beta t), and its limit exp(-alpha^2 t^2 / 2) at beta = 0, the
+    value the same expression takes there: the function is continuous in
+    beta. It is inconsistent with the small-t expansion of the survival
+    probability (it even carries a term linear in t, and at beta = 0 it is
+    the square root of the exact exp(-alpha^2 t^2)); the verify report
+    quantifies its deviation from :func:`autocorrelator_t`.
     """
     alpha, beta = spec.alpha, spec.beta
     if t == 0:  # before any power of alpha, which may overflow
         return 1.0
-    if beta == 0:
-        return math.exp(-(alpha ** 2) * t ** 2)
     # (e^{2 beta t} - 1) / beta = 2 t e^{beta t} sinhc(beta t), so beta is
     # never squared
     num = -(alpha ** 2) * (t * math.exp(beta * t) * _sinhc(beta * t)) ** 2 / 2.0

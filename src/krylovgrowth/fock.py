@@ -146,13 +146,6 @@ class OperatorMatrix:
         eigvals, eigvecs = np.linalg.eigh(self.to_dense())
         return _freeze(eigvals), _freeze(eigvecs)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """A @ x from the stored diagonals, in O(dim * bandwidth)."""
-        x = np.asarray(x)
-        if x.shape != (self.dim,):
-            raise DimensionMismatch(f"vector shape {x.shape} does not match dim {self.dim}")
-        return self.leading_matvec(x)
-
     def leading_matvec(self, x: np.ndarray) -> np.ndarray:
         """A[:n, :n] @ x for a vector of length n <= dim, in O(n * bandwidth).
 

@@ -189,7 +189,9 @@ def propagate_chain(chain: KrylovChain, t_grid: Sequence[float]) -> np.ndarray:
     t = 0 returns the initial condition exactly, without the round-off of
     the eigenbasis. Raises :class:`EdgeLeak` at the first grid time where
     the last retained site holds more than ``EDGE_LEAK_TOL`` probability,
-    and checks norm conservation to 1e-8 at every point.
+    and checks norm conservation to 1e-8 at every point. A time whose
+    phases t * eigenvalue overflow gives no finite row: it raises
+    ``OverflowError`` with that time as its ``t``.
     """
     if chain.m < 2:
         raise ValueError("chain must have at least 2 sites")
@@ -197,15 +199,22 @@ def propagate_chain(chain: KrylovChain, t_grid: Sequence[float]) -> np.ndarray:
     start = evecs[0]  # overlap of each eigenvector with site 0
     evecs = evecs.astype(complex)  # cast once, not at every grid time
     out = np.zeros((len(t_grid), chain.m), dtype=complex)
-    for phi, t in zip(out, t_grid):
-        if t == 0:
-            phi[0] = 1.0
-        else:
-            phi[:] = evecs @ (np.exp(1j * t * evals) * start)
-        if abs(phi[-1]) ** 2 > EDGE_LEAK_TOL:
-            raise EdgeLeak(t, m=chain.m, edge_mass=float(abs(phi[-1]) ** 2))
-        if abs(float(np.sum(np.abs(phi) ** 2)) - 1.0) > 1e-8:
-            raise ArithmeticError(f"chain norm lost at t={t}")
+    # an overflowing phase gives a non-finite row, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for phi, t in zip(out, t_grid):
+            if t == 0:
+                phi[0] = 1.0
+            else:
+                phi[:] = evecs @ (np.exp(1j * t * evals) * start)
+            norm = float(np.sum(np.abs(phi) ** 2))
+            if not math.isfinite(norm):
+                err = OverflowError(f"chain phases t * eigenvalue overflow at t={t}")
+                err.t = t
+                raise err
+            if abs(phi[-1]) ** 2 > EDGE_LEAK_TOL:
+                raise EdgeLeak(t, m=chain.m, edge_mass=float(abs(phi[-1]) ** 2))
+            if abs(norm - 1.0) > 1e-8:
+                raise ArithmeticError(f"chain norm lost at t={t}")
     out.setflags(write=False)
     return out
 

@@ -21,7 +21,6 @@ from krylovgrowth.bch import apply_displacement_squeeze, decompose_exponential
 from krylovgrowth.cli import SweepConfig, main, verify
 from krylovgrowth.coherent import (
     DisplacementParams,
-    SL2RWeight,
     amplitude_deviation,
     autocorrelator_t,
     closed_form_params,
@@ -154,9 +153,9 @@ def test_criterion_07_parity_and_weight_profile():
     series = phi_series(closed_form_params(LiouvillianSpec(0.0, 1.0), 1.0), tol=1e-12)
     probs = series.probabilities()
     worst_odd = float(np.max(probs[1::2]))
-    sl2r, _ = sl2r_profile(SL2RWeight(0.25), 1.0, 1.0, tol=1e-12)
-    sl2r_probs = sl2r.probabilities()
-    n_pairs = min(series.k_max // 2, sl2r.k_max)
+    sl2r, _ = sl2r_profile(0.25, 1.0, 1.0, tol=1e-12)
+    sl2r_probs = sl2r ** 2
+    n_pairs = min(series.k_max // 2, len(sl2r) - 1)
     worst_pair = float(
         np.max(np.abs(probs[0 : 2 * n_pairs + 1 : 2] - sl2r_probs[: n_pairs + 1]))
     )

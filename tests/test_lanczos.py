@@ -225,6 +225,15 @@ class TestPropagation:
         assert err.value.t == 4.0
         assert err.value.context == {"m": 6, "edge_mass": float(abs(phi[-1]) ** 2)}
 
+    def test_overflowing_phase_is_an_overflow_at_its_time(self):
+        # t * eigenvalue overflows: the row would be nan, which passes the
+        # edge and norm tests, so it fails on its own, without a warning
+        chain = lanczos_tridiagonalize(hw_generator(1.0, 64), vacuum(64), 20)
+        with warnings.catch_warnings(), pytest.raises(OverflowError, match="t=5e\\+307") as err:
+            warnings.simplefilter("error")
+            propagate_chain(chain, [0.0, 5e307, 1e308])
+        assert err.value.t == 5e307
+
     def test_negative_times_mirror_positive(self):
         # the chain matrix is real, so phi(-t) = conj(phi(t)): the same K
         L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=256))

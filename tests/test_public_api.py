@@ -15,18 +15,18 @@ MODULES = ("algebra", "bch", "cli", "coherent", "fock", "lanczos")
 # Symbols that only their own unit tests used, removed from the library;
 # "Class.attr" names a removed method.
 REMOVED = {
-    "algebra": ("GeneratorSet", "QuadraticHamiltonian.is_hermitian"),
+    "algebra": ("GeneratorSet", "QuadraticHamiltonian.is_hermitian", "GENERATOR_LABELS"),
     "bch": (
         "Rep4Matrix", "displacement_operator", "squeeze_operator", "bogoliubov",
         "bogoliubov_safe_block", "conjugated_annihilation",
     ),
     "coherent": ("MomentReport", "moment_report", "variance_closed", "hw_profile",
-                 "interaction_term"),
+                 "interaction_term", "SL2RWeight", "DisplacementParams.s"),
     "fock": (
         "inner", "matrix_bandwidth", "FockVector.to_json_pairs", "FockVector.from_json_pairs",
         "OperatorMatrix.from_entries", "OperatorMatrix.__matmul__", "OperatorMatrix.is_hermitian",
         "HERMITIAN_TOL", "TruncationConfig.tail_tolerance", "TruncationConfig.guard_size",
-        "TruncationConfig.guard_start",
+        "TruncationConfig.guard_start", "OperatorMatrix.matvec",
     ),
     "lanczos": ("ChainWavefunction",),
     "errors": ("NonHermitianInput",),
