@@ -112,6 +112,15 @@ def _sinh_minus_arg_over_sq(x: float) -> float:
     return (math.sinh(x) - x) / (x * x)
 
 
+# x^2 is a normal float, neither subnormal nor beyond the float range,
+# exactly for |x| in [2^-511, 2^512)
+_SQUARE_NORMAL_MIN, _SQUARE_NORMAL_END = 2.0 ** -511, 2.0 ** 512
+
+
+def _square_is_normal(x: float) -> bool:
+    return _SQUARE_NORMAL_MIN <= abs(x) < _SQUARE_NORMAL_END
+
+
 def _sinhc(x: float) -> float:
     """sinh(x) / x, with its limit 1 at x = 0. Like ``math.sinh`` past its
     range, an infinite x (beta t that overflowed) raises ``OverflowError``."""
@@ -135,28 +144,36 @@ def closed_form_params(spec: LiouvillianSpec, t: float) -> DisplacementParams:
     never divide by beta and stay accurate where 1 - cosh and sinh x - x
     lose all digits, down to subnormal beta.
     """
-    alpha, beta = spec.alpha, spec.beta
+    return DisplacementParams(*_closed_form_vwtheta(spec.alpha, spec.beta, t))
+
+
+def _closed_form_vwtheta(alpha: float, beta: float, t: float) -> tuple[complex, complex, complex]:
+    """(v, w, theta) of :func:`closed_form_params`, as a tuple of complex."""
     if beta == 0 or t == 0:
-        return DisplacementParams(v=1j * alpha * t, w=0.0)
+        return 1j * alpha * t, 0j, 1.0 + 0.0j
     at, bt = alpha * t, beta * t
     v = complex(-at * (0.5 * bt) * _sinhc(0.5 * bt) ** 2, at * _sinhc(bt))
-    w = 1j * bt
     theta = cmath.exp(1j * (at * (at * _sinh_minus_arg_over_sq(bt))))
-    return DisplacementParams(v=v, w=w, theta=theta)
+    return v, 1j * bt, theta
 
 
 def phi_zero(p: DisplacementParams) -> complex:
     """Vacuum amplitude phi_0 = <0| theta D(v) S(w) |0>."""
-    gauss = cmath.exp(-abs(p.v) ** 2 / 2.0)
-    if p.w == 0:
-        return p.theta * gauss
-    aw = abs(p.w)
-    mubar = p.w.conjugate() / aw
+    return _phi_zero(p.v, p.w, p.theta)
+
+
+def _phi_zero(v: complex, w: complex, theta: complex) -> complex:
+    """:func:`phi_zero` at (v, w, theta)."""
+    gauss = cmath.exp(-abs(v) ** 2 / 2.0)
+    if w == 0:
+        return theta * gauss
+    aw = abs(w)
+    mubar = w.conjugate() / aw
     return (
-        p.theta
+        theta
         * gauss
         / math.sqrt(math.cosh(aw))
-        * cmath.exp(-0.5 * p.v * p.v * mubar * math.tanh(aw))
+        * cmath.exp(-0.5 * v * v * mubar * math.tanh(aw))
     )
 
 
@@ -442,12 +459,15 @@ def schrodinger_complexity_t(spec: LiouvillianSpec, t: float) -> float:
     term; evaluated in the cancellation-free form
     sinh^2(beta t) + alpha^2 cosh(beta t) (t sinhc(beta t / 2))^2, with
     sinhc(x) = sinh(x) / x, which is alpha^2 t^2 at beta = 0 and never
-    squares beta.
+    squares beta. Where alpha^2 or t^2 is not a normal float, alpha t is
+    squared as one number instead.
     """
     alpha, beta = spec.alpha, spec.beta
     if t == 0:  # before any power of alpha, which may overflow
         return 0.0
     bt = beta * t
+    if not (_square_is_normal(alpha) and _square_is_normal(t)):
+        return math.sinh(bt) ** 2 + math.cosh(bt) * (alpha * t * _sinhc(bt / 2.0)) ** 2
     return math.sinh(bt) ** 2 + alpha ** 2 * (math.cosh(bt) * (t * _sinhc(bt / 2.0)) ** 2)
 
 
@@ -464,7 +484,7 @@ def scrambling_time(spec: LiouvillianSpec) -> float:
 
 def autocorrelator_t(spec: LiouvillianSpec, t: float) -> float:
     """Survival probability |phi_0(t)|^2 of the initial operator state."""
-    return abs(phi_zero(closed_form_params(spec, t))) ** 2
+    return abs(_phi_zero(*_closed_form_vwtheta(spec.alpha, spec.beta, t))) ** 2
 
 
 def autocorrelator_alt_closed_form(spec: LiouvillianSpec, t: float) -> float:
@@ -482,8 +502,12 @@ def autocorrelator_alt_closed_form(spec: LiouvillianSpec, t: float) -> float:
     if t == 0:  # before any power of alpha, which may overflow
         return 1.0
     # (e^{2 beta t} - 1) / beta = 2 t e^{beta t} sinhc(beta t), so beta is
-    # never squared
-    num = -(alpha ** 2) * (t * math.exp(beta * t) * _sinhc(beta * t)) ** 2 / 2.0
+    # never squared; alpha t is squared as one number where alpha^2 or t^2
+    # is not a normal float
+    if not (_square_is_normal(alpha) and _square_is_normal(t)):
+        num = -(alpha * t * math.exp(beta * t) * _sinhc(beta * t)) ** 2 / 2.0
+    else:
+        num = -(alpha ** 2) * (t * math.exp(beta * t) * _sinhc(beta * t)) ** 2 / 2.0
     return math.exp(num + 2.0 * beta * t) / math.cosh(2.0 * beta * t)
 
 

@@ -10,6 +10,7 @@ from krylovgrowth.algebra import LiouvillianSpec
 from krylovgrowth.coherent import closed_form_params, moment_n, phi_series
 from krylovgrowth.fock import FockVector
 from krylovgrowth.cli import (
+    MODES,
     ResultRow,
     SweepConfig,
     figure_data,
@@ -198,6 +199,39 @@ class TestJsonWriter:
         assert text == reference_json(cfg, rows)
         assert "NaN" in text and "-Infinity" in text and "-0.0" in text
         assert rows_to_json(cfg, []) == reference_json(cfg, [])
+
+    @pytest.mark.parametrize("t_max, width", [
+        (0.8, 65), (1.3, 129), (1.8, 257), (2.3, 513), (2.8, 1025)])
+    def test_wide_distribution_rows_byte_identical(self, t_max, width):
+        cfg = SweepConfig(alpha=0.8, beta=0.7, t_max=t_max, steps=3, mode="distribution")
+        rows = run_sweep(cfg)
+        assert len(rows[-1].values) == width
+        assert rows_to_json(cfg, rows) == reference_json(cfg, rows)
+
+    def test_empty_and_non_empty_values_interleaved(self):
+        rows = [
+            ResultRow(0.0, {}, "a"),
+            ResultRow(0.5, {}, "a"),
+            ResultRow(1.0, {"K": 1.0, "sigma2": 0.25}, "b"),
+            ResultRow(1.5, {"K": 2.0}, "b"),
+            ResultRow(2.0, {}, "a"),
+            ResultRow(2.5, {"p0": 0.5}, "b"),
+            ResultRow(3.0, {}, "a"),
+        ]
+        cfg = SweepConfig()
+        assert rows_to_json(cfg, rows) == reference_json(cfg, rows)
+        assert rows_to_json(cfg, rows[:1]) == reference_json(cfg, rows[:1])
+
+    def test_values_keys_that_look_like_row_boundaries(self):
+        # encoded strings escape the newline, so no key can match the raw
+        # newline of the boundary between two rows' values
+        keys = ["}", "{", "a,b", "x\ny", "},\n        {", '"},\n        {"']
+        rows = [ResultRow(float(i), {k: float(j) for j, k in enumerate(keys)}, "m,\n}")
+                for i in range(3)]
+        cfg = SweepConfig()
+        text = rows_to_json(cfg, rows)
+        assert text == reference_json(cfg, rows)
+        assert json.loads(text)["rows"][2]["values"] == rows[2].values
 
 
 class TestFigureData:
@@ -392,6 +426,37 @@ class TestMain:
         assert len(lines) == 1 and lines[0].startswith("numerical failure:")
         assert "float range" in lines[0] and lines[0].endswith("t=5e+307]")
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_overflowing_grid_span_is_invalid(self, mode, capsys):
+        # t_max - t_min = inf: the grid would read [nan, inf, 1e308], after
+        # two numpy warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--mode", mode, "--tmin=-1e308", "--tmax=1e308", "--steps", "3"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid configuration: grid span")
+        # a single grid point has no span
+        assert SweepConfig(t_min=-1e308, t_max=1e308, steps=1).t_grid().tolist() == [-1e308]
+
+    @pytest.mark.parametrize("mode, flags, row", [
+        # t^2 is subnormal: alpha^2 t^2 read 2.49997216796e-13
+        ("complexity", ["--alpha", "1e154", "--beta", "1e-5", "--tmax", "1e-160"],
+         "5e-161,2.5e-13"),
+        # alpha^2 is beyond the float range, alpha t = 5e9 is not
+        ("complexity", ["--alpha", "1e200", "--beta", "0.5", "--tmax", "1e-190"],
+         "5e-191,2.5e+19"),
+        ("autocorrelator", ["--alpha", "1e200", "--beta", "0.5", "--tmax", "1e-190"],
+         "5e-191,0,0"),
+    ])
+    def test_alpha_t_is_squared_as_one_number(self, mode, flags, row, capsys):
+        assert main(["--mode", mode, *flags, "--steps", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[2] == row
+        assert captured.err == ""
+
     def test_lanczos_prints_zero_at_t0(self, capsys):
         code = main(["--mode", "lanczos", "--dim", "64", "--tmax", "0.5", "--steps", "3"])
         assert code == 0
@@ -442,6 +507,14 @@ class TestMain:
                       "limit_recovery"):
             assert tiny[check] == pytest.approx(zero[check], rel=1e-12, abs=1e-12)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["1.2345e-158", "3e-155"])
+    def test_limit_recovery_where_alpha_squared_is_subnormal(self, alpha, capsys):
+        # the beta = 0 limit squares alpha t as one number here, and so
+        # does the reference it is held to exactly
+        assert main(["--mode", "verify", "--alpha", alpha, "--beta", "0", "--dim", "64",
+                     "--tmax", "1", "--steps", "3", "--out", "/dev/null"]) == 0
+        assert "limit_recovery: PASS" in capsys.readouterr().err
 
     def test_figure_flag(self, tmp_path):
         assert main(["--figure", "fig2", "--out", str(tmp_path)]) == 0

@@ -319,7 +319,17 @@ class TestComplexityOfTime:
         # beta^2 below the normal range: K = alpha^2 t^2 in the limit
         spec = LiouvillianSpec(1.5, beta)
         for t in (2.0, -0.5, 1e-150):
-            assert schrodinger_complexity_t(spec, t) == pytest.approx(2.25 * t * t, rel=1e-12)
+            assert schrodinger_complexity_t(spec, t) == pytest.approx(
+                2.25 * t * t, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha, beta, t, K", [
+        (1e154, 1e-5, 5e-161, 2.5e-13),  # t^2 subnormal
+        (1e200, 0.5, 5e-191, 2.5e19),  # alpha^2 beyond the float range
+        (1e200, 0.5, 1e-200, 1.0),  # both
+    ])
+    def test_alpha_t_is_squared_as_one_number(self, alpha, beta, t, K):
+        assert schrodinger_complexity_t(LiouvillianSpec(alpha, beta), t) == pytest.approx(
+            K, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("f", [schrodinger_complexity_t, autocorrelator_alt_closed_form,
                                    closed_form_params])
@@ -384,6 +394,12 @@ class TestAutocorrelator:
         # of 0.13534 at beta = 1e-161
         spec = LiouvillianSpec(1.0, beta)
         assert autocorrelator_alt_closed_form(spec, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+
+    def test_alt_form_squares_alpha_t_as_one_number(self):
+        # alpha^2 overflows and t^2 is subnormal, while alpha t = 1
+        spec = LiouvillianSpec(1e200, 0.5)
+        assert autocorrelator_alt_closed_form(spec, 1e-200) == pytest.approx(
+            math.exp(-0.5), rel=1e-12)
 
     def test_small_t_expansion(self):
         # |<0|e^{iLt}|0>|^2 = 1 - (alpha^2 + beta^2/2) t^2 + O(t^4)

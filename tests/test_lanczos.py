@@ -44,6 +44,20 @@ class TestTridiagonalize:
         assert np.max(np.abs(chain.b - expected)) <= 1e-9
         assert np.max(np.abs(chain.a)) <= 1e-10
 
+    def test_sl2r_odd_sector_chain(self):
+        # seed |1> spans the odd SL(2,R) module, weight h = 3/4:
+        # b_n = beta sqrt(n (n + 1/2)), a_n = 0, K = 2h sinh^2(beta t)
+        beta, dim = 0.7, 1024
+        seed = FockVector.basis_state(dim, 1)
+        chain = lanczos_tridiagonalize(sl2r_generator(beta, dim), seed, 200)
+        n = np.arange(1, 200)
+        expected = beta * np.sqrt(n * (n + 0.5))
+        assert np.max(np.abs(chain.b - expected) / expected) <= 1e-14
+        assert np.all(chain.a == 0.0)
+        ts = [0.5, 1.0, 1.5]
+        K = chain_complexity(propagate_chain(chain, ts))
+        assert K == pytest.approx([1.5 * math.sinh(beta * t) ** 2 for t in ts], rel=1e-13)
+
     def test_mixed_generator_first_coefficients(self):
         cfg = TruncationConfig(dim=256)
         L = build_liouvillian(LiouvillianSpec(1.0, 1.0), cfg)

@@ -1,17 +1,21 @@
 """Property tests of the three closed-form routes that read the Hermite
-argument, over the region the closed-form sweeps cover."""
+argument, over the region the closed-form sweeps cover, and of the
+survival probability against its public route."""
 
 import math
+import struct
 
 import pytest
 
 from krylovgrowth.algebra import LiouvillianSpec
 from krylovgrowth.coherent import (
+    autocorrelator_t,
     closed_form_params,
     complexity_closed,
     mehler_normalization_check,
     moment_identity_value,
     moment_n,
+    phi_zero,
 )
 
 pytest.importorskip("hypothesis")
@@ -49,3 +53,27 @@ def test_first_identity_moment_is_the_closed_complexity(p):
 def test_second_identity_moment_is_the_direct_sum(p):
     direct = moment_n(p, 2)
     assert abs(moment_identity_value(p, 2) - direct) <= 1e-8 * direct
+
+
+def _bits(f, *args):
+    """f(*args) as its bit pattern, or the type of the error it raises."""
+    try:
+        return struct.pack("<d", f(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+coefficient = st.builds(
+    lambda x, sign: sign * x,
+    st.floats(0.0, 1e3) | st.sampled_from([0.0, 5e-324, 1e-300]),
+    st.sampled_from([1.0, -1.0]),
+)
+survival_time = st.just(0.0) | st.floats(-5.0, 5.0) | st.floats(max_value=0.0, allow_infinity=False)
+
+
+@SWEEP
+@given(coefficient, coefficient, survival_time)
+def test_survival_probability_is_bitwise_the_public_route(alpha, beta, t):
+    spec = LiouvillianSpec(alpha, beta)
+    assert _bits(autocorrelator_t, spec, t) == _bits(
+        lambda: abs(phi_zero(closed_form_params(spec, t))) ** 2)
