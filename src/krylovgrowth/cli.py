@@ -206,62 +206,19 @@ def rows_to_csv(rows: List[ResultRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Encoders for the blocks of a row that may be wide: the C encoder of
-# ``json`` (no indent) with item separators that already hold the newline
-# and indent of ``json.dumps(indent=2)`` at their depth in the payload.
-_VALUES_JSON = json.JSONEncoder(separators=(",\n" + " " * 8, ": "))
-_PAIRS_JSON = json.JSONEncoder(separators=(",\n" + " " * 10, ": "))
-# Between the ``values`` of two rows in one ``_VALUES_JSON`` list; an
-# encoded string holds no raw newline, so only a row boundary matches.
-_VALUES_SPLIT = "},\n" + " " * 8 + "{"
-# The indented text around each row's tokens.
-_FIRST_ROW = '\n    {\n      "t": '
-_NEXT_ROW = '\n    },\n    {\n      "t": '
-_VALUES_OPEN = ',\n      "values": {\n        '
-_VALUES_CLOSE = '\n      },\n      "method": '
-_NO_VALUES = ',\n      "values": {},\n      "method": '
-_AMPLITUDES = ',\n      "amplitudes": '
-_LAST_ROW = "\n    }\n  ]\n}\n"
-
-
-def _amplitudes_block(amplitudes: np.ndarray) -> str:
-    # [re, im] pairs: the brackets of each pair go on their own lines
-    text = _PAIRS_JSON.encode(amplitudes.view(float).reshape(-1, 2).tolist())
-    if not len(amplitudes):
-        return text
-    inner = text[2:-2].replace("],\n" + " " * 10 + "[", "\n        ],\n        [\n          ")
-    return "[\n        [\n          " + inner + "\n        ]\n      ]"
+def _row_payload(row: ResultRow) -> dict:
+    payload = {"t": row.t, "values": row.values, "method": row.method}
+    if row.amplitudes is not None:
+        # [re, im] pairs
+        payload["amplitudes"] = row.amplitudes.amplitudes.view(float).reshape(-1, 2).tolist()
+    return payload
 
 
 def rows_to_json(cfg: SweepConfig, rows: List[ResultRow]) -> str:
-    """``{"config": ..., "rows": [...]}`` as ``json.dumps(..., indent=2)``
-    writes it, byte for byte, from a fixed row template. The config head is
-    one small indented dump; the C encoder writes all the ``t`` tokens in
-    one call, all the non-empty ``values`` blocks in another, each distinct
-    method once and each row's ``amplitudes`` in one call. The pieces go
-    into one list, joined once, so no wide row is copied per row."""
-    head = json.dumps({"config": asdict(cfg), "rows": []}, indent=2)
-    if not rows:
-        return head + "\n"
-    # no number token holds the ", " between list items
-    times = json.dumps([row.t for row in rows])[1:-1].split(", ")
-    values = iter(_VALUES_JSON.encode([row.values for row in rows if row.values])[2:-2]
-                  .split(_VALUES_SPLIT))
-    methods = {m: json.dumps(m) for m in {row.method for row in rows}}
-    parts = [head[:-3]]  # up to the "[" that opens the rows
-    sep = _FIRST_ROW
-    for row, t in zip(rows, times):
-        parts += (sep, t)
-        if row.values:
-            parts += (_VALUES_OPEN, next(values), _VALUES_CLOSE)
-        else:
-            parts.append(_NO_VALUES)
-        parts.append(methods[row.method])
-        if row.amplitudes is not None:
-            parts += (_AMPLITUDES, _amplitudes_block(row.amplitudes.amplitudes))
-        sep = _NEXT_ROW
-    parts.append(_LAST_ROW)
-    return "".join(parts)
+    """``{"config": ..., "rows": [...]}`` on one line, from one call to the
+    C encoder of ``json``; ``NaN``, ``Infinity`` and ``-0.0`` are written
+    as ``json.dumps`` writes them."""
+    return json.dumps({"config": asdict(cfg), "rows": [_row_payload(r) for r in rows]}) + "\n"
 
 
 def figure_data(which: str, outdir: Path) -> List[Path]:
@@ -502,26 +459,24 @@ def main(argv: Optional[List[str]] = None) -> int:
             except (KrylovGrowthError, OverflowError) as e:
                 raise _attach(e, cfg, getattr(e, "t", None))
             text = json.dumps(report, indent=2) + "\n"
-            if merged["out"]:
-                Path(merged["out"]).write_text(text)
-            else:
-                sys.stdout.write(text)
-            for name in ("oracle_vs_closed_form", "normalization",
-                         "complexity_closed_vs_direct", "limit_recovery"):
-                status = "PASS" if report[name]["pass"] else "FAIL"
-                print(f"{name}: {status}", file=sys.stderr)
-            return 0 if ok else 3
-        rows = run_sweep(cfg)
+        else:
+            rows = run_sweep(cfg)
+            text = rows_to_csv(rows) if merged["format"] == "csv" else rows_to_json(cfg, rows)
     except KrylovGrowthError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 
-    text = rows_to_csv(rows) if merged["format"] == "csv" else rows_to_json(cfg, rows)
     if merged["out"]:
         Path(merged["out"]).write_text(text)
     else:
         sys.stdout.write(text)
-    return 0
+    if cfg.mode != "verify":
+        return 0
+    for name in ("oracle_vs_closed_form", "normalization",
+                 "complexity_closed_vs_direct", "limit_recovery"):
+        status = "PASS" if report[name]["pass"] else "FAIL"
+        print(f"{name}: {status}", file=sys.stderr)
+    return 0 if ok else 3
 
 
 if __name__ == "__main__":

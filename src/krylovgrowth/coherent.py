@@ -478,8 +478,12 @@ def scrambling_time(spec: LiouvillianSpec) -> float:
     """
     if spec.beta <= 0:
         raise ValueError(f"scrambling time defined only for beta > 0, got {spec.beta}")
-    a2, b2 = spec.alpha ** 2, spec.beta ** 2
-    return math.log(4.0 * b2 / (b2 + 2.0 * a2)) / spec.beta
+    # log(4 / (1 + 2 r^2)) with r = alpha / beta: alpha and beta are never
+    # squared on their own; past 2^500, 1 + 2 r^2 rounds to 2 r^2
+    r = abs(spec.alpha / spec.beta)
+    if r < 2.0 ** 500:
+        return math.log(4.0 / (1.0 + 2.0 * r * r)) / spec.beta
+    return (math.log(2.0) - 2.0 * (math.log(abs(spec.alpha)) - math.log(spec.beta))) / spec.beta
 
 
 def autocorrelator_t(spec: LiouvillianSpec, t: float) -> float:

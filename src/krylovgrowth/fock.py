@@ -25,6 +25,7 @@ builders make.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -195,7 +196,8 @@ def evolve_state(
     ``L`` and reused by every later call with the same ``L``. The result is
     rejected with :class:`TruncationOverflow` if its guard-band mass
     exceeds ``tail_tolerance``, which signals that ``L.dim`` is too small
-    for this evolution time.
+    for this evolution time. A phase t * eigenvalue beyond the float range
+    raises :class:`OverflowError` with the offending time as its ``t``.
     """
     if not tail_tolerance > 0:
         raise ValueError("tail_tolerance must be > 0")
@@ -203,9 +205,16 @@ def evolve_state(
         raise DimensionMismatch(f"operator dim {L.dim} != state dim {v0.dim}")
     # L is real symmetric: real eigenvalues and real orthogonal eigenvectors
     eigvals, eigvecs = L._eigh
-    psi = eigvecs @ (np.exp(1j * t * eigvals) * (eigvecs.T @ v0.amplitudes))
-    out = FockVector(psi)
-    drift = abs(out.norm_sq - v0.norm_sq)
+    # an overflowing phase gives a non-finite state, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = eigvecs @ (np.exp(1j * t * eigvals) * (eigvecs.T @ v0.amplitudes))
+        out = FockVector(psi)
+        norm_sq = out.norm_sq
+    if not math.isfinite(norm_sq):
+        err = OverflowError(f"phases t * eigenvalue overflow at t={t}")
+        err.t = t
+        raise err
+    drift = abs(norm_sq - v0.norm_sq)
     if drift > 1e-10:
         raise ArithmeticError(f"unitarity lost: norm drift {drift:.3e}")
     mass = guard_band_mass(out)

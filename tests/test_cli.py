@@ -166,6 +166,15 @@ def reference_json(cfg, rows):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def assert_same_tokens(cfg, rows):
+    """The writer's one-line document parses to the tokens the pure-Python
+    indented encoder writes."""
+    text = rows_to_json(cfg, rows)
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert json.dumps(json.loads(text), indent=2) + "\n" == reference_json(cfg, rows)
+    return text
+
+
 class TestJsonWriter:
     # every sweep mode; L = 0 has no Lanczos chain (Breakdown)
     @pytest.mark.parametrize("mode, alpha, beta", [
@@ -177,14 +186,12 @@ class TestJsonWriter:
     def test_sweep_rows_byte_identical(self, mode, alpha, beta):
         # the grid starts at t = 0, where the amplitudes hold signed zeros
         cfg = SweepConfig(alpha=alpha, beta=beta, t_min=0.0, t_max=1.0, steps=3, mode=mode)
-        rows = run_sweep(cfg)
-        assert rows_to_json(cfg, rows) == reference_json(cfg, rows)
+        assert_same_tokens(cfg, run_sweep(cfg))
 
     @pytest.mark.parametrize("mode", ["variance", "distribution"])
     def test_single_step_byte_identical(self, mode):
         cfg = SweepConfig(t_min=0.4, t_max=0.4, steps=1, mode=mode)
-        rows = run_sweep(cfg)
-        assert rows_to_json(cfg, rows) == reference_json(cfg, rows)
+        assert_same_tokens(cfg, run_sweep(cfg))
 
     def test_non_finite_and_signed_zero_tokens(self):
         amps = np.array([complex(math.nan, -0.0), complex(math.inf, -math.inf), 0.5 - 0.0j])
@@ -195,10 +202,9 @@ class TestJsonWriter:
             ResultRow(2.0, {"p0": 1.0}, "closed_form", amplitudes=FockVector(np.zeros(0))),
         ]
         cfg = SweepConfig()
-        text = rows_to_json(cfg, rows)
-        assert text == reference_json(cfg, rows)
+        text = assert_same_tokens(cfg, rows)
         assert "NaN" in text and "-Infinity" in text and "-0.0" in text
-        assert rows_to_json(cfg, []) == reference_json(cfg, [])
+        assert_same_tokens(cfg, [])
 
     @pytest.mark.parametrize("t_max, width", [
         (0.8, 65), (1.3, 129), (1.8, 257), (2.3, 513), (2.8, 1025)])
@@ -206,7 +212,7 @@ class TestJsonWriter:
         cfg = SweepConfig(alpha=0.8, beta=0.7, t_max=t_max, steps=3, mode="distribution")
         rows = run_sweep(cfg)
         assert len(rows[-1].values) == width
-        assert rows_to_json(cfg, rows) == reference_json(cfg, rows)
+        assert_same_tokens(cfg, rows)
 
     def test_empty_and_non_empty_values_interleaved(self):
         rows = [
@@ -219,19 +225,29 @@ class TestJsonWriter:
             ResultRow(3.0, {}, "a"),
         ]
         cfg = SweepConfig()
-        assert rows_to_json(cfg, rows) == reference_json(cfg, rows)
-        assert rows_to_json(cfg, rows[:1]) == reference_json(cfg, rows[:1])
+        assert_same_tokens(cfg, rows)
+        assert_same_tokens(cfg, rows[:1])
 
     def test_values_keys_that_look_like_row_boundaries(self):
-        # encoded strings escape the newline, so no key can match the raw
-        # newline of the boundary between two rows' values
+        # encoded strings escape the newline: the document stays one line
         keys = ["}", "{", "a,b", "x\ny", "},\n        {", '"},\n        {"']
         rows = [ResultRow(float(i), {k: float(j) for j, k in enumerate(keys)}, "m,\n}")
                 for i in range(3)]
-        cfg = SweepConfig()
-        text = rows_to_json(cfg, rows)
-        assert text == reference_json(cfg, rows)
+        text = assert_same_tokens(SweepConfig(), rows)
         assert json.loads(text)["rows"][2]["values"] == rows[2].values
+
+    @pytest.mark.parametrize("mode", ["complexity", "variance", "distribution",
+                                      "autocorrelator", "lanczos"])
+    def test_json_and_csv_of_one_run_agree(self, mode, capsys):
+        argv = ["--mode", mode, "--alpha", "0.6", "--beta", "0.8", "--tmin", "-0.5",
+                "--tmax", "1.2", "--steps", "6", "--dim", "128"]
+        assert main(argv + ["--format", "csv"]) == 0
+        csv_lines = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert csv_lines[0] == ",".join(["t", *rows[0]["values"]])
+        assert csv_lines[1:] == [",".join(f"{x:.12g}" for x in [row["t"], *row["values"].values()])
+                                 for row in rows]
 
 
 class TestFigureData:
@@ -425,6 +441,18 @@ class TestMain:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure:")
         assert "float range" in lines[0] and lines[0].endswith("t=5e+307]")
+
+    def test_verify_overflowing_phase_names_its_time(self, capsys):
+        # t * eigenvalue overflows in the dense evolution at t = -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--mode", "verify", "--tmin=-1e308", "--tmax=1e308", "--steps", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+        assert "float range" in lines[0] and "t=-1e+308" in lines[0]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_overflowing_grid_span_is_invalid(self, mode, capsys):

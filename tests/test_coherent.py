@@ -364,6 +364,18 @@ class TestScramblingTime:
         with pytest.raises(ValueError):
             scrambling_time(LiouvillianSpec(1.0, 0.0))
 
+    @pytest.mark.parametrize("x", [1e200, 1e-170])
+    def test_alpha_and_beta_are_not_squared_apart(self, x):
+        # alpha^2 and beta^2 overflow at 1e200 and underflow to 0 at 1e-170
+        assert scrambling_time(LiouvillianSpec(x, x)) == pytest.approx(
+            math.log(4.0 / 3.0) / x, rel=1e-15, abs=0.0)
+
+    def test_alpha_over_beta_squared_beyond_the_float_range(self):
+        # log(4 / (1 + 2 r^2)) = log 2 - 2 log r once 1 is below the rounding
+        # of 2 r^2, r = 1e200
+        assert scrambling_time(LiouvillianSpec(1e200, 1.0)) == pytest.approx(
+            math.log(2.0) - 400.0 * math.log(10.0), rel=1e-15, abs=0.0)
+
 
 class TestAutocorrelator:
     def test_t0_is_one(self):

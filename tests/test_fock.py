@@ -119,6 +119,14 @@ class TestEvolveState:
             evolve_state(L, 2.0, vacuum(32))
         assert err.value.context["dim"] == L.dim == 32
 
+    @pytest.mark.parametrize("t", [1e308, -1e308])
+    def test_overflowing_phase_names_its_time(self, t):
+        # t * eigenvalue is beyond the float range: no all-NaN state
+        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=32))
+        with pytest.raises(OverflowError) as err:
+            evolve_state(L, t, vacuum(32))
+        assert err.value.t == t
+
     @pytest.mark.parametrize("tail_tolerance", [0.0, -1e-10, float("nan")])
     def test_rejects_bad_tail_tolerance(self, tail_tolerance):
         L = hw_generator(0.8, 32)
