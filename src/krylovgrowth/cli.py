@@ -5,7 +5,8 @@ Grid points are evaluated independently in grid order, so identical
 configurations produce byte-identical output files.
 
 Exit codes: 0 success, 1 invalid configuration (a non-finite alpha,
-beta, time or tolerance included), 2 numerical failure (truncation
+beta, time or tolerance included, and an ``--out`` file that cannot be
+written), 2 numerical failure (truncation
 overflow, chain edge leak, non-convergent series, a result beyond the
 float range; the message carries the offending alpha, beta, t, dim), 3
 authoritative verification failure.
@@ -467,7 +468,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     if merged["out"]:
-        Path(merged["out"]).write_text(text)
+        try:
+            Path(merged["out"]).write_text(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            print(f"invalid configuration: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     if cfg.mode != "verify":

@@ -4,9 +4,11 @@ This module is the brute-force side of every cross-check in the library:
 ladder-operator matrices, exact unitary evolution by symmetric
 eigendecomposition and the guard band, all on a finite number basis
 ``|0>, ..., |dim-1>``. The evolution generator L is real and symmetric,
-so it is stored by its main and upper diagonals (:class:`OperatorMatrix`):
-building and applying it costs O(dim), and a dense dim x dim array is
-formed only for the eigendecomposition. The ladder matrices are plain
+so it is stored by its main and upper diagonals (:class:`OperatorMatrix`)
+and applied through a stencil of 2b + 1 coefficient rows, one per diagonal
+from the outermost subdiagonal to the outermost superdiagonal: building
+and applying it costs O(dim), and a dense dim x dim array is formed only
+for the eigendecomposition. The ladder matrices are plain
 arrays: they feed the small symbolic checks of
 :mod:`~krylovgrowth.algebra` and :mod:`~krylovgrowth.bch`.
 
@@ -30,6 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, TruncationOverflow
 
@@ -37,6 +40,7 @@ __all__ = [
     "TruncationConfig",
     "FockVector",
     "OperatorMatrix",
+    "band_windows",
     "build_ladders",
     "evolve_state",
     "guard_band_mass",
@@ -112,8 +116,8 @@ class OperatorMatrix:
     ``bands[b + i - j, j] = A[i, j] = A[j, i]`` for 0 <= j - i <= b. Row b
     is the main diagonal and row 0 the outermost superdiagonal; the first
     b - r slots of row r lie outside the matrix and are never read.
-    Applying it costs O(dim * bandwidth); a dense array comes only from
-    :meth:`to_dense`.
+    Applying it through :meth:`stencil` costs O(dim * bandwidth); a dense
+    array comes only from :meth:`to_dense`.
     """
 
     bands: np.ndarray = field(repr=False)
@@ -147,28 +151,57 @@ class OperatorMatrix:
         eigvals, eigvecs = np.linalg.eigh(self.to_dense())
         return _freeze(eigvals), _freeze(eigvecs)
 
+    def stencil(self, n: int) -> np.ndarray:
+        """Coefficient rows of the leading n x n block A[:n, :n], shape
+        ``(2b + 1, n)`` for n <= dim.
+
+        Entry i of A[:n, :n] @ x is the sum over r of ``stencil[r, i] *
+        x[i + r - b]``: row 0 is the outermost subdiagonal, row b the main
+        diagonal and row 2b the outermost superdiagonal. A slot whose column
+        i + r - b lies outside 0..n-1 is zero, so no coefficient beyond the
+        block (an overflowed one included) enters the product.
+        """
+        if not 0 <= n <= self.dim:
+            raise DimensionMismatch(f"block size {n} outside [0, dim={self.dim}]")
+        b = self.bandwidth
+        out = np.zeros((2 * b + 1, n))
+        for k in range(min(b, n - 1) + 1):
+            out[b - k, k:] = self.bands[b - k, k:n]
+            out[b + k, : n - k] = self.bands[b - k, k:n]
+        return out
+
     def leading_matvec(self, x: np.ndarray) -> np.ndarray:
         """A[:n, :n] @ x for a vector of length n <= dim, in O(n * bandwidth).
 
         When x holds the first n entries of a vector whose entries from
         n - bandwidth on are zero, this is the first n entries of A times
-        that vector. The diagonals are added in a fixed order, subdiagonals
-        from the outermost in, then the main diagonal, then superdiagonals
-        from the innermost out, so that the rounding of every entry is
-        reproducible and the same at every n.
+        that vector. It is one stencil product: x is padded with b zeros on
+        each side, and entry i sums ``stencil(n)[r, i] * x[i + r - b]`` over
+        r in order, subdiagonals from the outermost in, then the main
+        diagonal, then superdiagonals from the innermost out, so that the
+        rounding of every entry is reproducible and the same at every n.
         """
         x = np.asarray(x)
         n = x.shape[0]
         if x.ndim != 1 or n > self.dim:
             raise DimensionMismatch(f"vector shape {x.shape} exceeds dim {self.dim}")
-        b, d = self.bandwidth, self.bands[:, :n]
-        y = np.zeros(n, dtype=np.result_type(d, x))
-        for k in range(b, 0, -1):
-            y[k:] += d[b - k, k:] * x[: n - k]
-        y += d[b] * x
-        for k in range(1, b + 1):
-            y[: n - k] += d[b - k, k:] * x[k:]
-        return y
+        b = self.bandwidth
+        padded = np.zeros(n + 2 * b, dtype=x.dtype)
+        padded[b : b + n] = x
+        return (self.stencil(n) * band_windows(padded, b)).sum(axis=0)
+
+
+def band_windows(padded: np.ndarray, bandwidth: int) -> np.ndarray:
+    """Read-only view of the stencil windows of vectors stored along the last
+    axis with ``bandwidth`` zero columns on each side.
+
+    ``out[..., r, i] = padded[..., i + r]``, the entry x[i + r - b] of the
+    stored vector x. Where x is zero from entry n on,
+    ``(op.stencil(n) * out[..., :n]).sum(axis=-2)`` is A[:n, :n] @ x[:n],
+    bitwise ``op.leading_matvec(x[:n])``. The view shares memory with
+    ``padded`` and copies nothing.
+    """
+    return sliding_window_view(padded, padded.shape[-1] - 2 * bandwidth, axis=-1)
 
 
 def build_ladders(cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -9,13 +9,17 @@ removed more than 1 - 1/sqrt(2) of the candidate's norm (the "twice is
 enough" test of Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30 (1976)
 772-795). The basis stays orthonormal to working precision. On the chains
 of the CLI, the second pass runs only where the Krylov space is exhausted.
-L enters only through its banded matrix-vector product
-(:meth:`~krylovgrowth.fock.OperatorMatrix.leading_matvec`), so no dense
-dim x dim matrix is formed, and the recursion runs in float64. L has
-bandwidth b, so Krylov vector j of a seed with highest level s0 lives on
-Fock levels 0..s0 + b*j, and step j works on that prefix only: O(j) work
-for the matvec and O(j^2) for the reorthogonalization, independent of dim
-once dim >= b*m + s0 + 1. The chain is a property of L and the seed, not
+L enters only through the (2b + 1)-row stencil of its band
+(:meth:`~krylovgrowth.fock.OperatorMatrix.stencil`), so no dense dim x dim
+matrix is formed, and the recursion runs in float64. L has bandwidth b,
+so Krylov vector j of a seed with highest level s0 lives on Fock levels
+0..s0 + b*j, and step j works on that prefix only: O(j) work for the
+matvec and O(j^2) for the reorthogonalization, independent of dim once
+dim >= b*m + s0 + 1. The Krylov vectors are stored with b zero columns on
+each side, so the matvec of a step is one product of the stencil with a
+read-only window view of that store, summed over the 2b + 1 rows in the
+order of :meth:`~krylovgrowth.fock.OperatorMatrix.leading_matvec`, with
+no padding or copy per step. The chain is a property of L and the seed, not
 of the truncation (the recursion method of Viswanath & Mueller, *The
 Recursion Method*, Springer 1994). For
 generators with odd-moment symmetry (pure linear or pure two-photon) the
@@ -40,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import Breakdown, DimensionMismatch, EdgeLeak
-from .fock import FockVector, OperatorMatrix
+from .fock import FockVector, OperatorMatrix, band_windows
 
 __all__ = [
     "KrylovChain",
@@ -107,7 +111,8 @@ def lanczos_tridiagonalize(
 ) -> KrylovChain:
     """Orthonormalize the Krylov sequence seed, L seed, L^2 seed, ...
 
-    Retains at most ``m`` chain sites. L is applied by its banded matvec
+    Retains at most ``m`` chain sites. L is applied by its stencil, bitwise
+    as :meth:`~krylovgrowth.fock.OperatorMatrix.leading_matvec` applies it,
     and the Krylov vectors are float64, so the seed must be real: one with
     an imaginary part raises ``ValueError``. Step j runs on the Fock levels
     that L^j seed can reach, not on all ``dim`` of them, and the rows of
@@ -134,7 +139,12 @@ def lanczos_tridiagonalize(
     if seed.amplitudes.imag.any():
         raise ValueError("seed must be real")
 
-    Q = np.zeros((m, L.dim))
+    b, dim = L.bandwidth, L.dim
+    # the Krylov vectors are the rows of Q, stored with b zero columns on
+    # each side so that every step reads its stencil windows from one view
+    store = np.zeros((m, dim + 2 * b))
+    Q = store[:, b : b + dim]
+    windows = band_windows(store, b)
     Q[0] = seed.amplitudes.real / nrm
     # Q[j - 1] lives on levels 0..s0 + b*(j - 1), so L Q[j - 1] fits in the
     # first s0 + b*j + 1 entries, and step j works on those alone.
@@ -143,22 +153,29 @@ def lanczos_tridiagonalize(
     hops: list[float] = []
     residual = 0.0
     sites = m
+    n_prev = 0
     # a hopping beyond the float range is quietly inf or nan, raised below
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, m + 1):
-            reach = s0 + L.bandwidth * j + 1
-            n = min(L.dim, -(-reach // PREFIX_BLOCK) * PREFIX_BLOCK)
-            basis, q = Q[:j, :n], Q[j - 1, :n]
-            work = L.leading_matvec(q)
+            reach = s0 + b * j + 1
+            n = min(dim, -(-reach // PREFIX_BLOCK) * PREFIX_BLOCK)
+            # the stencil of the prefix block, not a slice of the full one:
+            # a coefficient past the prefix (inf where the bands overflowed)
+            # would meet a zero of the store and make a nan
+            if n != n_prev:
+                stencil, n_prev = L.stencil(n), n
+            basis = Q[:j, :n]
+            q = basis[-1]
+            work = (stencil * windows[j - 1, :, :n]).sum(axis=0)
             adiag[j - 1] = float(q @ work)
             work -= adiag[j - 1] * q
             if j >= 2:
-                work -= hops[-1] * Q[j - 2, :n]
+                work -= hops[-1] * basis[-2]
             before = math.sqrt(work @ work)
-            work -= basis.T @ (basis @ work)
+            work -= (basis @ work) @ basis
             bn = math.sqrt(work @ work)
             if bn < _TWICE_IS_ENOUGH * before:
-                work -= basis.T @ (basis @ work)
+                work -= (basis @ work) @ basis
                 bn = math.sqrt(work @ work)
             if not math.isfinite(bn):
                 raise OverflowError(f"Lanczos hopping b_{j} = {bn} is beyond the float range")

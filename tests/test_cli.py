@@ -396,6 +396,18 @@ class TestMain:
         assert "format" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["complexity", "verify"])
+    @pytest.mark.parametrize("where", ["missing-dir/x.csv", "."], ids=["missing dir", "a directory"])
+    def test_unwritable_out_is_invalid_configuration(self, mode, where, tmp_path, capsys):
+        # the write of --out fails after the run: one line, exit 1, no
+        # traceback (in process, an escaping OSError would fail the test)
+        assert main(["--mode", mode, "--steps", "2", "--out", str(tmp_path / where)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid configuration: ")
+        assert "Traceback" not in captured.err
+
     def test_numerical_failure_exit_code(self, capsys):
         code = main(["--mode", "lanczos", "--dim", "16", "--tmax", "12", "--steps", "4"])
         assert code == 2

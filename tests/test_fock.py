@@ -10,6 +10,7 @@ from krylovgrowth.fock import (
     FockVector,
     OperatorMatrix,
     TruncationConfig,
+    band_windows,
     build_ladders,
     evolve_state,
     guard_band_mass,
@@ -71,6 +72,91 @@ class TestLadders:
             with pytest.raises(DimensionMismatch):
                 OperatorMatrix(bad)
         assert OperatorMatrix(np.ones((2, 3))).bandwidth == 1
+
+
+def per_diagonal_matvec(bands, x):
+    """A[:n, :n] @ x one diagonal at a time: subdiagonals from the outermost
+    in, the main diagonal, then superdiagonals from the innermost out."""
+    b, n = bands.shape[0] - 1, len(x)
+    d = bands[:, :n]
+    y = np.zeros(n, dtype=np.result_type(d, x))
+    for k in range(b, 0, -1):
+        y[k:] += d[b - k, k:] * x[: n - k]
+    y += d[b] * x
+    for k in range(1, b + 1):
+        y[: n - k] += d[b - k, k:] * x[k:]
+    return y
+
+
+def band_operator(b, dim, rng):
+    """Random bands with zeros and signed zeros among the coefficients."""
+    bands = rng.normal(size=(b + 1, dim))
+    bands[:, ::5] = 0.0
+    bands[:, 2::7] = -0.0
+    return OperatorMatrix(bands)
+
+
+class TestStencil:
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    def test_rows_are_the_diagonals_of_the_leading_block(self, b):
+        op = band_operator(b, 9, np.random.default_rng(b))
+        dense = op.to_dense()
+        for n in (-1, 10):
+            with pytest.raises(DimensionMismatch):
+                op.stencil(n)
+        for n in range(10):
+            stencil = op.stencil(n)
+            assert stencil.shape == (2 * b + 1, n)
+            for r in range(2 * b + 1):
+                for i in range(n):
+                    c = i + r - b
+                    want = dense[i, c] if 0 <= c < n else 0.0
+                    assert stencil[r, i] == want, (n, r, i)
+
+    @pytest.mark.parametrize("b", [0, 1, 2])
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_product_is_the_per_diagonal_loop_bitwise(self, b, kind):
+        # every prefix n, as leading_matvec and as a step of the Lanczos
+        # recursion (windows of a store padded with b zeros on each side);
+        # tobytes, so that signed zeros count
+        dim = 13
+        rng = np.random.default_rng(10 + b)
+        op = band_operator(b, dim, rng)
+        x = rng.normal(size=dim)
+        if kind is complex:
+            x = x + 1j * rng.normal(size=dim)
+        x[1::6] = 0.0
+        x[3::6] = -0.0
+        store = np.zeros((2, dim + 2 * b), dtype=x.dtype)
+        windows = band_windows(store, b)
+        for n in range(dim + 1):
+            want = per_diagonal_matvec(op.bands, x[:n]).tobytes()
+            assert op.leading_matvec(x[:n]).tobytes() == want, n
+            store[1, b : b + n] = x[:n]
+            assert (op.stencil(n) * windows[1, :, :n]).sum(axis=0).tobytes() == want, n
+
+    def test_coefficients_beyond_the_block_stay_out(self):
+        # an overflowed coefficient past the leading block would make a nan
+        # of its zero partner in x; the product never reads it
+        bands = np.ones((3, 8))
+        bands[:, 5:] = np.inf
+        op = OperatorMatrix(bands)
+        x = np.arange(1.0, 6.0)
+        y = op.leading_matvec(x)
+        assert np.all(np.isfinite(y))
+        assert y.tobytes() == per_diagonal_matvec(bands, x).tobytes()
+
+    def test_window_view_is_read_only_and_copies_nothing(self):
+        b, dim = 2, 7
+        store = np.arange(3.0 * (dim + 2 * b)).reshape(3, dim + 2 * b)
+        windows = band_windows(store, b)
+        assert windows.shape == (3, 2 * b + 1, dim)
+        assert not windows.flags.writeable
+        assert np.shares_memory(windows, store)
+        with pytest.raises(ValueError):
+            windows[0, 0, 0] = 1.0
+        for r in range(2 * b + 1):
+            assert np.array_equal(windows[:, r], store[:, r : r + dim])
 
 
 def hw_generator(alpha, dim):

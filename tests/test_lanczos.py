@@ -187,6 +187,15 @@ class TestTridiagonalize:
         Q = lanczos_tridiagonalize(L, vacuum(dim), m).basis
         assert np.max(np.abs(Q @ Q.T - np.eye(m))) <= 1e-14
 
+    def test_overflowed_coefficient_past_the_prefix_stays_out(self):
+        # alpha sqrt(k) overflows from k = 32 on, just past step 1's prefix
+        # of 32 levels: b_1 overflows to inf, and the stencil of the prefix
+        # never multiplies the inf coefficient by a zero to make it nan
+        L = hw_generator(3.2e307, 64)
+        assert np.isinf(L.bands[0, 32]) and np.isfinite(L.bands[0, 31])
+        with pytest.raises(OverflowError, match=r"b_1 = inf "):
+            lanczos_tridiagonalize(L, vacuum(64), 32)
+
     def test_chain_validation(self):
         # m = len(a) = 3 sites take 2 positive hoppings
         for b in ([1.0, -1.0], [1.0], [1.0, 1.0, 1.0]):
@@ -195,6 +204,22 @@ class TestTridiagonalize:
 
 
 class TestPropagation:
+    @pytest.mark.parametrize("hopping, K", [
+        (lambda n: 1.0 * np.sqrt(n), lambda t: t ** 2),
+        (lambda n: 0.7 * np.sqrt(n * (n - 0.5)), lambda t: 0.5 * math.sinh(0.7 * t) ** 2),
+        (lambda n: 0.7 * np.sqrt(n * (n + 0.5)), lambda t: 1.5 * math.sinh(0.7 * t) ** 2),
+    ], ids=["alpha sqrt(n)", "beta sqrt(n(n-1/2))", "beta sqrt(n(n+1/2))"])
+    def test_exact_chains(self, hopping, K):
+        # chains built from known hoppings, a_n = 0, independent of
+        # lanczos_tridiagonalize: Heisenberg-Weyl K = alpha^2 t^2, and the
+        # SL(2,R) modules h = 1/4 and 3/4, K = 2h sinh^2(beta t)
+        m = 128
+        chain = KrylovChain(a=np.zeros(m), b=hopping(np.arange(1, m)), residual=0.0,
+                            basis=np.eye(m))
+        ts = [0.25, 0.5, 1.0, 1.5]
+        got = chain_complexity(propagate_chain(chain, ts))
+        assert got == pytest.approx([K(t) for t in ts], rel=1e-12, abs=0)
+
     def test_initial_condition(self):
         chain = lanczos_tridiagonalize(hw_generator(1.0, 64), vacuum(64), 30)
         phi0 = propagate_chain(chain, [0.0])[0]
