@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import LiouvillianSpec
-from .errors import NonConvergent
+from .errors import NonConvergent, _grow
 
 __all__ = [
     "DisplacementParams",
@@ -241,6 +241,14 @@ def _recurrence(p: DisplacementParams, k_max: int, phi: Optional[list] = None) -
     return phi
 
 
+def _doubling(cap: int) -> list[int]:
+    """Sizes 64, 128, ... below ``cap``, then ``cap`` (only ``cap`` if it is 64 or less)."""
+    sizes = [min(64, cap)]
+    while sizes[-1] < cap:
+        sizes.append(min(2 * sizes[-1], cap))
+    return sizes
+
+
 def phi_series(
     p: DisplacementParams,
     tol: float = DEFAULT_SERIES_TOL,
@@ -248,28 +256,26 @@ def phi_series(
 ) -> AmplitudeSeries:
     """Amplitudes by forward recurrence, truncated adaptively.
 
-    ``k_max`` starts at 64 and doubles until the missing probability
-    1 - sum |phi_k|^2 is at most ``tol`` in magnitude; exceeding ``max_k``
-    raises :class:`NonConvergent`. Each doubling extends the series from
-    the last computed term instead of recomputing it.
+    ``k_max`` grows 64, 128, ... up to ``max_k`` by the one escalation loop,
+    ``errors._grow``, until the missing probability 1 - sum |phi_k|^2 is at
+    most ``tol`` in magnitude; at ``max_k`` it raises :class:`NonConvergent`.
+    Each size extends the series from the last term instead of recomputing it.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    k_max = min(64, max_k)
-    terms = None
-    while True:
-        terms = _recurrence(p, k_max, terms)
-        phi = np.array(terms, dtype=complex)
+    terms = [phi_zero(p)]
+
+    def attempt(k_max):
+        phi = np.array(_recurrence(p, k_max, terms), dtype=complex)
         tail = 1.0 - float(np.sum(np.abs(phi) ** 2))
-        if abs(tail) <= tol:
-            return AmplitudeSeries(params=p, phi=phi, tail_bound=tail)
-        if k_max >= max_k:
+        if not abs(tail) <= tol:
             raise NonConvergent(
-                f"series tail {tail:.3e} still above tol {tol:.1e} at cap k_max={max_k}",
-                tail=tail,
-                k_max=max_k,
+                f"series tail {tail:.3e} still above tol {tol:.1e} at cap k_max={k_max}",
+                tail=tail, k_max=k_max,
             )
-        k_max = min(2 * k_max, max_k)
+        return AmplitudeSeries(params=p, phi=phi, tail_bound=tail)
+
+    return _grow(_doubling(max_k), attempt, NonConvergent)
 
 
 def amplitude_deviation(p: DisplacementParams, amplitudes: np.ndarray) -> float:
@@ -420,11 +426,11 @@ def sl2r_profile(
 
     phi_n = sqrt(Gamma(2h+n) / (n! Gamma(2h))) tanh^n(beta t) / cosh^{2h}(beta t)
     over the weight-basis index n, for a weight h > 0; returns the real,
-    read-only phi_0..phi_{n_max} and K. The weight index n_max starts at 64
-    and doubles until 1 - sum phi_n^2 is at most ``tol`` in magnitude,
-    capped at ``DEFAULT_SERIES_CAP``. In the oscillator realization the
-    sector is h = 1/4, where phi_n is the modulus of the number-basis
-    amplitude on the even level k = 2n of the squeezed vacuum
+    read-only phi_0..phi_{n_max} and K. The weight index n_max grows like
+    the ``k_max`` of :func:`phi_series`, up to ``DEFAULT_SERIES_CAP``, until
+    1 - sum phi_n^2 is at most ``tol`` in magnitude. In the oscillator
+    realization the sector is h = 1/4, where phi_n is the modulus of the
+    number-basis amplitude on the even level k = 2n of the squeezed vacuum
     (v = 0, w = i beta t).
     """
     if not h > 0:
@@ -432,24 +438,23 @@ def sl2r_profile(
     bt = beta * t
     K = 2.0 * h * math.sinh(bt) ** 2
     z = math.tanh(bt)
-    n_max = 64
-    while True:
+
+    def attempt(n_max):
         weights = np.empty(n_max + 1, dtype=float)
         weights[0] = 1.0
         for n in range(n_max):
             weights[n + 1] = weights[n] * (2.0 * h + n) / (n + 1.0)
         phi = np.sqrt(weights) * z ** np.arange(n_max + 1) / math.cosh(bt) ** (2 * h)
         tail = 1.0 - float(np.sum(phi ** 2))
-        if abs(tail) <= tol:
-            phi.setflags(write=False)
-            return phi, K
-        if n_max >= DEFAULT_SERIES_CAP:
+        if not abs(tail) <= tol:
             raise NonConvergent(
-                f"weight-module series tail {tail:.3e} above tol at cap {DEFAULT_SERIES_CAP}",
-                tail=tail,
-                k_max=DEFAULT_SERIES_CAP,
+                f"weight-module series tail {tail:.3e} above tol at cap {n_max}",
+                tail=tail, k_max=n_max,
             )
-        n_max = min(2 * n_max, DEFAULT_SERIES_CAP)
+        phi.setflags(write=False)
+        return phi, K
+
+    return _grow(_doubling(DEFAULT_SERIES_CAP), attempt, NonConvergent)
 
 
 def schrodinger_complexity_t(spec: LiouvillianSpec, t: float) -> float:

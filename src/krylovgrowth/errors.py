@@ -1,4 +1,5 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the one size-escalation
+policy built on them.
 
 Every exception carries a ``context`` dict so that sweep drivers can attach
 the (alpha, beta, t, dim) tuple that triggered a numerical failure before
@@ -59,3 +60,16 @@ class DecompositionFailure(KrylovGrowthError, RuntimeError):
     """The displacement-squeeze factorization could not be matched against
     the exact group exponential (outside the decomposable regime, or
     numerical breakdown)."""
+
+
+def _grow(sizes, attempt, too_small):
+    """``attempt(size)`` at the first of ``sizes`` where it does not raise
+    ``too_small``: the library's one size-escalation loop. At the last size
+    that error propagates unchanged; any other error propagates at once."""
+    *smaller, last = sizes
+    for size in smaller:
+        try:
+            return attempt(size)
+        except too_small:
+            pass
+    return attempt(last)

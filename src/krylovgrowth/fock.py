@@ -182,9 +182,9 @@ class OperatorMatrix:
         rounding of every entry is reproducible and the same at every n.
         """
         x = np.asarray(x)
+        if x.ndim != 1 or x.shape[0] > self.dim:
+            raise DimensionMismatch(f"vector shape {x.shape} does not fit dim {self.dim}")
         n = x.shape[0]
-        if x.ndim != 1 or n > self.dim:
-            raise DimensionMismatch(f"vector shape {x.shape} exceeds dim {self.dim}")
         b = self.bandwidth
         padded = np.zeros(n + 2 * b, dtype=x.dtype)
         padded[b : b + n] = x

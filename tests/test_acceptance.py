@@ -31,7 +31,7 @@ from krylovgrowth.coherent import (
     scrambling_time,
     sl2r_profile,
 )
-from krylovgrowth.errors import TruncationOverflow
+from krylovgrowth.errors import TruncationOverflow, _grow
 from krylovgrowth.fock import FockVector, TruncationConfig, evolve_state
 from krylovgrowth.lanczos import chain_complexity, lanczos_tridiagonalize, project_onto_chain, propagate_chain
 
@@ -53,14 +53,11 @@ def _report(criterion: int, passed: bool, detail: str):
 def _oracle_state(spec: LiouvillianSpec, t: float) -> FockVector:
     """Dense evolution of the vacuum, escalating dim until the guard band
     confirms the truncation holds the state."""
-    last = None
-    for dim in DIM_LADDER:
+    def attempt(dim):
         L = build_liouvillian(spec, TruncationConfig(dim=dim))
-        try:
-            return evolve_state(L, t, FockVector.basis_state(dim, 0))
-        except TruncationOverflow as err:
-            last = err
-    raise last
+        return evolve_state(L, t, FockVector.basis_state(dim, 0))
+
+    return _grow(DIM_LADDER, attempt, TruncationOverflow)
 
 
 def test_criterion_01_oracle_equivalence():

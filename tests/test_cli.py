@@ -414,6 +414,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert "dim=16" in err
 
+    def test_series_cap_names_its_time(self, capsys):
+        code = main(["--mode", "distribution", "--format", "json", "--steps", "41",
+                     "--tmax", "3.5", "--alpha", "0.5", "--beta", "1.0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "numerical failure: series tail 2.263e-09 still above tol 1.0e-10 at cap "
+            "k_max=4096 [alpha=0.5, beta=1.0, dim=256, k_max=4096, t=2.9749999999999996, "
+            "tail=2.262662390783987e-09]\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, code", EXIT_CASES, ids=[" ".join(argv) for argv, _ in EXIT_CASES]
     )

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from krylovgrowth import coherent
 from krylovgrowth.algebra import LiouvillianSpec
 from krylovgrowth.coherent import (
     DisplacementParams,
@@ -24,7 +25,7 @@ from krylovgrowth.coherent import (
     variance_alt_closed_form,
     _recurrence,
 )
-from krylovgrowth.errors import NonConvergent
+from krylovgrowth.errors import NonConvergent, _grow
 
 
 class TestDisplacementParams:
@@ -85,8 +86,27 @@ class TestPhiSeries:
         assert large.k_max > 64
 
     def test_nonconvergent_at_cap(self):
-        with pytest.raises(NonConvergent):
+        with pytest.raises(NonConvergent) as err:
             phi_series(DisplacementParams(v=0.0, w=3.0j), tol=1e-10, max_k=64)
+        assert err.value.args[0] == "series tail 4.203e-01 still above tol 1.0e-10 at cap k_max=64"
+        assert sorted(err.value.context) == ["k_max", "tail"]
+        assert err.value.context["k_max"] == 64
+
+    @pytest.mark.parametrize(
+        "max_k, sizes", [(40, [40]), (100, [64, 100]), (300, [64, 128, 256, 300])]
+    )
+    def test_sizes_double_from_64_and_end_at_the_cap(self, monkeypatch, max_k, sizes):
+        tried = []
+
+        def spy(p, k_max, phi=None):
+            tried.append(k_max)
+            return _recurrence(p, k_max, phi)
+
+        monkeypatch.setattr(coherent, "_recurrence", spy)
+        with pytest.raises(NonConvergent) as err:
+            phi_series(DisplacementParams(v=0.0, w=3.0j), tol=1e-10, max_k=max_k)
+        assert tried == sizes
+        assert err.value.context["k_max"] == max_k
 
     @pytest.mark.parametrize(
         "v, w",
@@ -271,6 +291,51 @@ class TestProfiles:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             sl2r_profile(0.0, 1.0, 1.0)
+
+    def test_sl2r_nonconvergent_at_cap(self):
+        with pytest.raises(NonConvergent) as err:
+            sl2r_profile(0.25, 1.0, 6.0)
+        assert err.value.args[0] == "weight-module series tail 6.536e-01 above tol at cap 4096"
+        assert err.value.context["k_max"] == 4096
+
+
+class TestGrow:
+    """The one size-escalation loop behind phi_series, sl2r_profile and the
+    acceptance suite's oracle dim ladder."""
+
+    def test_stops_at_the_first_size_that_fits(self):
+        tried = []
+
+        def attempt(size):
+            tried.append(size)
+            if size < 3:
+                raise NonConvergent("too small", k_max=size)
+            return 10 * size
+
+        assert _grow([1, 2, 3, 4], attempt, NonConvergent) == 30
+        assert tried == [1, 2, 3]
+
+    def test_error_at_the_last_size_propagates_unchanged(self):
+        raised = []
+
+        def attempt(size):
+            raised.append(NonConvergent("too small", k_max=size))
+            raise raised[-1]
+
+        with pytest.raises(NonConvergent) as err:
+            _grow([1, 2], attempt, NonConvergent)
+        assert len(raised) == 2 and err.value is raised[-1]
+
+    def test_other_errors_propagate_without_retry(self):
+        tried = []
+
+        def attempt(size):
+            tried.append(size)
+            raise OverflowError(size)
+
+        with pytest.raises(OverflowError):
+            _grow([1, 2, 3], attempt, NonConvergent)
+        assert tried == [1]
 
 
 class TestComplexityOfTime:

@@ -135,6 +135,13 @@ class TestStencil:
             store[1, b : b + n] = x[:n]
             assert (op.stencil(n) * windows[1, :, :n]).sum(axis=0).tobytes() == want, n
 
+    @pytest.mark.parametrize("x", [np.float64(1.0), np.ones((3, 1)), np.ones(10)])
+    def test_leading_matvec_takes_only_a_vector_within_dim(self, x):
+        # a 0-d input has no shape[0]; it must not escape as IndexError
+        op = band_operator(1, 9, np.random.default_rng(0))
+        with pytest.raises(DimensionMismatch):
+            op.leading_matvec(x)
+
     def test_coefficients_beyond_the_block_stay_out(self):
         # an overflowed coefficient past the leading block would make a nan
         # of its zero partner in x; the product never reads it
