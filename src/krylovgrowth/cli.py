@@ -5,11 +5,11 @@ Grid points are evaluated independently in grid order, so identical
 configurations produce byte-identical output files.
 
 Exit codes: 0 success, 1 invalid configuration (a non-finite alpha,
-beta, time or tolerance included, and an ``--out`` file that cannot be
-written), 2 numerical failure (truncation
-overflow, chain edge leak, non-convergent series, a result beyond the
-float range; the message carries the offending alpha, beta, t, dim), 3
-authoritative verification failure.
+beta, time or tolerance included, an ``--out`` file that cannot be
+written, and a ``--steps`` or ``--dim`` too large to allocate or index),
+2 numerical failure (truncation overflow, chain edge leak, non-convergent
+series, a result beyond the float range; the message carries the
+offending alpha, beta, t, dim), 3 authoritative verification failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
@@ -46,7 +46,7 @@ from .errors import KrylovGrowthError, TruncationOverflow
 from .fock import FockVector, TruncationConfig, evolve_state
 from .lanczos import chain_complexity, lanczos_tridiagonalize, propagate_chain
 
-__all__ = ["SweepConfig", "ResultRow", "run_sweep", "figure_data", "verify", "main"]
+__all__ = ["SweepConfig", "run_sweep", "figure_data", "verify", "main"]
 
 MODES = ("complexity", "variance", "distribution", "autocorrelator", "lanczos", "verify")
 FIGURES = ("fig1", "fig2", "fig3")
@@ -91,14 +91,6 @@ class SweepConfig:
         return LiouvillianSpec(self.alpha, self.beta)
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    t: float
-    values: Dict[str, float]
-    method: str
-    amplitudes: Optional[FockVector] = field(default=None, compare=False)
-
-
 def _attach(err: Exception, cfg: SweepConfig, t: Optional[float]) -> KrylovGrowthError:
     """The numerical failure to report for ``err``, with the run's alpha,
     beta, dim and (when known) t attached. A float-range overflow becomes a
@@ -111,57 +103,58 @@ def _attach(err: Exception, cfg: SweepConfig, t: Optional[float]) -> KrylovGrowt
     return err
 
 
-def _complexity_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
+# A sweep row is the JSON object ``rows_to_json`` writes: {"t", "values",
+# "method"}, and for ``distribution`` the amplitudes as [re, im] pairs.
+def _complexity_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
     spec = cfg.spec()
-    return [ResultRow(t, {"K": schrodinger_complexity_t(spec, t)}, "closed_form") for t in ts]
+    return [{"t": t, "values": {"K": schrodinger_complexity_t(spec, t)}, "method": "closed_form"}
+            for t in ts]
 
 
-def _variance_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
+def _variance_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
     spec = cfg.spec()
     rows = []
     for t in ts:
         m1, m2 = _moments(closed_form_params(spec, t), (1, 2))
-        rows.append(ResultRow(t, {"K": m1, "sigma2": m2 - m1 * m1}, "closed_form"))
+        rows.append({"t": t, "values": {"K": m1, "sigma2": m2 - m1 * m1}, "method": "closed_form"})
     return rows
 
 
-def _distribution_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
+def _distribution_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
     spec = cfg.spec()
     series = [(t, phi_series(closed_form_params(spec, t), tol=cfg.tol)) for t in ts]
     width = max(s.k_max + 1 for _, s in series)
+    phi = np.zeros((len(series), width), dtype=complex)  # zero-padded to the widest row
+    for row, (_, s) in zip(phi, series):
+        row[: s.k_max + 1] = s.phi
     keys = [f"p{k}" for k in range(width)]
-    rows = []
-    for t, s in series:
-        probs = np.zeros(width)
-        probs[: s.k_max + 1] = s.probabilities()
-        values = dict(zip(keys, probs.tolist()))
-        rows.append(ResultRow(t, values, "closed_form",
-                              amplitudes=FockVector(np.pad(s.phi, (0, width - s.k_max - 1)))))
-    return rows
+    pairs = phi.view(float).reshape(len(series), width, 2).tolist()
+    return [{"t": t, "values": dict(zip(keys, probs)), "method": "closed_form", "amplitudes": amps}
+            for (t, _), probs, amps in zip(series, (np.abs(phi) ** 2).tolist(), pairs)]
 
 
-def _autocorrelator_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
+def _autocorrelator_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
     spec = cfg.spec()
     return [
-        ResultRow(t, {
+        {"t": t, "values": {
             "autocorrelator": autocorrelator_t(spec, t),
             "alt_form": autocorrelator_alt_closed_form(spec, t),
-        }, "closed_form")
+        }, "method": "closed_form"}
         for t in ts
     ]
 
 
-def _lanczos_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[ResultRow]:
+def _lanczos_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
     # the chain is built before any grid time is drawn: its failures have no t
     L = build_liouvillian(cfg.spec(), TruncationConfig(dim=cfg.dim))
     chain = lanczos_tridiagonalize(L, FockVector.basis_state(cfg.dim, 0), min(cfg.dim // 2, 128))
     ts = list(ts)
     Ks = chain_complexity(propagate_chain(chain, ts)).tolist()
-    return [ResultRow(t, {"K_chain": K}, "lanczos_chain") for t, K in zip(ts, Ks)]
+    return [{"t": t, "values": {"K_chain": K}, "method": "lanczos_chain"} for t, K in zip(ts, Ks)]
 
 
 # Row function of each sweep mode; it draws the grid times in order.
-_ROWS: Dict[str, Callable[[SweepConfig, Iterable[float]], List[ResultRow]]] = {
+_ROWS: Dict[str, Callable[[SweepConfig, Iterable[float]], List[dict]]] = {
     "complexity": _complexity_rows,
     "variance": _variance_rows,
     "distribution": _distribution_rows,
@@ -170,8 +163,9 @@ _ROWS: Dict[str, Callable[[SweepConfig, Iterable[float]], List[ResultRow]]] = {
 }
 
 
-def run_sweep(cfg: SweepConfig) -> List[ResultRow]:
-    """One row per grid point; deterministic for a fixed config.
+def run_sweep(cfg: SweepConfig) -> List[dict]:
+    """One row per grid point, the JSON object ``rows_to_json`` writes;
+    deterministic for a fixed config.
 
     A numerical failure, a float-range overflow included, raises
     :class:`KrylovGrowthError` carrying alpha, beta, dim and the t it
@@ -199,36 +193,42 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def rows_to_csv(rows: List[ResultRow]) -> str:
-    keys = list(rows[0].values.keys()) if rows else []
+def rows_to_csv(rows: List[dict]) -> str:
+    keys = list(rows[0]["values"]) if rows else []
     lines = ["t," + ",".join(keys)]
     for row in rows:
-        lines.append(",".join([_fmt(row.t)] + [_fmt(row.values[k]) for k in keys]))
+        values = row["values"]
+        lines.append(",".join([_fmt(row["t"])] + [_fmt(values[k]) for k in keys]))
     return "\n".join(lines) + "\n"
 
 
-def _row_payload(row: ResultRow) -> dict:
-    payload = {"t": row.t, "values": row.values, "method": row.method}
-    if row.amplitudes is not None:
-        # [re, im] pairs
-        payload["amplitudes"] = row.amplitudes.amplitudes.view(float).reshape(-1, 2).tolist()
-    return payload
-
-
-def rows_to_json(cfg: SweepConfig, rows: List[ResultRow]) -> str:
+def rows_to_json(cfg: SweepConfig, rows: List[dict]) -> str:
     """``{"config": ..., "rows": [...]}`` on one line, from one call to the
     C encoder of ``json``; ``NaN``, ``Infinity`` and ``-0.0`` are written
     as ``json.dumps`` writes them."""
-    return json.dumps({"config": asdict(cfg), "rows": [_row_payload(r) for r in rows]}) + "\n"
+    return json.dumps({"config": asdict(cfg), "rows": rows}) + "\n"
 
 
-def figure_data(which: str, outdir: Path) -> List[Path]:
-    """Emit plot-ready CSV for one of the three reference figures.
+def _sweep_figure(mode: str, key: str, prefix: str, t_max: float, steps: int,
+                  curves: List[tuple]) -> List[str]:
+    """CSV lines of one ``mode`` sweep per (alpha, beta) curve on [0, t_max],
+    its ``key`` value in a column headed ``prefix_alpha_<alpha>_beta_<beta>``."""
+    sweeps = [run_sweep(SweepConfig(alpha=a, beta=b, t_max=t_max, steps=steps, mode=mode))
+              for a, b in curves]
+    lines = [",".join(["t"] + [f"{prefix}_alpha_{a:g}_beta_{b:g}" for a, b in curves])]
+    for rows in zip(*sweeps):
+        lines.append(",".join(_fmt(x) for x in [rows[0]["t"]] + [r["values"][key] for r in rows]))
+    return lines
+
+
+def figure_data(which: str, outdir: Path) -> Path:
+    """Emit plot-ready CSV for one of the three reference figures; return its path.
 
     fig1: number-basis probabilities at alpha=0, beta=1, t=1 next to the
     h=1/4 lowest-weight profile (pairwise equal on even sites, shifted).
     fig2: K(t) for (alpha, beta) = (0.01, 1) and (1, 0.01) on t in [0, 5].
     fig3: autocorrelator for (1, 0), (0, 1), (1, 1) on t in [0, 3].
+    fig2 and fig3 are one ``complexity`` or ``autocorrelator`` sweep per curve.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -245,42 +245,36 @@ def figure_data(which: str, outdir: Path) -> List[Path]:
             p2 = float(sl2r_probs[k]) if k < len(sl2r) else 0.0
             lines.append(f"{k},{_fmt(p1)},{_fmt(p2)}")
     elif which == "fig2":
-        ts = np.linspace(0.0, 5.0, 101)
-        red = LiouvillianSpec(0.01, 1.0)
-        black = LiouvillianSpec(1.0, 0.01)
-        lines = ["t,K_alpha_0.01_beta_1,K_alpha_1_beta_0.01"]
-        for t in ts:
-            lines.append(",".join(_fmt(x) for x in (
-                t, schrodinger_complexity_t(red, float(t)),
-                schrodinger_complexity_t(black, float(t)))))
+        lines = _sweep_figure("complexity", "K", "K", 5.0, 101, [(0.01, 1.0), (1.0, 0.01)])
     elif which == "fig3":
-        ts = np.linspace(0.0, 3.0, 121)
-        specs = [LiouvillianSpec(1.0, 0.0), LiouvillianSpec(0.0, 1.0), LiouvillianSpec(1.0, 1.0)]
-        lines = ["t,auto_alpha_1_beta_0,auto_alpha_0_beta_1,auto_alpha_1_beta_1"]
-        for t in ts:
-            lines.append(",".join(_fmt(x) for x in (
-                [t] + [autocorrelator_t(s, float(t)) for s in specs])))
+        lines = _sweep_figure("autocorrelator", "autocorrelator", "auto", 3.0, 121,
+                              [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
     else:
         raise ValueError(f"unknown figure {which!r}; choose from {FIGURES}")
     path.write_text("\n".join(lines) + "\n")
-    return [path]
+    return path
 
 
-def verify(cfg: SweepConfig) -> tuple[dict, bool]:
+# The report sections of the authoritative checks; the report passes when each of them does.
+_AUTHORITATIVE = ("oracle_vs_closed_form", "normalization", "complexity_closed_vs_direct",
+                  "limit_recovery")
+
+
+def verify(cfg: SweepConfig) -> dict:
     """Cross-method equivalence suite plus the documented-discrepancy probes.
 
-    Authoritative checks (failures flip the ok flag, CLI exit 3): the
-    oracle-vs-closed-form amplitude match at the grid points representable
-    at cfg.dim, the closed-form normalization residual, the closed-form
-    complexity vs direct summation, and the exact limit recovery.
+    Authoritative checks (the report's ``pass`` is all of theirs; a failure
+    is CLI exit 3): the oracle-vs-closed-form amplitude match at the grid
+    points representable at cfg.dim, the closed-form normalization
+    residual, the closed-form complexity vs direct summation, and the exact
+    limit recovery.
     Grid times whose evolved state trips the guard band at cfg.dim are
     reported as truncation-skipped, not failed. Documented discrepancies
     (alternative variance form, alternative autocorrelator form, late-time
-    exponent) are reported with their deviations and never affect the flag.
+    exponent) are reported with their deviations and never affect ``pass``.
     """
     spec = cfg.spec()
     report: dict = {"config": asdict(cfg)}
-    ok = True
 
     # oracle vs closed form on the representable grid points
     L = build_liouvillian(spec, TruncationConfig(dim=cfg.dim))
@@ -295,14 +289,12 @@ def verify(cfg: SweepConfig) -> tuple[dict, bool]:
             continue
         max_dev = max(max_dev, amplitude_deviation(closed_form_params(spec, t), psi.amplitudes))
         checked.append(t)
-    oracle_ok = bool(checked) and max_dev <= 1e-8
-    ok &= oracle_ok
     report["oracle_vs_closed_form"] = {
         "max_amplitude_deviation": max_dev,
         "checked_t": checked,
         "skipped_truncation_limited_t": skipped,
         "tolerance": 1e-8,
-        "pass": oracle_ok,
+        "pass": bool(checked) and max_dev <= 1e-8,
     }
 
     # normalization and complexity residuals over a parameter grid
@@ -316,12 +308,9 @@ def verify(cfg: SweepConfig) -> tuple[dict, bool]:
                 comp_dev,
                 abs(moment_n(p, 1, max_k=16384) - complexity_closed(p)),
             )
-    norm_ok = norm_dev <= 1e-10
-    comp_ok = comp_dev <= 1e-8
-    ok &= norm_ok and comp_ok
-    report["normalization"] = {"max_residual": norm_dev, "tolerance": 1e-10, "pass": norm_ok}
+    report["normalization"] = {"max_residual": norm_dev, "tolerance": 1e-10, "pass": norm_dev <= 1e-10}
     report["complexity_closed_vs_direct"] = {
-        "max_residual": comp_dev, "tolerance": 1e-8, "pass": comp_ok,
+        "max_residual": comp_dev, "tolerance": 1e-8, "pass": comp_dev <= 1e-8,
     }
 
     # exact limit recovery
@@ -334,9 +323,7 @@ def verify(cfg: SweepConfig) -> tuple[dict, bool]:
         lim_dev = max(lim_dev, abs(schrodinger_complexity_t(hw, t) - hw_K))
         sl = LiouvillianSpec(0.0, cfg.beta if cfg.beta else 1.0)
         lim_dev = max(lim_dev, abs(schrodinger_complexity_t(sl, t) - math.sinh(sl.beta * t) ** 2))
-    lim_ok = lim_dev == 0.0
-    ok &= lim_ok
-    report["limit_recovery"] = {"max_residual": lim_dev, "tolerance": 0.0, "pass": lim_ok}
+    report["limit_recovery"] = {"max_residual": lim_dev, "tolerance": 0.0, "pass": lim_dev == 0.0}
 
     # documented discrepancies: reported, never asserted
     poisson_point = DisplacementParams(v=2j, w=0.0)
@@ -365,8 +352,8 @@ def verify(cfg: SweepConfig) -> tuple[dict, bool]:
             "candidate_two_beta": 2.0 * probe_spec.beta,
         },
     }
-    report["pass"] = bool(ok)
-    return report, bool(ok)
+    report["pass"] = all(report[name]["pass"] for name in _AUTHORITATIVE)
+    return report
 
 
 def _load_config_file(path: Path) -> Dict[str, str]:
@@ -382,11 +369,17 @@ def _load_config_file(path: Path) -> Dict[str, str]:
     return values
 
 
-# Flag and config-file key of each SweepConfig field; its default and type
-# come from SweepConfig().
-_SWEEP_KEYS = {"alpha": "alpha", "beta": "beta", "tmin": "t_min", "tmax": "t_max",
-               "steps": "steps", "dim": "dim", "tol": "tol", "mode": "mode"}
-_STR_KEYS = {"format", "out", "figure"}
+def _set_config_defaults(parser: argparse.ArgumentParser, path: Path) -> None:
+    """Each ``key=value`` of the file becomes the default of flag ``--key``,
+    converted and checked by that flag's own type and choices."""
+    for key, val in _load_config_file(path).items():
+        action = parser._option_string_actions.get(f"--{key}")
+        if action is None or key in ("config", "help"):
+            raise ValueError(f"unknown config key {key!r}")
+        value = action.type(val) if action.type else val
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"{key} must be one of {action.choices}, got {value!r}")
+        parser.set_defaults(**{action.dest: value})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -395,42 +388,24 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="krylov-growth",
         description="Operator-growth complexity sweeps for the linear-plus-two-photon generator",
     )
-    parser.add_argument("--alpha", type=float, default=None, help="linear coefficient")
-    parser.add_argument("--beta", type=float, default=None, help="two-photon coefficient")
-    parser.add_argument("--tmin", type=float, default=None, help=f"grid start (default {d.t_min:g})")
-    parser.add_argument("--tmax", type=float, default=None, help=f"grid end (default {d.t_max:g})")
-    parser.add_argument("--steps", type=int, default=None, help=f"grid points (default {d.steps})")
-    parser.add_argument("--dim", type=int, default=None, help=f"Fock truncation (default {d.dim})")
-    parser.add_argument("--tol", type=float, default=None, help=f"series/guard tolerance (default {d.tol:g})")
-    parser.add_argument("--mode", choices=MODES, default=None, help="observable to sweep")
-    parser.add_argument("--format", dest="format", choices=FORMATS, default=None)
-    parser.add_argument("--out", type=str, default=None,
+    parser.add_argument("--alpha", type=float, default=d.alpha, help="linear coefficient")
+    parser.add_argument("--beta", type=float, default=d.beta, help="two-photon coefficient")
+    parser.add_argument("--tmin", dest="t_min", metavar="TMIN", type=float, default=d.t_min,
+                        help=f"grid start (default {d.t_min:g})")
+    parser.add_argument("--tmax", dest="t_max", metavar="TMAX", type=float, default=d.t_max,
+                        help=f"grid end (default {d.t_max:g})")
+    parser.add_argument("--steps", type=int, default=d.steps, help=f"grid points (default {d.steps})")
+    parser.add_argument("--dim", type=int, default=d.dim, help=f"Fock truncation (default {d.dim})")
+    parser.add_argument("--tol", type=float, default=d.tol,
+                        help=f"series/guard tolerance (default {d.tol:g})")
+    parser.add_argument("--mode", choices=MODES, default=d.mode, help="observable to sweep")
+    parser.add_argument("--format", choices=FORMATS, default="csv")
+    parser.add_argument("--out", type=str,
                         help="output file (sweeps/verify) or directory (figures); default stdout")
-    parser.add_argument("--config", type=str, default=None, help="key=value config file; flags override")
-    parser.add_argument("--figure", choices=FIGURES, default=None,
+    parser.add_argument("--config", type=str, help="key=value config file; flags override")
+    parser.add_argument("--figure", choices=FIGURES,
                         help="emit the data behind one reference figure instead of sweeping")
     return parser
-
-
-def _merge_config(args: argparse.Namespace) -> Dict[str, object]:
-    defaults = SweepConfig()
-    merged: Dict[str, object] = {key: getattr(defaults, name) for key, name in _SWEEP_KEYS.items()}
-    merged.update(format="csv", out=None, figure=None)
-    if args.config:
-        for key, val in _load_config_file(Path(args.config)).items():
-            if key in _SWEEP_KEYS:
-                merged[key] = type(getattr(defaults, _SWEEP_KEYS[key]))(val)
-            elif key == "format" and val not in FORMATS:
-                raise ValueError(f"format must be one of {FORMATS}, got {val!r}")
-            elif key in _STR_KEYS:
-                merged[key] = val
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-    for key in list(merged):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -441,47 +416,40 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 1
 
     try:
-        merged = _merge_config(args)
-        if merged["figure"] is not None:
-            outdir = Path(merged["out"] or ".")
-            paths = figure_data(str(merged["figure"]), outdir)
-            for p in paths:
-                print(p)
+        if args.config:
+            _set_config_defaults(parser, Path(args.config))
+            args = parser.parse_args(argv)
+        if args.figure is not None:
+            print(figure_data(args.figure, Path(args.out or ".")))
             return 0
-        cfg = SweepConfig(**{name: merged[key] for key, name in _SWEEP_KEYS.items()})
-    except (ValueError, OSError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 1
-
-    try:
+        cfg = SweepConfig(**{f.name: getattr(args, f.name) for f in fields(SweepConfig)})
         if cfg.mode == "verify":
             try:
-                report, ok = verify(cfg)
+                report = verify(cfg)
             except (KrylovGrowthError, OverflowError) as e:
                 raise _attach(e, cfg, getattr(e, "t", None))
             text = json.dumps(report, indent=2) + "\n"
         else:
             rows = run_sweep(cfg)
-            text = rows_to_csv(rows) if merged["format"] == "csv" else rows_to_json(cfg, rows)
+            text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(cfg, rows)
+        if args.out:
+            Path(args.out).write_text(text)
     except KrylovGrowthError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    # an --out that cannot be written, and a grid or truncation too large
+    # for numpy to allocate or index, included
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+        return 1
 
-    if merged["out"]:
-        try:
-            Path(merged["out"]).write_text(text)
-        except OSError as exc:  # a missing directory, a directory, no permission
-            print(f"invalid configuration: {exc}", file=sys.stderr)
-            return 1
-    else:
+    if not args.out:
         sys.stdout.write(text)
     if cfg.mode != "verify":
         return 0
-    for name in ("oracle_vs_closed_form", "normalization",
-                 "complexity_closed_vs_direct", "limit_recovery"):
-        status = "PASS" if report[name]["pass"] else "FAIL"
-        print(f"{name}: {status}", file=sys.stderr)
-    return 0 if ok else 3
+    for name in _AUTHORITATIVE:
+        print(f"{name}: {'PASS' if report[name]['pass'] else 'FAIL'}", file=sys.stderr)
+    return 0 if report["pass"] else 3
 
 
 if __name__ == "__main__":

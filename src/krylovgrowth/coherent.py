@@ -30,6 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -241,12 +242,13 @@ def _recurrence(p: DisplacementParams, k_max: int, phi: Optional[list] = None) -
     return phi
 
 
-def _doubling(cap: int) -> list[int]:
+@lru_cache
+def _doubling(cap: int) -> tuple[int, ...]:
     """Sizes 64, 128, ... below ``cap``, then ``cap`` (only ``cap`` if it is 64 or less)."""
     sizes = [min(64, cap)]
     while sizes[-1] < cap:
         sizes.append(min(2 * sizes[-1], cap))
-    return sizes
+    return tuple(sizes)
 
 
 def phi_series(

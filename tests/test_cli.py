@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from krylovgrowth.algebra import LiouvillianSpec
-from krylovgrowth.coherent import closed_form_params, moment_n, phi_series
-from krylovgrowth.fock import FockVector
+from krylovgrowth.coherent import (
+    autocorrelator_t,
+    closed_form_params,
+    moment_n,
+    phi_series,
+    schrodinger_complexity_t,
+)
 from krylovgrowth.cli import (
     MODES,
-    ResultRow,
     SweepConfig,
     figure_data,
     main,
@@ -44,8 +48,8 @@ class TestRunSweep:
         # two-photon-dominated growth overtakes displacement-dominated growth
         red = run_sweep(SweepConfig(alpha=0.01, beta=1.0, t_min=0.0, t_max=5.0, steps=26))
         black = run_sweep(SweepConfig(alpha=1.0, beta=0.01, t_min=0.0, t_max=5.0, steps=26))
-        K_red = [r.values["K"] for r in red]
-        K_black = [r.values["K"] for r in black]
+        K_red = [r["values"]["K"] for r in red]
+        K_black = [r["values"]["K"] for r in black]
         assert all(k2 >= k1 for k1, k2 in zip(K_red, K_red[1:]))  # monotone
         assert K_red[-1] > K_black[-1]
         # near-quadratic regime stays close to alpha^2 t^2
@@ -54,9 +58,9 @@ class TestRunSweep:
     def test_variance_rows(self):
         rows = run_sweep(SweepConfig(alpha=0.5, beta=0.5, t_min=0.5, t_max=1.0, steps=2, mode="variance"))
         for row in rows:
-            assert set(row.values) == {"K", "sigma2"}
-            assert row.values["sigma2"] >= 0.0
-            assert row.method == "closed_form"
+            assert set(row["values"]) == {"K", "sigma2"}
+            assert row["values"]["sigma2"] >= 0.0
+            assert row["method"] == "closed_form"
 
     @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (0.0, 1.2), (1.1, 0.0)])
     def test_variance_row_is_bitwise_the_moments(self, alpha, beta):
@@ -67,31 +71,31 @@ class TestRunSweep:
         spec = LiouvillianSpec(alpha, beta)
         cfg = SweepConfig(alpha=alpha, beta=beta, t_min=0.0, t_max=1.8, steps=4, mode="variance")
         for row in run_sweep(cfg):
-            p = closed_form_params(spec, row.t)
+            p = closed_form_params(spec, row["t"])
             m1, m2 = moment_n(p, 1), moment_n(p, 2)
-            assert bits(row.values["K"]) == bits(m1)
-            assert bits(row.values["sigma2"]) == bits(m2 - m1 * m1)
+            assert bits(row["values"]["K"]) == bits(m1)
+            assert bits(row["values"]["sigma2"]) == bits(m2 - m1 * m1)
 
     def test_distribution_parity(self):
         rows = run_sweep(SweepConfig(alpha=0.0, beta=1.0, t_min=1.0, t_max=1.0, steps=1,
                                      mode="distribution"))
         (row,) = rows
-        odd = [v for k, v in row.values.items() if int(k[1:]) % 2 == 1]
+        odd = [v for k, v in row["values"].items() if int(k[1:]) % 2 == 1]
         assert max(odd) < 1e-12
-        assert row.amplitudes is not None
+        assert len(row["amplitudes"]) == len(row["values"])
 
     def test_autocorrelator_rows(self):
         rows = run_sweep(SweepConfig(alpha=1.0, beta=1.0, t_min=0.0, t_max=1.0, steps=3,
                                      mode="autocorrelator"))
-        assert rows[0].values["autocorrelator"] == 1.0
-        assert all(0.0 < r.values["autocorrelator"] <= 1.0 for r in rows)
+        assert rows[0]["values"]["autocorrelator"] == 1.0
+        assert all(0.0 < r["values"]["autocorrelator"] <= 1.0 for r in rows)
 
     def test_lanczos_mode(self):
         rows = run_sweep(SweepConfig(alpha=1.0, beta=1.0, t_min=0.0, t_max=1.0, steps=3,
                                      dim=128, mode="lanczos"))
-        assert rows[0].values["K_chain"] <= 1e-12
-        assert rows[-1].values["K_chain"] > 1.0
-        assert rows[0].method == "lanczos_chain"
+        assert rows[0]["values"]["K_chain"] <= 1e-12
+        assert rows[-1]["values"]["K_chain"] > 1.0
+        assert rows[0]["method"] == "lanczos_chain"
 
     def test_numerical_error_carries_context(self):
         from krylovgrowth.errors import KrylovGrowthError
@@ -135,7 +139,7 @@ class TestRunSweep:
 
 class TestFormats:
     def test_csv_schema_and_digits(self):
-        rows = [ResultRow(t=1.0 / 3.0, values={"K": 2.0 / 3.0}, method="closed_form")]
+        rows = [{"t": 1.0 / 3.0, "values": {"K": 2.0 / 3.0}, "method": "closed_form"}]
         text = rows_to_csv(rows)
         lines = text.strip().split("\n")
         assert lines[0] == "t,K"
@@ -157,9 +161,9 @@ def reference_json(cfg, rows):
     payload = {
         "config": asdict(cfg),
         "rows": [
-            {"t": row.t, "values": row.values, "method": row.method,
-             **({"amplitudes": [[float(z.real), float(z.imag)] for z in row.amplitudes.amplitudes]}
-                if row.amplitudes is not None else {})}
+            {"t": row["t"], "values": row["values"], "method": row["method"],
+             **({"amplitudes": [[float(re), float(im)] for re, im in row["amplitudes"]]}
+                if "amplitudes" in row else {})}
             for row in rows
         ],
     }
@@ -194,12 +198,12 @@ class TestJsonWriter:
         assert_same_tokens(cfg, run_sweep(cfg))
 
     def test_non_finite_and_signed_zero_tokens(self):
-        amps = np.array([complex(math.nan, -0.0), complex(math.inf, -math.inf), 0.5 - 0.0j])
+        amps = [[math.nan, -0.0], [math.inf, -math.inf], [0.5, 0.0]]
         rows = [
-            ResultRow(-0.0, {"a": math.nan, "b": math.inf, "c": -math.inf, "d": -0.0}, "x",
-                      amplitudes=FockVector(amps)),
-            ResultRow(1.0, {}, "closed_form"),
-            ResultRow(2.0, {"p0": 1.0}, "closed_form", amplitudes=FockVector(np.zeros(0))),
+            {"t": -0.0, "values": {"a": math.nan, "b": math.inf, "c": -math.inf, "d": -0.0},
+             "method": "x", "amplitudes": amps},
+            {"t": 1.0, "values": {}, "method": "closed_form"},
+            {"t": 2.0, "values": {"p0": 1.0}, "method": "closed_form", "amplitudes": []},
         ]
         cfg = SweepConfig()
         text = assert_same_tokens(cfg, rows)
@@ -211,18 +215,20 @@ class TestJsonWriter:
     def test_wide_distribution_rows_byte_identical(self, t_max, width):
         cfg = SweepConfig(alpha=0.8, beta=0.7, t_max=t_max, steps=3, mode="distribution")
         rows = run_sweep(cfg)
-        assert len(rows[-1].values) == width
+        assert len(rows[-1]["values"]) == width
         assert_same_tokens(cfg, rows)
 
     def test_empty_and_non_empty_values_interleaved(self):
         rows = [
-            ResultRow(0.0, {}, "a"),
-            ResultRow(0.5, {}, "a"),
-            ResultRow(1.0, {"K": 1.0, "sigma2": 0.25}, "b"),
-            ResultRow(1.5, {"K": 2.0}, "b"),
-            ResultRow(2.0, {}, "a"),
-            ResultRow(2.5, {"p0": 0.5}, "b"),
-            ResultRow(3.0, {}, "a"),
+            {"t": t, "values": values, "method": method} for t, values, method in [
+                (0.0, {}, "a"),
+                (0.5, {}, "a"),
+                (1.0, {"K": 1.0, "sigma2": 0.25}, "b"),
+                (1.5, {"K": 2.0}, "b"),
+                (2.0, {}, "a"),
+                (2.5, {"p0": 0.5}, "b"),
+                (3.0, {}, "a"),
+            ]
         ]
         cfg = SweepConfig()
         assert_same_tokens(cfg, rows)
@@ -231,10 +237,10 @@ class TestJsonWriter:
     def test_values_keys_that_look_like_row_boundaries(self):
         # encoded strings escape the newline: the document stays one line
         keys = ["}", "{", "a,b", "x\ny", "},\n        {", '"},\n        {"']
-        rows = [ResultRow(float(i), {k: float(j) for j, k in enumerate(keys)}, "m,\n}")
+        rows = [{"t": float(i), "values": {k: float(j) for j, k in enumerate(keys)}, "method": "m,\n}"}
                 for i in range(3)]
         text = assert_same_tokens(SweepConfig(), rows)
-        assert json.loads(text)["rows"][2]["values"] == rows[2].values
+        assert json.loads(text)["rows"][2]["values"] == rows[2]["values"]
 
     @pytest.mark.parametrize("mode", ["complexity", "variance", "distribution",
                                       "autocorrelator", "lanczos"])
@@ -252,7 +258,7 @@ class TestJsonWriter:
 
 class TestFigureData:
     def test_fig1_parity_and_pairing(self, tmp_path):
-        (path,) = figure_data("fig1", tmp_path)
+        path = figure_data("fig1", tmp_path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "k,schrodinger_prob,sl2r_prob"
         rows = [line.split(",") for line in lines[1:]]
@@ -266,7 +272,7 @@ class TestFigureData:
             assert probs[2 * n][0] == pytest.approx(probs[n][1], abs=1e-10)
 
     def test_fig2_growth_separation(self, tmp_path):
-        (path,) = figure_data("fig2", tmp_path)
+        path = figure_data("fig2", tmp_path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,K_alpha_0.01_beta_1,K_alpha_1_beta_0.01"
         for line in lines[1:]:
@@ -275,13 +281,28 @@ class TestFigureData:
                 assert k_red > k_black
 
     def test_fig3_columns(self, tmp_path):
-        (path,) = figure_data("fig3", tmp_path)
+        path = figure_data("fig3", tmp_path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "t,auto_alpha_1_beta_0,auto_alpha_0_beta_1,auto_alpha_1_beta_1"
         for line in lines[1:]:
             t, hw, sl, mixed = (float(x) for x in line.split(","))
             assert 0.0 < hw <= 1.0 and 0.0 < sl <= 1.0 and 0.0 < mixed <= 1.0
             assert mixed <= sl + 1e-15  # holds against the two-photon curve
+
+    @pytest.mark.parametrize("which, t_max, steps, closed_form, curves", [
+        ("fig2", 5.0, 101, schrodinger_complexity_t, [(0.01, 1.0), (1.0, 0.01)]),
+        ("fig3", 3.0, 121, autocorrelator_t, [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]),
+    ])
+    def test_sweep_figures_are_the_closed_forms(self, which, t_max, steps, closed_form, curves,
+                                                tmp_path):
+        # every cell, as printed, of the closed form at the figure's grid times
+        figure_data(which, tmp_path)
+        lines = (tmp_path / f"{which}.csv").read_text().splitlines()
+        ts = np.linspace(0.0, t_max, steps).tolist()
+        assert len(lines) == steps + 1
+        for line, t in zip(lines[1:], ts):
+            cells = [t] + [closed_form(LiouvillianSpec(a, b), t) for a, b in curves]
+            assert line == ",".join(f"{x:.12g}" for x in cells)
 
     def test_unknown_figure(self, tmp_path):
         with pytest.raises(ValueError):
@@ -299,8 +320,8 @@ class TestVerify:
     def test_passes_with_truncation_skips(self):
         cfg = SweepConfig(alpha=1.0, beta=1.0, t_min=0.0, t_max=2.0, steps=5,
                           dim=256, mode="verify")
-        report, ok = verify(cfg)
-        assert ok
+        report = verify(cfg)
+        assert report["pass"] is True
         oracle = report["oracle_vs_closed_form"]
         assert oracle["pass"]
         assert oracle["max_amplitude_deviation"] <= 1e-8
@@ -326,6 +347,20 @@ EXIT_CASES = (
     + [(["--mode", "autocorrelator", "--tmax", "4.8", "--alpha", "0.2", "--beta", "1.4"], 2)]
     # negative times are valid in every mode
     + [(["--mode", "lanczos", "--tmin", "-1", "--tmax", "1"], 0)]
+)
+
+
+# Sizes numpy refuses before it touches memory: 10**17 float64 values are
+# 711 PiB, beyond any 64-bit user address space, and 10**30 is beyond the
+# array index range.
+HUGE_CASES = (
+    [(["--mode", mode, "--steps", str(10**17)], "Unable to allocate")
+     for mode in ("complexity", "verify", "lanczos")]
+    + [(["--mode", mode, "--dim", str(10**17)], "Unable to allocate") for mode in ("lanczos", "verify")]
+    + [(["--mode", mode, "--steps", str(10**30)], "Maximum allowed size exceeded")
+       for mode in ("complexity", "verify", "lanczos")]
+    + [(["--mode", mode, "--dim", str(10**30)], "Maximum allowed size exceeded")
+       for mode in ("lanczos", "verify")]
 )
 
 
@@ -407,6 +442,15 @@ class TestMain:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("invalid configuration: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("argv, reason", HUGE_CASES,
+                             ids=[" ".join(argv) for argv, _ in HUGE_CASES])
+    def test_size_too_large_to_allocate_is_invalid(self, argv, reason, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("invalid configuration: ") and reason in line
 
     def test_numerical_failure_exit_code(self, capsys):
         code = main(["--mode", "lanczos", "--dim", "16", "--tmax", "12", "--steps", "4"])
@@ -586,3 +630,51 @@ class TestMain:
                      "--dim", "256", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())["pass"] is True
+
+
+class TestConfigFile:
+    @pytest.fixture
+    def run(self, tmp_path, capsys):
+        """main() with a config file of ``text`` and the flags: the exit code,
+        stdout, stderr lines and the file's path."""
+        cfgfile = tmp_path / "run.cfg"
+
+        def run(text, *flags):
+            cfgfile.write_text(text.format(tmp=tmp_path))
+            code = main(["--config", str(cfgfile), *flags])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err.splitlines(), cfgfile
+
+        return run
+
+    def test_comment_and_blank_lines_are_skipped(self, run, capsys):
+        code, out, err, _ = run("# a comment\n\n   \n  # indented\nsteps = 2  # two points\ntmax = 1\n")
+        assert (code, err) == (0, [])
+        assert main(["--steps", "2", "--tmax", "1"]) == 0
+        assert out == capsys.readouterr().out
+
+    def test_line_without_equals_sign(self, run):
+        code, out, err, cfgfile = run("# header\nsteps 2\n")
+        assert (code, out) == (1, "")
+        assert err == [f"invalid configuration: {cfgfile}:2: expected key=value, got 'steps 2'"]
+
+    def test_format_and_out_in_the_file(self, run, tmp_path):
+        code, out, err, _ = run("mode = variance\nformat = json\nsteps = 3\nout = {tmp}/rows.json\n")
+        assert (code, out, err) == (0, "", [])
+        payload = json.loads((tmp_path / "rows.json").read_text())
+        assert payload["config"]["mode"] == "variance" and len(payload["rows"]) == 3
+
+    def test_figure_and_out_in_the_file(self, run, tmp_path):
+        code, out, err, _ = run("figure = fig2\nout = {tmp}/figs\n")
+        assert (code, out, err) == (0, f"{tmp_path / 'figs' / 'fig2.csv'}\n", [])
+        assert (tmp_path / "figs" / "fig2.csv").read_text().startswith("t,K_alpha_0.01_beta_1,")
+
+    def test_config_key_in_the_file_is_unknown(self, run):
+        code, out, err, _ = run("config = other.cfg\n")
+        assert (code, out, err) == (1, "", ["invalid configuration: unknown config key 'config'"])
+
+    @pytest.mark.parametrize("text, value", [("steps = abc\n", "abc"), ("dim = 3.5\n", "3.5")])
+    def test_integer_key_that_is_no_integer(self, run, text, value):
+        code, out, err, _ = run(text)
+        assert (code, out) == (1, "")
+        assert err == [f"invalid configuration: invalid literal for int() with base 10: {value!r}"]

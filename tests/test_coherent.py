@@ -85,6 +85,10 @@ class TestPhiSeries:
         assert small.k_max == 64
         assert large.k_max > 64
 
+    def test_size_ladder_is_one_cached_tuple_per_cap(self):
+        assert coherent._doubling(300) == (64, 128, 256, 300)
+        assert coherent._doubling(300) is coherent._doubling(300)
+
     def test_nonconvergent_at_cap(self):
         with pytest.raises(NonConvergent) as err:
             phi_series(DisplacementParams(v=0.0, w=3.0j), tol=1e-10, max_k=64)

@@ -28,6 +28,7 @@ REMOVED = {
         "HERMITIAN_TOL", "TruncationConfig.tail_tolerance", "TruncationConfig.guard_size",
         "TruncationConfig.guard_start", "OperatorMatrix.matvec",
     ),
+    "cli": ("ResultRow",),
     "lanczos": ("ChainWavefunction",),
     "errors": ("NonHermitianInput",),
 }
