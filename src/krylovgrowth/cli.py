@@ -17,8 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
@@ -194,19 +195,28 @@ def _fmt(x: float) -> str:
 
 
 def rows_to_csv(rows: List[dict]) -> str:
+    """A ``t,<key>,...`` header from row 0's values, then each row's t and
+    values, looked up by those keys, at 12 significant digits."""
     keys = list(rows[0]["values"]) if rows else []
+    format_row = ",".join(["{:.12g}"] * (len(keys) + 1)).format
     lines = ["t," + ",".join(keys)]
     for row in rows:
         values = row["values"]
-        lines.append(",".join([_fmt(row["t"])] + [_fmt(values[k]) for k in keys]))
+        lines.append(format_row(row["t"], *[values[k] for k in keys]))
     return "\n".join(lines) + "\n"
+
+
+def _config_dict(cfg: SweepConfig) -> dict:
+    # the fields are numbers and a string: ``asdict``'s deep copy adds nothing
+    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def rows_to_json(cfg: SweepConfig, rows: List[dict]) -> str:
     """``{"config": ..., "rows": [...]}`` on one line, from one call to the
     C encoder of ``json``; ``NaN``, ``Infinity`` and ``-0.0`` are written
-    as ``json.dumps`` writes them."""
-    return json.dumps({"config": asdict(cfg), "rows": rows}) + "\n"
+    as ``json.dumps`` writes them. The rows must hold no reference cycle,
+    as those of :func:`run_sweep` do not: the encoder does not look for one."""
+    return json.dumps({"config": _config_dict(cfg), "rows": rows}, check_circular=False) + "\n"
 
 
 def _sweep_figure(mode: str, key: str, prefix: str, t_max: float, steps: int,
@@ -274,7 +284,7 @@ def verify(cfg: SweepConfig) -> dict:
     exponent) are reported with their deviations and never affect ``pass``.
     """
     spec = cfg.spec()
-    report: dict = {"config": asdict(cfg)}
+    report: dict = {"config": _config_dict(cfg)}
 
     # oracle vs closed form on the representable grid points
     L = build_liouvillian(spec, TruncationConfig(dim=cfg.dim))
@@ -357,9 +367,11 @@ def verify(cfg: SweepConfig) -> dict:
 
 
 def _load_config_file(path: Path) -> Dict[str, str]:
+    """``key = value`` lines. A comment runs from a ``#`` at the start of a
+    line or after whitespace, so a value such as ``rows#1.csv`` keeps its ``#``."""
     values: Dict[str, str] = {}
     for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -388,23 +400,26 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="krylov-growth",
         description="Operator-growth complexity sweeps for the linear-plus-two-photon generator",
     )
-    parser.add_argument("--alpha", type=float, default=d.alpha, help="linear coefficient")
-    parser.add_argument("--beta", type=float, default=d.beta, help="two-photon coefficient")
-    parser.add_argument("--tmin", dest="t_min", metavar="TMIN", type=float, default=d.t_min,
-                        help=f"grid start (default {d.t_min:g})")
-    parser.add_argument("--tmax", dest="t_max", metavar="TMAX", type=float, default=d.t_max,
-                        help=f"grid end (default {d.t_max:g})")
-    parser.add_argument("--steps", type=int, default=d.steps, help=f"grid points (default {d.steps})")
-    parser.add_argument("--dim", type=int, default=d.dim, help=f"Fock truncation (default {d.dim})")
-    parser.add_argument("--tol", type=float, default=d.tol,
-                        help=f"series/guard tolerance (default {d.tol:g})")
-    parser.add_argument("--mode", choices=MODES, default=d.mode, help="observable to sweep")
-    parser.add_argument("--format", choices=FORMATS, default="csv")
-    parser.add_argument("--out", type=str,
-                        help="output file (sweeps/verify) or directory (figures); default stdout")
-    parser.add_argument("--config", type=str, help="key=value config file; flags override")
-    parser.add_argument("--figure", choices=FIGURES,
-                        help="emit the data behind one reference figure instead of sweeping")
+    # The flags go straight into the parser's own options group, where
+    # ``parser.add_argument`` would put them too, minus the help formatter
+    # it builds per flag only to check metavars that are plain strings here.
+    add = parser._optionals.add_argument
+    add("--alpha", type=float, default=d.alpha, help="linear coefficient")
+    add("--beta", type=float, default=d.beta, help="two-photon coefficient")
+    add("--tmin", dest="t_min", metavar="TMIN", type=float, default=d.t_min,
+        help=f"grid start (default {d.t_min:g})")
+    add("--tmax", dest="t_max", metavar="TMAX", type=float, default=d.t_max,
+        help=f"grid end (default {d.t_max:g})")
+    add("--steps", type=int, default=d.steps, help=f"grid points (default {d.steps})")
+    add("--dim", type=int, default=d.dim, help=f"Fock truncation (default {d.dim})")
+    add("--tol", type=float, default=d.tol, help=f"series/guard tolerance (default {d.tol:g})")
+    add("--mode", choices=MODES, default=d.mode, help="observable to sweep")
+    add("--format", choices=FORMATS, default="csv")
+    add("--out", type=str,
+        help="output file (sweeps/verify) or directory (figures); default stdout")
+    add("--config", type=str, help="key=value config file; flags override")
+    add("--figure", choices=FIGURES,
+        help="emit the data behind one reference figure instead of sweeping")
     return parser
 
 

@@ -210,10 +210,15 @@ def _recurrence(p: DisplacementParams, k_max: int, phi: Optional[list] = None) -
 
     ``phi``, if given, holds phi_0..phi_j from an earlier call; it is
     extended in place from k = j, so a series grown in steps is bitwise the
-    series computed at once. Each step uses numpy's complex128 formulas:
-    products and sums are Python's (the same), and the division by the real
-    d = sqrt(k+1) cosh|w| multiplies the Smith numerator
-    (x.re + x.im*0, x.im - x.re*0) by the reciprocal 1/d.
+    series computed at once. The bitwise reference is numpy's *scalar*
+    complex128 arithmetic: its products and sums are Python's (the same),
+    and its division by the real d = sqrt(k+1) cosh|w| multiplies the Smith
+    numerator (x.re + x.im*0, x.im - x.re*0) by the reciprocal 1/d. numpy's
+    *array* complex multiply is not that product: with numpy 2.4.6, on an
+    x86-64 Xeon with FMA and AVX-512, it differs from Python's in the last
+    bit on 44% of 100 000 random products. So the recurrence runs one
+    scalar step at a time; run in lockstep over a time grid on complex
+    arrays, it would not be bitwise this series.
     """
     if phi is None:
         phi = [phi_zero(p)]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import warnings
@@ -14,7 +15,10 @@ from krylovgrowth.coherent import (
     phi_series,
     schrodinger_complexity_t,
 )
+from krylovgrowth import cli
 from krylovgrowth.cli import (
+    FIGURES,
+    FORMATS,
     MODES,
     SweepConfig,
     figure_data,
@@ -147,6 +151,25 @@ class TestFormats:
         assert tval == "0.333333333333"  # 12 significant digits
         assert kval == "0.666666666667"
 
+    def test_csv_cells_are_the_per_cell_format(self):
+        # values are looked up by row 0's keys, whatever order a row lists them in
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 7]
+        keys = [f"v{i}" for i in range(len(special))]
+        rows = [
+            {"t": -0.0, "values": dict(zip(keys, special)), "method": "m"},
+            {"t": 5e-324, "values": dict(zip(keys[::-1], special)), "method": "m"},
+            {"t": 3, "values": {k: 1.0 / (i + 3) for i, k in enumerate(keys[3:] + keys[:3])},
+             "method": "m"},
+        ]
+        lines = ["t," + ",".join(keys)] + [
+            ",".join(format(x, ".12g") for x in [row["t"], *[row["values"][k] for k in keys]])
+            for row in rows
+        ]
+        assert rows_to_csv(rows) == "\n".join(lines) + "\n"
+        assert lines[1] == "-0,nan,inf,-inf,-0,4.94065645841e-324,1e+300,7"
+        assert rows_to_csv([{"t": 0.5, "values": {}, "method": "m"}]) == "t,\n0.5\n"
+        assert rows_to_csv([]) == "t,\n"
+
     def test_json_schema(self):
         cfg = SweepConfig(steps=2, t_max=1.0)
         rows = run_sweep(cfg)
@@ -191,6 +214,13 @@ class TestJsonWriter:
         # the grid starts at t = 0, where the amplitudes hold signed zeros
         cfg = SweepConfig(alpha=alpha, beta=beta, t_min=0.0, t_max=1.0, steps=3, mode=mode)
         assert_same_tokens(cfg, run_sweep(cfg))
+
+    @pytest.mark.parametrize("mode", ["complexity", "variance", "distribution",
+                                      "autocorrelator", "lanczos"])
+    def test_writer_is_dumps_of_the_dataclass_config(self, mode):
+        cfg = SweepConfig(alpha=0.7, beta=0.9, t_min=-0.5, t_max=1.0, steps=4, dim=128, mode=mode)
+        rows = run_sweep(cfg)
+        assert rows_to_json(cfg, rows) == json.dumps({"config": asdict(cfg), "rows": rows}) + "\n"
 
     @pytest.mark.parametrize("mode", ["variance", "distribution"])
     def test_single_step_byte_identical(self, mode):
@@ -314,8 +344,10 @@ class TestVerify:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-        verify(SweepConfig(t_max=1.0, steps=5, dim=64, mode="verify"))
+        cfg = SweepConfig(t_max=1.0, steps=5, dim=64, mode="verify")
+        report = verify(cfg)
         assert calls == [(64, 64)]
+        assert list(report["config"].items()) == list(asdict(cfg).items())
 
     def test_passes_with_truncation_skips(self):
         cfg = SweepConfig(alpha=1.0, beta=1.0, t_min=0.0, t_max=2.0, steps=5,
@@ -653,6 +685,12 @@ class TestConfigFile:
         assert main(["--steps", "2", "--tmax", "1"]) == 0
         assert out == capsys.readouterr().out
 
+    def test_hash_inside_a_value_is_no_comment(self, run, tmp_path):
+        code, out, err, _ = run("out = {tmp}/rows#1.csv  # the file\nsteps = 2\t# two points\n")
+        assert (code, out, err) == (0, "", [])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows#1.csv", "run.cfg"]
+        assert (tmp_path / "rows#1.csv").read_text() == "t,K\n0,0\n2,33.9379578719\n"
+
     def test_line_without_equals_sign(self, run):
         code, out, err, cfgfile = run("# header\nsteps 2\n")
         assert (code, out) == (1, "")
@@ -678,3 +716,51 @@ class TestConfigFile:
         code, out, err, _ = run(text)
         assert (code, out) == (1, "")
         assert err == [f"invalid configuration: invalid literal for int() with base 10: {value!r}"]
+
+
+def reference_parser():
+    """The CLI's parser, built with plain ``ArgumentParser.add_argument``."""
+    d = SweepConfig()
+    parser = argparse.ArgumentParser(
+        prog="krylov-growth",
+        description="Operator-growth complexity sweeps for the linear-plus-two-photon generator",
+    )
+    parser.add_argument("--alpha", type=float, default=d.alpha, help="linear coefficient")
+    parser.add_argument("--beta", type=float, default=d.beta, help="two-photon coefficient")
+    parser.add_argument("--tmin", dest="t_min", metavar="TMIN", type=float, default=d.t_min,
+                        help=f"grid start (default {d.t_min:g})")
+    parser.add_argument("--tmax", dest="t_max", metavar="TMAX", type=float, default=d.t_max,
+                        help=f"grid end (default {d.t_max:g})")
+    parser.add_argument("--steps", type=int, default=d.steps,
+                        help=f"grid points (default {d.steps})")
+    parser.add_argument("--dim", type=int, default=d.dim, help=f"Fock truncation (default {d.dim})")
+    parser.add_argument("--tol", type=float, default=d.tol,
+                        help=f"series/guard tolerance (default {d.tol:g})")
+    parser.add_argument("--mode", choices=MODES, default=d.mode, help="observable to sweep")
+    parser.add_argument("--format", choices=FORMATS, default="csv")
+    parser.add_argument("--out", type=str,
+                        help="output file (sweeps/verify) or directory (figures); default stdout")
+    parser.add_argument("--config", type=str, help="key=value config file; flags override")
+    parser.add_argument("--figure", choices=FIGURES,
+                        help="emit the data behind one reference figure instead of sweeping")
+    return parser
+
+
+class TestParser:
+    def test_help_and_defaults_are_the_reference_parser(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        parser, reference = cli._build_parser(), reference_parser()
+        assert parser.format_help() == reference.format_help()
+        assert vars(parser.parse_args([])) == vars(reference.parse_args([]))
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--alpha", "x"], ["--mode", "bogus"], ["--bogus"], ["--alp", "2"], ["--steps=3"],
+    ])
+    def test_main_answers_as_with_the_reference_parser(self, argv, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        code = main(argv)
+        captured = capsys.readouterr()
+        monkeypatch.setattr(cli, "_build_parser", reference_parser)
+        assert main(argv) == code
+        assert capsys.readouterr() == captured
+        assert captured.out or captured.err
