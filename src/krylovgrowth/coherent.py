@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -529,7 +530,26 @@ def autocorrelator_alt_closed_form(spec: LiouvillianSpec, t: float) -> float:
 
 def late_time_growth_exponent(spec: LiouvillianSpec) -> float:
     """Empirical exponent of K(t) ~ e^{lambda t}: linear fit of log K over
-    41 points of t in [4, 6]."""
+    41 points of t in [4, 6].
+
+    Where some K(t) is zero or subnormal (alpha t and beta t both below
+    about 1e-154), the fit takes log K in log form instead,
+    log K = 2 log t + log(beta^2 sinhc^2(beta t)
+                          + alpha^2 cosh(beta t) sinhc^2(beta t / 2)),
+    with alpha and beta scaled by max(|alpha|, |beta|) so that nothing
+    underflows. At alpha = beta = 0, K vanishes and ``ValueError`` is raised.
+    """
     ts = np.linspace(4.0, 6.0, 41)
-    lnk = np.log([schrodinger_complexity_t(spec, float(t)) for t in ts])
+    ks = [schrodinger_complexity_t(spec, float(t)) for t in ts]
+    if min(ks) >= sys.float_info.min:
+        return float(np.polyfit(ts, np.log(ks), 1)[0])
+    scale = max(abs(spec.alpha), abs(spec.beta))
+    if scale == 0:
+        raise ValueError("K(t) vanishes at alpha = beta = 0: no growth exponent")
+    a2, b2 = (spec.alpha / scale) ** 2, (spec.beta / scale) ** 2
+    lnk = []
+    for t in ts.tolist():
+        bt = spec.beta * t
+        inner = b2 * _sinhc(bt) ** 2 + a2 * math.cosh(bt) * _sinhc(bt / 2.0) ** 2
+        lnk.append(2.0 * (math.log(t) + math.log(scale)) + math.log(inner))
     return float(np.polyfit(ts, lnk, 1)[0])

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionMismatch, TruncationOverflow
 
@@ -40,7 +39,6 @@ __all__ = [
     "TruncationConfig",
     "FockVector",
     "OperatorMatrix",
-    "band_windows",
     "build_ladders",
     "evolve_state",
     "guard_band_mass",
@@ -157,9 +155,10 @@ class OperatorMatrix:
 
         Entry i of A[:n, :n] @ x is the sum over r of ``stencil[r, i] *
         x[i + r - b]``: row 0 is the outermost subdiagonal, row b the main
-        diagonal and row 2b the outermost superdiagonal. A slot whose column
-        i + r - b lies outside 0..n-1 is zero, so no coefficient beyond the
-        block (an overflowed one included) enters the product.
+        diagonal and row 2b the outermost superdiagonal. Summed over r in
+        that order, every entry rounds the same way at every n. A slot whose
+        column i + r - b lies outside 0..n-1 is zero, so no coefficient
+        beyond the block (an overflowed one included) enters the product.
         """
         if not 0 <= n <= self.dim:
             raise DimensionMismatch(f"block size {n} outside [0, dim={self.dim}]")
@@ -169,39 +168,6 @@ class OperatorMatrix:
             out[b - k, k:] = self.bands[b - k, k:n]
             out[b + k, : n - k] = self.bands[b - k, k:n]
         return out
-
-    def leading_matvec(self, x: np.ndarray) -> np.ndarray:
-        """A[:n, :n] @ x for a vector of length n <= dim, in O(n * bandwidth).
-
-        When x holds the first n entries of a vector whose entries from
-        n - bandwidth on are zero, this is the first n entries of A times
-        that vector. It is one stencil product: x is padded with b zeros on
-        each side, and entry i sums ``stencil(n)[r, i] * x[i + r - b]`` over
-        r in order, subdiagonals from the outermost in, then the main
-        diagonal, then superdiagonals from the innermost out, so that the
-        rounding of every entry is reproducible and the same at every n.
-        """
-        x = np.asarray(x)
-        if x.ndim != 1 or x.shape[0] > self.dim:
-            raise DimensionMismatch(f"vector shape {x.shape} does not fit dim {self.dim}")
-        n = x.shape[0]
-        b = self.bandwidth
-        padded = np.zeros(n + 2 * b, dtype=x.dtype)
-        padded[b : b + n] = x
-        return (self.stencil(n) * band_windows(padded, b)).sum(axis=0)
-
-
-def band_windows(padded: np.ndarray, bandwidth: int) -> np.ndarray:
-    """Read-only view of the stencil windows of vectors stored along the last
-    axis with ``bandwidth`` zero columns on each side.
-
-    ``out[..., r, i] = padded[..., i + r]``, the entry x[i + r - b] of the
-    stored vector x. Where x is zero from entry n on,
-    ``(op.stencil(n) * out[..., :n]).sum(axis=-2)`` is A[:n, :n] @ x[:n],
-    bitwise ``op.leading_matvec(x[:n])``. The view shares memory with
-    ``padded`` and copies nothing.
-    """
-    return sliding_window_view(padded, padded.shape[-1] - 2 * bandwidth, axis=-1)
 
 
 def build_ladders(cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -230,12 +196,15 @@ def evolve_state(
     rejected with :class:`TruncationOverflow` if its guard-band mass
     exceeds ``tail_tolerance``, which signals that ``L.dim`` is too small
     for this evolution time. A phase t * eigenvalue beyond the float range
-    raises :class:`OverflowError` with the offending time as its ``t``.
+    raises :class:`OverflowError` with the offending time as its ``t``; a
+    ``v0`` holding a NaN or infinite amplitude raises ``ValueError``.
     """
     if not tail_tolerance > 0:
         raise ValueError("tail_tolerance must be > 0")
     if L.dim != v0.dim:
         raise DimensionMismatch(f"operator dim {L.dim} != state dim {v0.dim}")
+    if not np.isfinite(v0.amplitudes).all():
+        raise ValueError("state must be finite")
     # L is real symmetric: real eigenvalues and real orthogonal eigenvectors
     eigvals, eigvecs = L._eigh
     # an overflowing phase gives a non-finite state, raised below

@@ -18,8 +18,8 @@ matvec and O(j^2) for the reorthogonalization, independent of dim once
 dim >= b*m + s0 + 1. The Krylov vectors are stored with b zero columns on
 each side, so the matvec of a step is one product of the stencil with a
 read-only window view of that store, summed over the 2b + 1 rows in the
-order of :meth:`~krylovgrowth.fock.OperatorMatrix.leading_matvec`, with
-no padding or copy per step. The chain is a property of L and the seed, not
+order of :meth:`~krylovgrowth.fock.OperatorMatrix.stencil`, with no
+padding or copy per step. The chain is a property of L and the seed, not
 of the truncation (the recursion method of Viswanath & Mueller, *The
 Recursion Method*, Springer 1994). For
 generators with odd-moment symmetry (pure linear or pure two-photon) the
@@ -42,9 +42,10 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import Breakdown, DimensionMismatch, EdgeLeak
-from .fock import FockVector, OperatorMatrix, band_windows
+from .fock import FockVector, OperatorMatrix
 
 __all__ = [
     "KrylovChain",
@@ -111,17 +112,18 @@ def lanczos_tridiagonalize(
 ) -> KrylovChain:
     """Orthonormalize the Krylov sequence seed, L seed, L^2 seed, ...
 
-    Retains at most ``m`` chain sites. L is applied by its stencil, bitwise
-    as :meth:`~krylovgrowth.fock.OperatorMatrix.leading_matvec` applies it,
-    and the Krylov vectors are float64, so the seed must be real: one with
-    an imaginary part raises ``ValueError``. Step j runs on the Fock levels
-    that L^j seed can reach, not on all ``dim`` of them, and the rows of
-    ``basis`` are zero beyond them. After the three-term step the
-    candidate is projected against every retained vector once (classical
-    Gram-Schmidt), and once more only where that pass left less than
-    1/sqrt(2) of its norm, so that the basis stays orthonormal to working
-    precision (max |Q Q^T - I| about 1e-15 at m = 512), which the plain
-    three-term recursion does not hold.
+    Retains at most ``m`` chain sites. L is applied by its stencil, its rows
+    summed in the order :meth:`~krylovgrowth.fock.OperatorMatrix.stencil`
+    states, and the Krylov vectors are float64, so the seed must be real
+    and normalized: one with an imaginary part, or whose norm is not 1 to
+    1e-10 (a NaN or infinite norm included), raises ``ValueError``. Step j
+    runs on the Fock levels that L^j seed can reach, not on all ``dim`` of
+    them, and the rows of ``basis`` are zero beyond them. After the
+    three-term step the candidate is projected against every retained
+    vector once (classical Gram-Schmidt), and once more only where that
+    pass left less than 1/sqrt(2) of its norm, so that the basis stays
+    orthonormal to working precision (max |Q Q^T - I| about 1e-15 at
+    m = 512), which the plain three-term recursion does not hold.
 
     A candidate hopping at or below the breakdown tolerance exhausts the
     Krylov space: termination is normal (the truncated space has finite
@@ -134,17 +136,18 @@ def lanczos_tridiagonalize(
     if not 2 <= m <= L.dim:
         raise ValueError(f"site count m={m} must lie in [2, dim={L.dim}]")
     nrm = np.sqrt(seed.norm_sq)
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:  # a nan norm fails too
         raise ValueError(f"seed must be normalized, got |seed|={nrm}")
     if seed.amplitudes.imag.any():
         raise ValueError("seed must be real")
 
     b, dim = L.bandwidth, L.dim
     # the Krylov vectors are the rows of Q, stored with b zero columns on
-    # each side so that every step reads its stencil windows from one view
+    # each side so that every step reads its stencil windows from one
+    # read-only view: windows[j, r, i] = store[j, i + r] = Q[j, i + r - b]
     store = np.zeros((m, dim + 2 * b))
     Q = store[:, b : b + dim]
-    windows = band_windows(store, b)
+    windows = sliding_window_view(store, dim, axis=-1)
     Q[0] = seed.amplitudes.real / nrm
     # Q[j - 1] lives on levels 0..s0 + b*(j - 1), so L Q[j - 1] fits in the
     # first s0 + b*j + 1 entries, and step j works on those alone.

@@ -643,6 +643,18 @@ class TestMain:
                      "--tmax", "1", "--steps", "3", "--out", "/dev/null"]) == 0
         assert "limit_recovery: PASS" in capsys.readouterr().err
 
+    def test_verify_at_tiny_parameters_reports_the_exponent(self, capsys):
+        # K(t) underflows to 0 over t in [4, 6]: the exponent is the slope
+        # of 2 log t, with no log warning on stderr
+        assert main(["--mode", "verify", "--alpha", "0", "--beta", "1e-200"]) == 0
+        out, err = capsys.readouterr()
+        exponent = json.loads(out)["documented_discrepancies"]["late_time_exponent"]
+        assert abs(exponent["measured_over_t_4_to_6"] - 0.403419112479455) <= 1e-12
+        assert err.splitlines() == [
+            f"{name}: PASS" for name in ("oracle_vs_closed_form", "normalization",
+                                         "complexity_closed_vs_direct", "limit_recovery")
+        ]
+
     def test_figure_flag(self, tmp_path):
         assert main(["--figure", "fig2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig2.csv").exists()

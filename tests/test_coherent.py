@@ -187,6 +187,46 @@ class TestRecurrence:
         assert all(phi_series(p, tol=1e-13, max_k=8192).k_max > 64 for p in SERIES_POINTS[1:5])
 
 
+def reference_series(p, k_max, dps=50):
+    """phi_0..phi_{k_max} by the same three-term recurrence in mpmath at
+    ``dps`` digits, seeded from the float (v, w, theta) of ``p`` (w != 0)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(dps):
+        v, w, theta = (mpmath.mpc(x) for x in (p.v, p.w, p.theta))
+        aw = abs(w)
+        mubar = mpmath.conj(w) / aw
+        ch, sh = mpmath.cosh(aw), mpmath.sinh(aw)
+        mix = mpmath.conj(v) * ch + v * mubar * sh
+        phi = [theta * mpmath.exp(-abs(v) ** 2 / 2) / mpmath.sqrt(ch)
+               * mpmath.exp(-v * v * mubar * mpmath.tanh(aw) / 2)]
+        prev = 0
+        for k in range(k_max):
+            nxt = -(mpmath.sqrt(k) * mubar * sh * prev + mix * phi[k]) / (mpmath.sqrt(k + 1) * ch)
+            prev = phi[k]
+            phi.append(nxt)
+        return np.array([complex(x) for x in phi])
+
+
+# k_max from 1024 to 4096 at tol 1e-13: the recurrence runs where |w| and
+# the displacement are large (Gautschi, SIAM Rev. 9 (1967) 24-82, on the
+# forward stability of three-term recurrences)
+LARGE_W_POINTS = [(1.0, 1.0, 2.0), (0.5, 1.5, 1.6), (1.5, 1.0, 2.4), (0.0, 1.0, 2.5),
+                  (1.2, 0.8, 3.0)]
+
+
+@pytest.mark.parametrize("alpha, beta, t", LARGE_W_POINTS)
+def test_recurrence_matches_a_50_digit_reference_at_large_w(alpha, beta, t):
+    p = closed_form_params(LiouvillianSpec(alpha, beta), t)
+    phi = phi_series(p, tol=1e-13, max_k=8192).phi
+    assert 1024 <= len(phi) - 1 <= 4096
+    ref = reference_series(p, len(phi) - 1)
+    # worst measured: 1.3e-15 absolute, 1.6e-13 relative
+    dev = np.abs(phi - ref)
+    assert np.max(dev) <= 1e-14
+    big = np.abs(ref) > 1e-8
+    assert np.max(dev[big] / np.abs(ref[big])) <= 1e-12
+
+
 class TestMehlerNormalization:
     @pytest.mark.parametrize(
         "v, w, tol",
@@ -493,3 +533,16 @@ class TestAutocorrelator:
 def test_late_time_exponent_tracks_two_beta():
     assert late_time_growth_exponent(LiouvillianSpec(1.0, 1.0)) == pytest.approx(2.0, abs=0.02)
     assert late_time_growth_exponent(LiouvillianSpec(0.5, 0.75)) == pytest.approx(1.5, abs=0.02)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 1e-200), (1e-200, 1e-200), (1e-160, 1e-160)])
+def test_late_time_exponent_where_complexity_underflows(alpha, beta):
+    # K(t) is t^2 (alpha^2 + beta^2) to first order, zero or subnormal here:
+    # the fit is the least-squares slope of 2 log t over the grid
+    exponent = late_time_growth_exponent(LiouvillianSpec(alpha, beta))
+    assert abs(exponent - 0.403419112479455) <= 1e-12
+
+
+def test_late_time_exponent_needs_a_generator():
+    with pytest.raises(ValueError):
+        late_time_growth_exponent(LiouvillianSpec(0.0, 0.0))

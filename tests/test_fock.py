@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from krylovgrowth.algebra import LiouvillianSpec, build_liouvillian
 from krylovgrowth.coherent import closed_form_params, phi_series
@@ -10,7 +11,6 @@ from krylovgrowth.fock import (
     FockVector,
     OperatorMatrix,
     TruncationConfig,
-    band_windows,
     build_ladders,
     evolve_state,
     guard_band_mass,
@@ -116,9 +116,9 @@ class TestStencil:
     @pytest.mark.parametrize("b", [0, 1, 2])
     @pytest.mark.parametrize("kind", [float, complex])
     def test_product_is_the_per_diagonal_loop_bitwise(self, b, kind):
-        # every prefix n, as leading_matvec and as a step of the Lanczos
-        # recursion (windows of a store padded with b zeros on each side);
-        # tobytes, so that signed zeros count
+        # every prefix n, as a step of the Lanczos recursion computes it
+        # (windows of a store padded with b zeros on each side); tobytes,
+        # so that signed zeros count
         dim = 13
         rng = np.random.default_rng(10 + b)
         op = band_operator(b, dim, rng)
@@ -128,42 +128,26 @@ class TestStencil:
         x[1::6] = 0.0
         x[3::6] = -0.0
         store = np.zeros((2, dim + 2 * b), dtype=x.dtype)
-        windows = band_windows(store, b)
+        windows = sliding_window_view(store, dim, axis=-1)
         for n in range(dim + 1):
             want = per_diagonal_matvec(op.bands, x[:n]).tobytes()
-            assert op.leading_matvec(x[:n]).tobytes() == want, n
             store[1, b : b + n] = x[:n]
             assert (op.stencil(n) * windows[1, :, :n]).sum(axis=0).tobytes() == want, n
 
-    @pytest.mark.parametrize("x", [np.float64(1.0), np.ones((3, 1)), np.ones(10)])
-    def test_leading_matvec_takes_only_a_vector_within_dim(self, x):
-        # a 0-d input has no shape[0]; it must not escape as IndexError
-        op = band_operator(1, 9, np.random.default_rng(0))
-        with pytest.raises(DimensionMismatch):
-            op.leading_matvec(x)
-
     def test_coefficients_beyond_the_block_stay_out(self):
         # an overflowed coefficient past the leading block would make a nan
-        # of its zero partner in x; the product never reads it
-        bands = np.ones((3, 8))
-        bands[:, 5:] = np.inf
+        # of its zero partner in the store; the product never reads it
+        b, dim, n = 2, 8, 5
+        bands = np.ones((b + 1, dim))
+        bands[:, n:] = np.inf
         op = OperatorMatrix(bands)
-        x = np.arange(1.0, 6.0)
-        y = op.leading_matvec(x)
+        x = np.arange(1.0, n + 1.0)
+        store = np.zeros(dim + 2 * b)
+        store[b : b + n] = x
+        windows = sliding_window_view(store, dim)
+        y = (op.stencil(n) * windows[:, :n]).sum(axis=0)
         assert np.all(np.isfinite(y))
         assert y.tobytes() == per_diagonal_matvec(bands, x).tobytes()
-
-    def test_window_view_is_read_only_and_copies_nothing(self):
-        b, dim = 2, 7
-        store = np.arange(3.0 * (dim + 2 * b)).reshape(3, dim + 2 * b)
-        windows = band_windows(store, b)
-        assert windows.shape == (3, 2 * b + 1, dim)
-        assert not windows.flags.writeable
-        assert np.shares_memory(windows, store)
-        with pytest.raises(ValueError):
-            windows[0, 0, 0] = 1.0
-        for r in range(2 * b + 1):
-            assert np.array_equal(windows[:, r], store[:, r : r + dim])
 
 
 def hw_generator(alpha, dim):
@@ -219,6 +203,15 @@ class TestEvolveState:
         with pytest.raises(OverflowError) as err:
             evolve_state(L, t, vacuum(32))
         assert err.value.t == t
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -math.inf)])
+    def test_rejects_a_non_finite_state(self, bad):
+        # before evolving: no phase overflow is reported for it
+        L = hw_generator(0.8, 32)
+        amps = np.zeros(32, dtype=complex)
+        amps[0], amps[3] = 1.0, bad
+        with pytest.raises(ValueError, match="finite"):
+            evolve_state(L, 0.5, FockVector(amps))
 
     @pytest.mark.parametrize("tail_tolerance", [0.0, -1e-10, float("nan")])
     def test_rejects_bad_tail_tolerance(self, tail_tolerance):

@@ -99,6 +99,14 @@ class TestTridiagonalize:
         with pytest.raises(ValueError):
             lanczos_tridiagonalize(hw_generator(1.0, 8), bad, 4)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_seed(self, bad):
+        # a nan norm is no normalized one: ValueError, not a late overflow
+        amps = vacuum(8).amplitudes.copy()
+        amps[2] = bad
+        with pytest.raises(ValueError, match="normalized"):
+            lanczos_tridiagonalize(hw_generator(1.0, 8), FockVector(amps), 4)
+
     def test_large_dim_needs_no_dense_matrix(self):
         # a dense complex L alone would take 268 MB at dim 4096
         dim = 4096

@@ -19,6 +19,7 @@ from krylovgrowth.coherent import (
     moment_n,
     phi_series,
     phi_zero,
+    sl2r_profile,
 )
 from krylovgrowth.errors import TruncationOverflow
 from krylovgrowth.fock import FockVector, TruncationConfig, evolve_state
@@ -80,6 +81,20 @@ def test_series_is_the_dense_oracle_in_complex_value(point):
     phi = phi_series(closed_form_params(spec, t), tol=1e-12).phi
     n = min(len(phi), dim)
     assert np.max(np.abs(phi[:n] - psi[:n])) <= 1e-8
+
+
+@SWEEP
+@given(st.floats(0.05, 1.5), st.floats(1e-100, 1.0))
+def test_pure_squeeze_sector_is_even_and_the_weight_module(beta, u):
+    # alpha = 0 keeps the squeezed vacuum on even levels, where the moduli
+    # are the h = 1/4 lowest-weight amplitudes; beta t <= 2
+    t = 2.0 / beta * u
+    phi = phi_series(closed_form_params(LiouvillianSpec(0.0, beta), t)).phi
+    assert not phi[1::2].any()
+    profile, _ = sl2r_profile(0.25, beta, t)
+    even = np.abs(phi[::2])
+    n = min(len(even), len(profile))
+    assert np.max(np.abs(even[:n] - profile[:n])) <= 1e-14
 
 
 def _bits(f, *args):

@@ -26,7 +26,8 @@ REMOVED = {
         "inner", "matrix_bandwidth", "FockVector.to_json_pairs", "FockVector.from_json_pairs",
         "OperatorMatrix.from_entries", "OperatorMatrix.__matmul__", "OperatorMatrix.is_hermitian",
         "HERMITIAN_TOL", "TruncationConfig.tail_tolerance", "TruncationConfig.guard_size",
-        "TruncationConfig.guard_start", "OperatorMatrix.matvec",
+        "TruncationConfig.guard_start", "OperatorMatrix.matvec", "band_windows",
+        "OperatorMatrix.leading_matvec",
     ),
     "cli": ("ResultRow",),
     "lanczos": ("ChainWavefunction",),
