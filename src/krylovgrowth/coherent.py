@@ -533,15 +533,18 @@ def late_time_growth_exponent(spec: LiouvillianSpec) -> float:
     41 points of t in [4, 6].
 
     Where some K(t) is zero or subnormal (alpha t and beta t both below
-    about 1e-154), the fit takes log K in log form instead,
+    about 1e-154), or beyond the float range (alpha^2 cosh(beta t) t^2
+    sinhc^2(beta t / 2) past about 1.8e308), the fit takes log K in log
+    form instead,
     log K = 2 log t + log(beta^2 sinhc^2(beta t)
                           + alpha^2 cosh(beta t) sinhc^2(beta t / 2)),
     with alpha and beta scaled by max(|alpha|, |beta|) so that nothing
-    underflows. At alpha = beta = 0, K vanishes and ``ValueError`` is raised.
+    underflows or overflows through their squares. At alpha = beta = 0, K
+    vanishes and ``ValueError`` is raised.
     """
     ts = np.linspace(4.0, 6.0, 41)
     ks = [schrodinger_complexity_t(spec, float(t)) for t in ts]
-    if min(ks) >= sys.float_info.min:
+    if sys.float_info.min <= min(ks) and max(ks) <= sys.float_info.max:
         return float(np.polyfit(ts, np.log(ks), 1)[0])
     scale = max(abs(spec.alpha), abs(spec.beta))
     if scale == 0:

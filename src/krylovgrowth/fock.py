@@ -197,10 +197,13 @@ def evolve_state(
     exceeds ``tail_tolerance``, which signals that ``L.dim`` is too small
     for this evolution time. A phase t * eigenvalue beyond the float range
     raises :class:`OverflowError` with the offending time as its ``t``; a
-    ``v0`` holding a NaN or infinite amplitude raises ``ValueError``.
+    NaN ``t``, or a ``v0`` holding a NaN or infinite amplitude, raises
+    ``ValueError``.
     """
     if not tail_tolerance > 0:
         raise ValueError("tail_tolerance must be > 0")
+    if math.isnan(t):
+        raise ValueError(f"time t={t} is not a number")
     if L.dim != v0.dim:
         raise DimensionMismatch(f"operator dim {L.dim} != state dim {v0.dim}")
     if not np.isfinite(v0.amplitudes).all():

@@ -30,9 +30,10 @@ coefficients.
 The chain wavefunction solves
     -i d phi_n / dt = b_{n+1} phi_{n+1} + a_n phi_n + b_n phi_{n-1}
 with phi_n(0) = delta_{n0}, integrated by the exact exponential of the
-m x m tridiagonal matrix; :func:`propagate_chain` returns it as an array
-with one row per grid time, and the chain complexity of a row is the mean
-position sum_n n |phi_n|^2.
+m x m tridiagonal matrix; :func:`propagate_chain` evolves the whole time
+grid in one stacked product and returns an array with one row per grid
+time, each row bitwise what that time alone gives. The chain complexity
+of a row is the mean position sum_n n |phi_n|^2.
 """
 
 from __future__ import annotations
@@ -102,7 +103,13 @@ class KrylovChain:
 
     def tridiagonal(self) -> np.ndarray:
         """The m x m chain matrix (diagonal a, off-diagonals b)."""
-        return np.diag(self.a) + np.diag(self.b, 1) + np.diag(self.b, -1)
+        m = self.m
+        T = np.zeros((m, m))
+        # + 0.0 makes a -0.0 coefficient 0.0, as a sum of np.diag terms would
+        T.flat[:: m + 1] = self.a + 0.0
+        T.flat[1 :: m + 1] = self.b
+        T.flat[m :: m + 1] = self.b
+        return T
 
 
 def lanczos_tridiagonalize(
@@ -169,9 +176,9 @@ def lanczos_tridiagonalize(
                 stencil, n_prev = L.stencil(n), n
             basis = Q[:j, :n]
             q = basis[-1]
-            work = (stencil * windows[j - 1, :, :n]).sum(axis=0)
-            adiag[j - 1] = float(q @ work)
-            work -= adiag[j - 1] * q
+            work = np.add.reduce(stencil * windows[j - 1, :, :n], axis=0)
+            aj = adiag[j - 1] = float(q @ work)
+            work -= aj * q
             if j >= 2:
                 work -= hops[-1] * basis[-2]
             before = math.sqrt(work @ work)
@@ -203,38 +210,47 @@ def propagate_chain(chain: KrylovChain, t_grid: Sequence[float]) -> np.ndarray:
 
     Returns a read-only complex array of shape ``(len(t_grid), m)`` whose
     row i is phi at ``t_grid[i]``. Uses one eigendecomposition of the chain
-    matrix (exact exponential, no integrator tolerance) and evolves each
-    time on its own, so the grid may hold any real times in any order; the
+    matrix (exact exponential, no integrator tolerance) and evolves the
+    whole grid in one stacked product, each row bitwise what that time
+    alone gives, so the grid may hold any real times in any order; the
     chain matrix is real, so phi(-t) is the complex conjugate of phi(t).
     t = 0 returns the initial condition exactly, without the round-off of
-    the eigenbasis. Raises :class:`EdgeLeak` at the first grid time where
-    the last retained site holds more than ``EDGE_LEAK_TOL`` probability,
-    and checks norm conservation to 1e-8 at every point. A time whose
-    phases t * eigenvalue overflow gives no finite row: it raises
-    ``OverflowError`` with that time as its ``t``.
+    the eigenbasis. A NaN time raises ``ValueError`` before any work.
+    Raises :class:`EdgeLeak` at the first grid time where the last
+    retained site holds more than ``EDGE_LEAK_TOL`` probability, and
+    checks norm conservation to 1e-8 at every point. A time whose phases
+    t * eigenvalue overflow gives no finite row: it raises
+    ``OverflowError`` with that time as its ``t``. Where several times
+    fail, the first in grid order is reported, and a time that fails more
+    than one check reports the first of overflow, edge leak and norm.
     """
     if chain.m < 2:
         raise ValueError("chain must have at least 2 sites")
+    t = np.asarray(t_grid, dtype=float)
+    if np.isnan(t).any():
+        raise ValueError(f"time t=nan at grid index {int(np.argmax(np.isnan(t)))} is not a number")
     evals, evecs = np.linalg.eigh(chain.tridiagonal())
     start = evecs[0]  # overlap of each eigenvector with site 0
-    evecs = evecs.astype(complex)  # cast once, not at every grid time
-    out = np.zeros((len(t_grid), chain.m), dtype=complex)
     # an overflowing phase gives a non-finite row, reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        for phi, t in zip(out, t_grid):
-            if t == 0:
-                phi[0] = 1.0
-            else:
-                phi[:] = evecs @ (np.exp(1j * t * evals) * start)
-            norm = float(np.sum(np.abs(phi) ** 2))
-            if not math.isfinite(norm):
-                err = OverflowError(f"chain phases t * eigenvalue overflow at t={t}")
-                err.t = t
-                raise err
-            if abs(phi[-1]) ** 2 > EDGE_LEAK_TOL:
-                raise EdgeLeak(t, m=chain.m, edge_mass=float(abs(phi[-1]) ** 2))
-            if abs(norm - 1.0) > 1e-8:
-                raise ArithmeticError(f"chain norm lost at t={t}")
+        z = np.exp(1j * t[:, None] * evals) * start
+        # a matrix-vector product per row, not one matrix-matrix product,
+        # which rounds differently: each row is bitwise that time alone
+        out = np.matmul(evecs.astype(complex), z[:, :, None])[:, :, 0]
+        out[t == 0] = np.eye(1, chain.m)
+        norm = np.sum(np.abs(out) ** 2, axis=1)
+        bad = ~np.isfinite(norm) | (np.abs(out[:, -1]) ** 2 > EDGE_LEAK_TOL)
+        bad |= np.abs(norm - 1.0) > 1e-8
+    if bad.any():
+        i = int(np.argmax(bad))
+        ti, phi = t_grid[i], out[i]
+        if not math.isfinite(norm[i]):
+            err = OverflowError(f"chain phases t * eigenvalue overflow at t={ti}")
+            err.t = ti
+            raise err
+        if abs(phi[-1]) ** 2 > EDGE_LEAK_TOL:
+            raise EdgeLeak(ti, m=chain.m, edge_mass=float(abs(phi[-1]) ** 2))
+        raise ArithmeticError(f"chain norm lost at t={ti}")
     out.setflags(write=False)
     return out
 

@@ -543,6 +543,29 @@ def test_late_time_exponent_where_complexity_underflows(alpha, beta):
     assert abs(exponent - 0.403419112479455) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha, beta", [(1e150, 50.0), (1e154, 1.0)])
+def test_late_time_exponent_where_complexity_overflows(alpha, beta):
+    # alpha^2 is a normal float, but K(t) overflows to inf on part of the
+    # grid: the exponent is the 50-digit least-squares slope of log K
+    mpmath = pytest.importorskip("mpmath")
+    spec = LiouvillianSpec(alpha, beta)
+    ts = np.linspace(4.0, 6.0, 41).tolist()
+    assert any(math.isinf(schrodinger_complexity_t(spec, t)) for t in ts)
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        x = [mpmath.mpf(t) for t in ts]
+        y = [mpmath.log(mpmath.sinh(b * t) ** 2
+                        + a ** 2 * mpmath.cosh(b * t) * (2 * mpmath.sinh(b * t / 2) / b) ** 2)
+             for t in x]
+        xbar, ybar = mpmath.fsum(x) / len(x), mpmath.fsum(y) / len(y)
+        slope = (mpmath.fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))
+                 / mpmath.fsum((xi - xbar) ** 2 for xi in x))
+        expected = float(slope)
+    exponent = late_time_growth_exponent(spec)
+    assert math.isfinite(exponent)
+    assert exponent == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_late_time_exponent_needs_a_generator():
     with pytest.raises(ValueError):
         late_time_growth_exponent(LiouvillianSpec(0.0, 0.0))

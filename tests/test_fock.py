@@ -196,13 +196,20 @@ class TestEvolveState:
             evolve_state(L, 2.0, vacuum(32))
         assert err.value.context["dim"] == L.dim == 32
 
-    @pytest.mark.parametrize("t", [1e308, -1e308])
+    @pytest.mark.parametrize("t", [1e308, -1e308, math.inf, -math.inf])
     def test_overflowing_phase_names_its_time(self, t):
         # t * eigenvalue is beyond the float range: no all-NaN state
         L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=32))
         with pytest.raises(OverflowError) as err:
             evolve_state(L, t, vacuum(32))
         assert err.value.t == t
+
+    def test_rejects_a_nan_time(self):
+        # a NaN time is no phase overflow: rejected before L is diagonalized
+        L = hw_generator(0.8, 32)
+        with pytest.raises(ValueError, match="t=nan"):
+            evolve_state(L, math.nan, vacuum(32))
+        assert "_eigh" not in vars(L)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -math.inf)])
     def test_rejects_a_non_finite_state(self, bad):

@@ -262,7 +262,7 @@ class TestPropagation:
     def test_first_failing_time_in_grid_order(self):
         # 3.0 and 4.0 both leak; the error names the first in the grid, with
         # the edge mass that time alone gives, and the times after it are
-        # never evaluated (1e308 would overflow with a numpy warning)
+        # evaluated without a warning (1e308 overflows)
         chain = lanczos_tridiagonalize(hw_generator(1.0, 64), vacuum(64), 6)
         with warnings.catch_warnings(), pytest.raises(EdgeLeak) as err:
             warnings.simplefilter("error")
@@ -280,6 +280,25 @@ class TestPropagation:
             warnings.simplefilter("error")
             propagate_chain(chain, [0.0, 5e307, 1e308])
         assert err.value.t == 5e307
+
+    @pytest.mark.parametrize("grid, error", [
+        ([0.0, 1e308, 4.0], OverflowError),
+        ([0.0, 4.0, 1e308], EdgeLeak),
+    ], ids=["overflow first", "leak first"])
+    def test_error_is_that_of_the_first_failing_time(self, grid, error):
+        # 4.0 leaks out of the 6-site chain and 1e308 overflows its phases
+        chain = lanczos_tridiagonalize(hw_generator(1.0, 64), vacuum(64), 6)
+        with warnings.catch_warnings(), pytest.raises(error) as err:
+            warnings.simplefilter("error")
+            propagate_chain(chain, grid)
+        assert err.value.t == grid[1]
+
+    @pytest.mark.parametrize("grid", [[float("nan")], [3.0, float("nan"), 0.5]])
+    def test_nan_time_is_rejected_before_any_time_is_evolved(self, grid):
+        # 3.0 would leak out of the 6-site chain; NaN is not a phase overflow
+        chain = lanczos_tridiagonalize(hw_generator(1.0, 64), vacuum(64), 6)
+        with pytest.raises(ValueError, match="t=nan"):
+            propagate_chain(chain, grid)
 
     def test_negative_times_mirror_positive(self):
         # the chain matrix is real, so phi(-t) = conj(phi(t)): the same K
@@ -302,6 +321,38 @@ class TestPropagation:
         for i, t in enumerate(ts):
             assert phis[i].tobytes() == propagate_chain(chain, [t])[0].tobytes()
         assert propagate_chain(chain, []).shape == (0, chain.m)
+
+    @pytest.mark.parametrize("m, scale", [(2, 1e-5), (6, 0.05), (128, 1.0), (384, 2.0)])
+    def test_rows_are_the_per_time_products(self, m, scale):
+        # each row against its own matrix-vector product in the eigenbasis of
+        # the np.diag chain matrix, on an unsorted grid with negative times
+        # and both zeros; a zero time gives delta_{n0} exactly
+        dim = 2 * m + 64
+        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=dim))
+        chain = lanczos_tridiagonalize(L, vacuum(dim), m)
+        ts = [scale * t for t in (0.3, -0.0, -0.7, 1.0, 0.0, -0.3, 0.05, -1.0, 0.6)]
+        evals, evecs = np.linalg.eigh(
+            np.diag(chain.a) + np.diag(chain.b, 1) + np.diag(chain.b, -1))
+        phis = propagate_chain(chain, ts)
+        for phi, t in zip(phis, ts):
+            if t == 0:
+                want = np.zeros(m, dtype=complex)
+                want[0] = 1.0
+            else:
+                want = evecs.astype(complex) @ (np.exp(1j * t * evals) * evecs[0])
+            assert phi.tobytes() == want.tobytes()
+
+    def test_tridiagonal_is_the_np_diag_sum(self):
+        # bitwise, signed zeros of the diagonal included
+        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=512))
+        chains = [lanczos_tridiagonalize(L, vacuum(512), 128)] + [
+            KrylovChain(a=np.array(a), b=np.array([0.5, 1e-300, 2.0]), residual=0.0,
+                        basis=np.eye(4))
+            for a in ([0.3, -0.0, 1.5, 0.0], [-0.0] * 4)
+        ]
+        for chain in chains:
+            want = np.diag(chain.a) + np.diag(chain.b, 1) + np.diag(chain.b, -1)
+            assert chain.tridiagonal().tobytes() == want.tobytes()
 
 
 class TestChainComplexity:
