@@ -1,31 +1,39 @@
 """Conventional Krylov machinery: Lanczos tridiagonalization and the chain.
 
-Lanczos with full reorthogonalization turns the real symmetric generator
-L and a real seed state into an orthonormal Krylov basis in which L is
-tridiagonal, with hopping coefficients b_n and diagonal coefficients a_n.
-Each step follows the three-term recursion with one classical Gram-Schmidt
-pass against every retained vector, and a second pass only where the first
-removed more than 1 - 1/sqrt(2) of the candidate's norm (the "twice is
-enough" test of Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30 (1976)
-772-795). The basis stays orthonormal to working precision. On the chains
-of the CLI, the second pass runs only where the Krylov space is exhausted.
-L enters only through the (2b + 1)-row stencil of its band
+Lanczos turns the real symmetric generator L and a real seed state into an
+orthonormal Krylov basis in which L is tridiagonal, with hopping
+coefficients b_n and diagonal coefficients a_n. L enters only through the
+(2b + 1)-row stencil of its band
 (:meth:`~krylovgrowth.fock.OperatorMatrix.stencil`), so no dense dim x dim
 matrix is formed, and the recursion runs in float64. L has bandwidth b,
 so Krylov vector j of a seed with highest level s0 lives on Fock levels
-0..s0 + b*j, and step j works on that prefix only: O(j) work for the
-matvec and O(j^2) for the reorthogonalization, independent of dim once
-dim >= b*m + s0 + 1. The Krylov vectors are stored with b zero columns on
-each side, so the matvec of a step is one product of the stencil with a
-read-only window view of that store, summed over the 2b + 1 rows in the
-order of :meth:`~krylovgrowth.fock.OperatorMatrix.stencil`, with no
-padding or copy per step. The chain is a property of L and the seed, not
-of the truncation (the recursion method of Viswanath & Mueller, *The
-Recursion Method*, Springer 1994). For
-generators with odd-moment symmetry (pure linear or pure two-photon) the
-diagonal vanishes identically; for the mixed generator it does not
-(<0|L^3|0> = 2 alpha^2 beta), so the chain carries both sets of
-coefficients.
+0..s0 + b*j, and step j works on that prefix only. The Krylov vectors are
+stored with b zero columns on each side, so the matvec of a step is one
+product of the stencil with a read-only window view of that store, summed
+over the 2b + 1 rows in the order of
+:meth:`~krylovgrowth.fock.OperatorMatrix.stencil`, with no padding or copy
+per step. The chain is a property of L and the seed, not of the
+truncation (the recursion method of Viswanath & Mueller, *The Recursion
+Method*, Springer 1994). For generators with odd-moment symmetry (pure
+linear or pure two-photon) the diagonal vanishes identically; for the
+mixed generator it does not (<0|L^3|0> = 2 alpha^2 beta), so the chain
+carries both sets of coefficients.
+
+Every step is the three-term step in Paige's order, b_{j-1} q_{j-2} off
+before a_j q_{j-1} (the order decides the recursion's accuracy: Paige,
+J. Inst. Math. Appl. 10 (1972) 373). A step whose prefix fits inside dim
+then makes one more local pass against q_{j-1}: O(j) work, independent of
+dim once dim >= b*m + s0 + 1. A step whose prefix meets the truncation
+instead projects the candidate against every retained vector (classical
+Gram-Schmidt), and again only where the first pass removed more than
+1 - 1/sqrt(2) of its norm (the "twice is enough" test of Daniel, Gragg,
+Kaufman & Stewart, Math. Comp. 30 (1976) 772-795). Without the full
+projection orthogonality is lost as Ritz values converge (Paige, Lin. Alg.
+Appl. 34 (1980) 235). The generators of :mod:`~krylovgrowth.algebra` keep
+it, but an operator with a discrete spectrum need not, so one Gram
+product checks the basis of every chain, and a chain off orthonormal is
+recomputed with the full projection at every step: the basis is
+orthonormal to working precision either way.
 
 The chain wavefunction solves
     -i d phi_n / dt = b_{n+1} phi_{n+1} + a_n phi_n + b_n phi_{n-1}
@@ -64,6 +72,9 @@ BREAKDOWN_TOL = 1e-12
 PREFIX_BLOCK = 32
 # Largest probability the last retained chain site may hold at a grid time.
 EDGE_LEAK_TOL = 1e-8
+# Largest max |Q Q^T - I| a chain with local passes may return; past it
+# the chain is recomputed with the full projection at every step.
+ORTHONORMAL_TOL = 1e-14
 # A Gram-Schmidt pass that leaves less than this fraction of the candidate's
 # norm has cancelled enough digits to need one more pass, and a second pass
 # is always enough (the DGKS test cited in the module docstring).
@@ -125,12 +136,20 @@ def lanczos_tridiagonalize(
     and normalized: one with an imaginary part, or whose norm is not 1 to
     1e-10 (a NaN or infinite norm included), raises ``ValueError``. Step j
     runs on the Fock levels that L^j seed can reach, not on all ``dim`` of
-    them, and the rows of ``basis`` are zero beyond them. After the
-    three-term step the candidate is projected against every retained
-    vector once (classical Gram-Schmidt), and once more only where that
-    pass left less than 1/sqrt(2) of its norm, so that the basis stays
-    orthonormal to working precision (max |Q Q^T - I| about 1e-15 at
-    m = 512), which the plain three-term recursion does not hold.
+    them, and the rows of ``basis`` are zero beyond them.
+
+    Each step takes the three-term step in Paige's order (b_{j-1} q_{j-2}
+    off first, then a_j q_{j-1}). A step whose candidate fits inside
+    ``dim`` then makes one more local pass against q_{j-1}, folded into
+    a_j; a step whose candidate meets the truncation projects it against
+    every retained vector (classical Gram-Schmidt), and once more only
+    where that pass left less than 1/sqrt(2) of its norm. One Gram product
+    then checks the basis: if max |Q Q^T - I| exceeds ``ORTHONORMAL_TOL``
+    (1e-14), as it can once Ritz values converge on an operator with a
+    discrete spectrum, the chain is recomputed with the full projection at
+    every step, which holds the basis to working precision (about 1e-15 at
+    m = 500). The generators of :mod:`~krylovgrowth.algebra` pass the
+    check: about 2e-15 at m = 512.
 
     A candidate hopping at or below the breakdown tolerance exhausts the
     Krylov space: termination is normal (the truncated space has finite
@@ -148,6 +167,27 @@ def lanczos_tridiagonalize(
     if seed.amplitudes.imag.any():
         raise ValueError("seed must be real")
 
+    q0 = seed.amplitudes.real / nrm
+    # Q[j - 1] lives on levels 0..s0 + b*(j - 1), so L Q[j - 1] fits in the
+    # first s0 + b*j + 1 entries, and step j works on those alone.
+    s0 = int(np.flatnonzero(q0)[-1])
+    local = s0 + L.bandwidth + 1 <= L.dim  # step 1 fits, so it is local
+    chain, width = _recurrence(L, q0, s0, m, local)
+    if local:
+        Q = chain.basis[:, :width]
+        gram = Q @ Q.T
+        gram.flat[:: chain.m + 1] -= 1.0
+        if not np.max(np.abs(gram)) <= ORTHONORMAL_TOL:
+            chain, _ = _recurrence(L, q0, s0, m, False)
+    return chain
+
+
+def _recurrence(
+    L: OperatorMatrix, q0: np.ndarray, s0: int, m: int, local: bool,
+) -> tuple[KrylovChain, int]:
+    """The chain of :func:`lanczos_tridiagonalize` from the normalized seed
+    ``q0`` with highest level ``s0``, and the prefix length of its last
+    step. With ``local`` false, every step takes the full projection."""
     b, dim = L.bandwidth, L.dim
     # the Krylov vectors are the rows of Q, stored with b zero columns on
     # each side so that every step reads its stencil windows from one
@@ -155,10 +195,7 @@ def lanczos_tridiagonalize(
     store = np.zeros((m, dim + 2 * b))
     Q = store[:, b : b + dim]
     windows = sliding_window_view(store, dim, axis=-1)
-    Q[0] = seed.amplitudes.real / nrm
-    # Q[j - 1] lives on levels 0..s0 + b*(j - 1), so L Q[j - 1] fits in the
-    # first s0 + b*j + 1 entries, and step j works on those alone.
-    s0 = int(np.flatnonzero(Q[0])[-1])
+    Q[0] = q0
     adiag = np.zeros(m)
     hops: list[float] = []
     residual = 0.0
@@ -174,19 +211,25 @@ def lanczos_tridiagonalize(
             # would meet a zero of the store and make a nan
             if n != n_prev:
                 stencil, n_prev = L.stencil(n), n
-            basis = Q[:j, :n]
-            q = basis[-1]
+            q = Q[j - 1, :n]
             work = np.add.reduce(stencil * windows[j - 1, :, :n], axis=0)
-            aj = adiag[j - 1] = float(q @ work)
-            work -= aj * q
+            # the three-term step in Paige's order
             if j >= 2:
-                work -= hops[-1] * basis[-2]
-            before = math.sqrt(work @ work)
-            work -= (basis @ work) @ basis
-            bn = math.sqrt(work @ work)
-            if bn < _TWICE_IS_ENOUGH * before:
+                work -= hops[-1] * Q[j - 2, :n]
+            aj = np.dot(q, work)
+            work -= aj * q
+            if local and reach <= dim:
+                c = np.dot(q, work)
+                work -= c * q
+                aj += c
+            else:
+                basis = Q[:j, :n]
+                before = math.sqrt(np.dot(work, work))
                 work -= (basis @ work) @ basis
-                bn = math.sqrt(work @ work)
+                if math.sqrt(np.dot(work, work)) < _TWICE_IS_ENOUGH * before:
+                    work -= (basis @ work) @ basis
+            adiag[j - 1] = aj
+            bn = math.sqrt(np.dot(work, work))
             if not math.isfinite(bn):
                 raise OverflowError(f"Lanczos hopping b_{j} = {bn} is beyond the float range")
             if bn <= BREAKDOWN_TOL:
@@ -200,9 +243,10 @@ def lanczos_tridiagonalize(
                 break
             np.divide(work, bn, out=Q[j, :n])
             hops.append(bn)
-    return KrylovChain(
+    chain = KrylovChain(
         a=adiag[:sites], b=np.array(hops[: sites - 1]), residual=residual, basis=Q[:sites],
     )
+    return chain, n_prev
 
 
 def propagate_chain(chain: KrylovChain, t_grid: Sequence[float]) -> np.ndarray:

@@ -568,6 +568,20 @@ class TestMain:
         # a single grid point has no span
         assert SweepConfig(t_min=-1e308, t_max=1e308, steps=1).t_grid().tolist() == [-1e308]
 
+    def test_grid_span_at_the_float_range_does_not_warn(self, capsys):
+        # the last product of np.linspace overflows here, and numpy replaces
+        # it by t_max: the rows are finite, with no warning on stderr
+        tmax = 1.7976931348623157e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--mode", "complexity", "--alpha", "0", "--beta", "0",
+                         "--tmax", repr(tmax), "--steps", "7"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = captured.out.splitlines()
+        assert len(rows) == 8 and rows[-1] == f"{tmax:.12g},0"
+
     @pytest.mark.parametrize("mode, flags, row", [
         # t^2 is subnormal: alpha^2 t^2 read 2.49997216796e-13
         ("complexity", ["--alpha", "1e154", "--beta", "1e-5", "--tmax", "1e-160"],
