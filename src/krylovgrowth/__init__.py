@@ -58,6 +58,7 @@ from .fock import (
     OperatorMatrix,
     TruncationConfig,
     build_ladders,
+    evolve_grid,
     evolve_state,
     guard_band_mass,
 )

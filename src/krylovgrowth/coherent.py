@@ -473,15 +473,26 @@ def schrodinger_complexity_t(spec: LiouvillianSpec, t: float) -> float:
     sinh^2(beta t) + alpha^2 cosh(beta t) (t sinhc(beta t / 2))^2, with
     sinhc(x) = sinh(x) / x, which is alpha^2 t^2 at beta = 0 and never
     squares beta. Where alpha^2 or t^2 is not a normal float, alpha t is
-    squared as one number instead.
+    squared as one number instead. A K(t) beyond the float range raises
+    ``OverflowError`` with ``t`` as its ``t``, on either branch.
     """
     alpha, beta = spec.alpha, spec.beta
     if t == 0:  # before any power of alpha, which may overflow
         return 0.0
     bt = beta * t
-    if not (_square_is_normal(alpha) and _square_is_normal(t)):
-        return math.sinh(bt) ** 2 + math.cosh(bt) * (alpha * t * _sinhc(bt / 2.0)) ** 2
-    return math.sinh(bt) ** 2 + alpha ** 2 * (math.cosh(bt) * (t * _sinhc(bt / 2.0)) ** 2)
+    sinhc = _sinhc(bt / 2.0)  # an infinite beta t raises here, by its own name
+    try:
+        if not (_square_is_normal(alpha) and _square_is_normal(t)):
+            K = math.sinh(bt) ** 2 + math.cosh(bt) * (alpha * t * sinhc) ** 2
+        else:
+            K = math.sinh(bt) ** 2 + alpha ** 2 * (math.cosh(bt) * (t * sinhc) ** 2)
+    except OverflowError:  # a float power or sinh past the range raises; a product is inf
+        K = math.inf
+    if math.isinf(K):
+        err = OverflowError(f"complexity K(t) overflows at t={t}")
+        err.t = t
+        raise err
+    return K
 
 
 def scrambling_time(spec: LiouvillianSpec) -> float:
@@ -534,7 +545,8 @@ def late_time_growth_exponent(spec: LiouvillianSpec) -> float:
 
     Where some K(t) is zero or subnormal (alpha t and beta t both below
     about 1e-154), or beyond the float range (alpha^2 cosh(beta t) t^2
-    sinhc^2(beta t / 2) past about 1.8e308), the fit takes log K in log
+    sinhc^2(beta t / 2) past about 1.8e308, where
+    :func:`schrodinger_complexity_t` raises), the fit takes log K in log
     form instead,
     log K = 2 log t + log(beta^2 sinhc^2(beta t)
                           + alpha^2 cosh(beta t) sinhc^2(beta t / 2)),
@@ -543,8 +555,11 @@ def late_time_growth_exponent(spec: LiouvillianSpec) -> float:
     vanishes and ``ValueError`` is raised.
     """
     ts = np.linspace(4.0, 6.0, 41)
-    ks = [schrodinger_complexity_t(spec, float(t)) for t in ts]
-    if sys.float_info.min <= min(ks) and max(ks) <= sys.float_info.max:
+    try:
+        ks = [schrodinger_complexity_t(spec, float(t)) for t in ts]
+    except OverflowError:  # some K(t) is beyond the float range
+        ks = None
+    if ks is not None and sys.float_info.min <= min(ks):
         return float(np.polyfit(ts, np.log(ks), 1)[0])
     scale = max(abs(spec.alpha), abs(spec.beta))
     if scale == 0:

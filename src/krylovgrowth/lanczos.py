@@ -38,10 +38,8 @@ orthonormal to working precision either way.
 The chain wavefunction solves
     -i d phi_n / dt = b_{n+1} phi_{n+1} + a_n phi_n + b_n phi_{n-1}
 with phi_n(0) = delta_{n0}, integrated by the exact exponential of the
-m x m tridiagonal matrix; :func:`propagate_chain` evolves the whole time
-grid in one stacked product and returns an array with one row per grid
-time, each row bitwise what that time alone gives. The chain complexity
-of a row is the mean position sum_n n |phi_n|^2.
+m x m chain matrix that the dense oracle uses (``OperatorMatrix._exp``).
+The chain complexity of a row is the mean position sum_n n |phi_n|^2.
 """
 
 from __future__ import annotations
@@ -111,16 +109,6 @@ class KrylovChain:
     @property
     def m(self) -> int:
         return len(self.a)
-
-    def tridiagonal(self) -> np.ndarray:
-        """The m x m chain matrix (diagonal a, off-diagonals b)."""
-        m = self.m
-        T = np.zeros((m, m))
-        # + 0.0 makes a -0.0 coefficient 0.0, as a sum of np.diag terms would
-        T.flat[:: m + 1] = self.a + 0.0
-        T.flat[1 :: m + 1] = self.b
-        T.flat[m :: m + 1] = self.b
-        return T
 
 
 def lanczos_tridiagonalize(
@@ -253,11 +241,11 @@ def propagate_chain(chain: KrylovChain, t_grid: Sequence[float]) -> np.ndarray:
     """Evolve phi_n(0) = delta_{n0} over the time grid.
 
     Returns a read-only complex array of shape ``(len(t_grid), m)`` whose
-    row i is phi at ``t_grid[i]``. Uses one eigendecomposition of the chain
-    matrix (exact exponential, no integrator tolerance) and evolves the
-    whole grid in one stacked product, each row bitwise what that time
-    alone gives, so the grid may hold any real times in any order; the
-    chain matrix is real, so phi(-t) is the complex conjugate of phi(t).
+    row i is phi at ``t_grid[i]``, from the exact exponential of the chain
+    matrix that :func:`~krylovgrowth.fock.evolve_grid` uses (no integrator
+    tolerance): each row is bitwise what that time alone gives, so the
+    grid may hold any real times in any order; the chain matrix is real,
+    so phi(-t) is the complex conjugate of phi(t).
     t = 0 returns the initial condition exactly, without the round-off of
     the eigenbasis. A NaN time raises ``ValueError`` before any work.
     Raises :class:`EdgeLeak` at the first grid time where the last
@@ -271,20 +259,15 @@ def propagate_chain(chain: KrylovChain, t_grid: Sequence[float]) -> np.ndarray:
     if chain.m < 2:
         raise ValueError("chain must have at least 2 sites")
     t = np.asarray(t_grid, dtype=float)
-    if np.isnan(t).any():
-        raise ValueError(f"time t=nan at grid index {int(np.argmax(np.isnan(t)))} is not a number")
-    evals, evecs = np.linalg.eigh(chain.tridiagonal())
-    start = evecs[0]  # overlap of each eigenvector with site 0
+    # the chain matrix as a band: the hoppings b above the diagonal a (+ 0.0
+    # makes a -0.0 coefficient 0.0, as a sum of np.diag terms would)
+    T = OperatorMatrix([np.concatenate(([0.0], chain.b)), chain.a + 0.0])
+    site0 = np.eye(1, chain.m)[0]
     # an overflowing phase gives a non-finite row, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = np.exp(1j * t[:, None] * evals) * start
-        # a matrix-vector product per row, not one matrix-matrix product,
-        # which rounds differently: each row is bitwise that time alone
-        out = np.matmul(evecs.astype(complex), z[:, :, None])[:, :, 0]
-        out[t == 0] = np.eye(1, chain.m)
-        norm = np.sum(np.abs(out) ** 2, axis=1)
-        bad = ~np.isfinite(norm) | (np.abs(out[:, -1]) ** 2 > EDGE_LEAK_TOL)
-        bad |= np.abs(norm - 1.0) > 1e-8
+    out, norm = T._exp(t, site0)
+    out[t == 0] = site0
+    bad = ~np.isfinite(norm) | (np.abs(out[:, -1]) ** 2 > EDGE_LEAK_TOL)
+    bad |= np.abs(norm - 1.0) > 1e-8
     if bad.any():
         i = int(np.argmax(bad))
         ti, phi = t_grid[i], out[i]

@@ -619,6 +619,33 @@ class TestMain:
         assert main(["--mode", mode, "--beta", "1e154", "--tmax", "1e308", "--steps", "3"]) == 2
         assert "beta t = inf is beyond the float range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, t", [
+        # alpha^2 is a normal float and the product overflowed to inf rows
+        (["--mode", "complexity", "--alpha", "1e150", "--beta", "50",
+          "--tmin", "4", "--tmax", "6", "--steps", "3"], "4.0"),
+        # alpha^2 is not: alpha t was squared with ** and raised an errno pair
+        (["--mode", "complexity", "--alpha", "1e155", "--beta", "1",
+          "--tmin", "4", "--tmax", "6", "--steps", "3"], "4.0"),
+        (["--mode", "verify", "--alpha", "1e155", "--beta", "1"], "0.5"),
+    ], ids=["complexity 1e150 50", "complexity 1e155 1", "verify 1e155 1"])
+    def test_complexity_beyond_the_float_range_names_k(self, argv, t, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+        assert f"complexity K(t) overflows at t={t}" in lines[0]
+        assert "Numerical result out of range" not in lines[0]
+
+    @pytest.mark.parametrize("mode", ["variance", "distribution", "autocorrelator"])
+    def test_float_power_overflow_prints_no_errno_pair(self, mode, capsys):
+        # abs(v) ** 2 raises OverflowError((34, 'Numerical result out of
+        # range')): the line says what happened and where, not the pair
+        assert main(["--mode", mode, "--alpha", "1e155", "--steps", "3"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["numerical failure: result beyond the float range "
+                         "[alpha=1e+155, beta=1.0, dim=256, t=1.0]"]
+
     @pytest.mark.parametrize("beta", ["1e-200", "1e-160", "5e-324"])
     @pytest.mark.parametrize("mode", ["complexity", "variance", "distribution", "autocorrelator"])
     def test_tiny_beta_rows_are_the_beta_zero_rows(self, mode, beta, tmp_path, capsys):

@@ -543,19 +543,29 @@ def test_late_time_exponent_where_complexity_underflows(alpha, beta):
     assert abs(exponent - 0.403419112479455) <= 1e-12
 
 
-@pytest.mark.parametrize("alpha, beta", [(1e150, 50.0), (1e154, 1.0)])
+@pytest.mark.parametrize("alpha, beta", [(1e150, 50.0), (1e154, 1.0), (1e155, 1.0), (1e200, 0.0)])
 def test_late_time_exponent_where_complexity_overflows(alpha, beta):
-    # alpha^2 is a normal float, but K(t) overflows to inf on part of the
-    # grid: the exponent is the 50-digit least-squares slope of log K
+    # K(t) is beyond the float range on part of the grid, where
+    # schrodinger_complexity_t raises, whether alpha^2 is a normal float
+    # (the first two) or not: the exponent is the 50-digit least-squares
+    # slope of log K
     mpmath = pytest.importorskip("mpmath")
     spec = LiouvillianSpec(alpha, beta)
     ts = np.linspace(4.0, 6.0, 41).tolist()
-    assert any(math.isinf(schrodinger_complexity_t(spec, t)) for t in ts)
+    overflows = []
+    for t in ts:
+        try:
+            schrodinger_complexity_t(spec, t)
+        except OverflowError as err:
+            assert err.t == t and "K(t)" in str(err)
+            overflows.append(t)
+    assert overflows
     with mpmath.workdps(50):
         a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
         x = [mpmath.mpf(t) for t in ts]
-        y = [mpmath.log(mpmath.sinh(b * t) ** 2
-                        + a ** 2 * mpmath.cosh(b * t) * (2 * mpmath.sinh(b * t / 2) / b) ** 2)
+        # t sinhc(b t / 2), with its limit t at b = 0
+        y = [mpmath.log(mpmath.sinh(b * t) ** 2 + a ** 2 * mpmath.cosh(b * t)
+                        * (2 * mpmath.sinh(b * t / 2) / b if b else t) ** 2)
              for t in x]
         xbar, ybar = mpmath.fsum(x) / len(x), mpmath.fsum(y) / len(y)
         slope = (mpmath.fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))

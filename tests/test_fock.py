@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from krylovgrowth.fock import (
     OperatorMatrix,
     TruncationConfig,
     build_ladders,
+    evolve_grid,
     evolve_state,
     guard_band_mass,
 )
@@ -198,18 +200,53 @@ class TestEvolveState:
 
     @pytest.mark.parametrize("t", [1e308, -1e308, math.inf, -math.inf])
     def test_overflowing_phase_names_its_time(self, t):
-        # t * eigenvalue is beyond the float range: no all-NaN state
+        # t * eigenvalue is beyond the float range: no all-NaN state; on a
+        # grid, the first failing time in grid order is named, and the
+        # times after it are evaluated without a warning
         L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=32))
         with pytest.raises(OverflowError) as err:
             evolve_state(L, t, vacuum(32))
         assert err.value.t == t
+        for grid in ([0.5, -0.0, t, 0.25, -t], [t, 1e308, 0.5]):
+            with warnings.catch_warnings(), pytest.raises(OverflowError) as err:
+                warnings.simplefilter("error")
+                evolve_grid(L, grid, vacuum(32))
+            assert err.value.t == t and f"t={t}" in str(err.value)
 
     def test_rejects_a_nan_time(self):
-        # a NaN time is no phase overflow: rejected before L is diagonalized
+        # a NaN time is no phase overflow: rejected before L is diagonalized,
+        # wherever it stands in a grid
         L = hw_generator(0.8, 32)
         with pytest.raises(ValueError, match="t=nan"):
             evolve_state(L, math.nan, vacuum(32))
+        for grid in ([math.nan], [0.5, 1e308, math.nan], [-1.0, 0.0, 2.0, math.nan, 0.3]):
+            with pytest.raises(ValueError, match="t=nan"):
+                evolve_grid(L, grid, vacuum(32))
         assert "_eigh" not in vars(L)
+
+    @pytest.mark.parametrize("dim", [32, 256])
+    def test_grid_rows_are_the_per_time_products(self, dim):
+        # each row against the per-time product in the eigenbasis, on an
+        # unsorted grid with negative times, both zeros and 1e-300, for the
+        # vacuum and a complex state; each mass is guard_band_mass of its row
+        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=dim))
+        eigvals, eigvecs = np.linalg.eigh(L.to_dense())
+        rng = np.random.default_rng(dim)
+        amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        ts = [0.3, -0.0, -0.7, 1.5, 0.0, 1e-300, -1e-300, -1.2, 0.05, 2.0]
+        for v0 in (vacuum(dim), FockVector(amps / np.linalg.norm(amps))):
+            states, masses = evolve_grid(L, ts, v0)
+            assert states.shape == (len(ts), dim) and states.dtype == complex
+            assert masses.shape == (len(ts),)
+            assert not states.flags.writeable
+            for psi, mass, t in zip(states, masses, ts):
+                want = eigvecs @ (np.exp(1j * t * eigvals) * (eigvecs.T @ v0.amplitudes))
+                assert psi.tobytes() == want.tobytes()
+                assert mass == guard_band_mass(FockVector(psi))
+                one = evolve_state(L, t, v0, tail_tolerance=1.0)
+                assert one.amplitudes.tobytes() == want.tobytes()
+            empty, no_mass = evolve_grid(L, [], v0)
+            assert empty.shape == (0, dim) and no_mass.shape == (0,)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -math.inf)])
     def test_rejects_a_non_finite_state(self, bad):

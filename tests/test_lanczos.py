@@ -30,6 +30,12 @@ def sl2r_generator(beta, dim):
     return build_liouvillian(LiouvillianSpec(0.0, beta), TruncationConfig(dim=dim))
 
 
+def chain_matrix(chain):
+    """The m x m chain matrix as a sum of np.diag terms: diagonal a,
+    hoppings b on both off-diagonals."""
+    return np.diag(chain.a) + np.diag(chain.b, 1) + np.diag(chain.b, -1)
+
+
 def full_length_hoppings(A, q0, m):
     """b_1..b_{m-1} of the Krylov sequence of ``q0`` under the dense matrix
     ``A``: every step over all dim entries, with two full Gram-Schmidt
@@ -300,7 +306,7 @@ class TestPropagation:
         with warnings.catch_warnings(), pytest.raises(EdgeLeak) as err:
             warnings.simplefilter("error")
             propagate_chain(chain, [0.0, 0.1, 4.0, 0.2, 3.0, 1e308])
-        evals, evecs = np.linalg.eigh(chain.tridiagonal())
+        evals, evecs = np.linalg.eigh(chain_matrix(chain))
         phi = evecs.astype(complex) @ (np.exp(4.0j * evals) * evecs[0])
         assert err.value.t == 4.0
         assert err.value.context == {"m": 6, "edge_mass": float(abs(phi[-1]) ** 2)}
@@ -355,37 +361,38 @@ class TestPropagation:
             assert phis[i].tobytes() == propagate_chain(chain, [t])[0].tobytes()
         assert propagate_chain(chain, []).shape == (0, chain.m)
 
-    @pytest.mark.parametrize("m, scale", [(2, 1e-5), (6, 0.05), (128, 1.0), (384, 2.0)])
-    def test_rows_are_the_per_time_products(self, m, scale):
+    @pytest.mark.parametrize("m, scale", [
+        (2, 1e-5), (6, 0.05), (128, 1.0), (384, 2.0),
+        ([0.3, -0.0, 1.5, 0.0], 1.0), ([-0.0] * 4, 0.05),
+    ], ids=["2-1e-05", "6-0.05", "128-1.0", "384-2.0", "signed zeros", "all -0.0"])
+    def test_rows_are_the_per_time_products(self, m, scale, monkeypatch):
         # each row against its own matrix-vector product in the eigenbasis of
         # the np.diag chain matrix, on an unsorted grid with negative times
-        # and both zeros; a zero time gives delta_{n0} exactly
-        dim = 2 * m + 64
-        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=dim))
-        chain = lanczos_tridiagonalize(L, vacuum(dim), m)
+        # and both zeros; a zero time gives delta_{n0} exactly. The last two
+        # chains are given by their diagonal, with signed zeros, and a hopping
+        # of 1e-300 that all but splits them in two; the one matrix that is
+        # diagonalized is the np.diag sum bitwise, signed zeros included
+        if isinstance(m, int):
+            dim = 2 * m + 64
+            L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=dim))
+            chain = lanczos_tridiagonalize(L, vacuum(dim), m)
+        else:
+            chain = KrylovChain(a=np.array(m), b=np.array([0.5, 1e-300, 2.0]), residual=0.0,
+                                basis=np.eye(4))
         ts = [scale * t for t in (0.3, -0.0, -0.7, 1.0, 0.0, -0.3, 0.05, -1.0, 0.6)]
-        evals, evecs = np.linalg.eigh(
-            np.diag(chain.a) + np.diag(chain.b, 1) + np.diag(chain.b, -1))
+        evals, evecs = np.linalg.eigh(chain_matrix(chain))
+        seen = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: seen.append(a.tobytes()) or eigh(a))
         phis = propagate_chain(chain, ts)
+        assert seen == [chain_matrix(chain).tobytes()]
         for phi, t in zip(phis, ts):
             if t == 0:
-                want = np.zeros(m, dtype=complex)
+                want = np.zeros(chain.m, dtype=complex)
                 want[0] = 1.0
             else:
                 want = evecs.astype(complex) @ (np.exp(1j * t * evals) * evecs[0])
             assert phi.tobytes() == want.tobytes()
-
-    def test_tridiagonal_is_the_np_diag_sum(self):
-        # bitwise, signed zeros of the diagonal included
-        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=512))
-        chains = [lanczos_tridiagonalize(L, vacuum(512), 128)] + [
-            KrylovChain(a=np.array(a), b=np.array([0.5, 1e-300, 2.0]), residual=0.0,
-                        basis=np.eye(4))
-            for a in ([0.3, -0.0, 1.5, 0.0], [-0.0] * 4)
-        ]
-        for chain in chains:
-            want = np.diag(chain.a) + np.diag(chain.b, 1) + np.diag(chain.b, -1)
-            assert chain.tridiagonal().tobytes() == want.tobytes()
 
 
 class TestChainComplexity:

@@ -30,7 +30,7 @@ REMOVED = {
         "OperatorMatrix.leading_matvec",
     ),
     "cli": ("ResultRow",),
-    "lanczos": ("ChainWavefunction",),
+    "lanczos": ("ChainWavefunction", "KrylovChain.tridiagonal"),
     "errors": ("NonHermitianInput",),
 }
 
