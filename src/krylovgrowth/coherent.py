@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -171,12 +170,17 @@ def _phi_zero(v: complex, w: complex, theta: complex) -> complex:
         return theta * gauss
     aw = abs(w)
     mubar = w.conjugate() / aw
-    return (
-        theta
-        * gauss
-        / math.sqrt(math.cosh(aw))
-        * cmath.exp(-0.5 * v * v * mubar * math.tanh(aw))
-    )
+    try:
+        return (
+            theta
+            * gauss
+            / math.sqrt(math.cosh(aw))
+            * cmath.exp(-0.5 * v * v * mubar * math.tanh(aw))
+        )
+    except OverflowError:  # |phi_0| <= 1, but a factor of the product need not be
+        raise OverflowError(
+            "a factor of the product form of phi_0, theta exp(-|v|^2/2) exp(-v^2 conj(w) "
+            "tanh|w| / (2|w|)) / sqrt(cosh|w|), is beyond the float range") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,13 +484,15 @@ def schrodinger_complexity_t(spec: LiouvillianSpec, t: float) -> float:
     if t == 0:  # before any power of alpha, which may overflow
         return 0.0
     bt = beta * t
-    sinhc = _sinhc(bt / 2.0)  # an infinite beta t raises here, by its own name
     try:
+        sinhc = _sinhc(bt / 2.0)
         if not (_square_is_normal(alpha) and _square_is_normal(t)):
             K = math.sinh(bt) ** 2 + math.cosh(bt) * (alpha * t * sinhc) ** 2
         else:
             K = math.sinh(bt) ** 2 + alpha ** 2 * (math.cosh(bt) * (t * sinhc) ** 2)
     except OverflowError:  # a float power or sinh past the range raises; a product is inf
+        if math.isinf(bt):  # beta t itself overflowed: _sinhc's own message
+            raise
         K = math.inf
     if math.isinf(K):
         err = OverflowError(f"complexity K(t) overflows at t={t}")
@@ -543,31 +549,31 @@ def late_time_growth_exponent(spec: LiouvillianSpec) -> float:
     """Empirical exponent of K(t) ~ e^{lambda t}: linear fit of log K over
     41 points of t in [4, 6].
 
-    Where some K(t) is zero or subnormal (alpha t and beta t both below
-    about 1e-154), or beyond the float range (alpha^2 cosh(beta t) t^2
-    sinhc^2(beta t / 2) past about 1.8e308, where
-    :func:`schrodinger_complexity_t` raises), the fit takes log K in log
-    form instead,
-    log K = 2 log t + log(beta^2 sinhc^2(beta t)
-                          + alpha^2 cosh(beta t) sinhc^2(beta t / 2)),
-    with alpha and beta scaled by max(|alpha|, |beta|) so that nothing
-    underflows or overflows through their squares. At alpha = beta = 0, K
-    vanishes and ``ValueError`` is raised.
+    log K is taken at every (alpha, beta) in one log form whose terms
+    neither underflow nor overflow for |alpha| and |beta| up to 1e300. At
+    alpha = beta = 0, K vanishes and ``ValueError`` is raised; a fit beyond
+    the float range raises ``OverflowError``.
     """
-    ts = np.linspace(4.0, 6.0, 41)
-    try:
-        ks = [schrodinger_complexity_t(spec, float(t)) for t in ts]
-    except OverflowError:  # some K(t) is beyond the float range
-        ks = None
-    if ks is not None and sys.float_info.min <= min(ks):
-        return float(np.polyfit(ts, np.log(ks), 1)[0])
     scale = max(abs(spec.alpha), abs(spec.beta))
     if scale == 0:
         raise ValueError("K(t) vanishes at alpha = beta = 0: no growth exponent")
-    a2, b2 = (spec.alpha / scale) ** 2, (spec.beta / scale) ** 2
+    a, b = spec.alpha / scale, spec.beta / scale
+    ts = np.linspace(4.0, 6.0, 41)
     lnk = []
     for t in ts.tolist():
-        bt = spec.beta * t
-        inner = b2 * _sinhc(bt) ** 2 + a2 * math.cosh(bt) * _sinhc(bt / 2.0) ** 2
-        lnk.append(2.0 * (math.log(t) + math.log(scale)) + math.log(inner))
-    return float(np.polyfit(ts, lnk, 1)[0])
+        # with x = |beta| t, sinh x = e^x x u / (1+x), cosh x = e^x c and
+        # sinh(x/2) = e^{x/2} x v / (2 (1+x)), so that log K is
+        # 2 log(scale t) + 2x - 2 log1p(x) + log(b^2 u^2 + a^2 c v^2), and
+        # the bracket stays between 1/4 and 3
+        x = abs(spec.beta) * t
+        u = v = 1.0
+        if x:
+            u = (1.0 + x) * -math.expm1(-2.0 * x) / (2.0 * x)
+            v = (1.0 + x) * -math.expm1(-x) / x
+        c = (1.0 + math.exp(-2.0 * x)) / 2.0
+        lnk.append(2.0 * (math.log(t) + math.log(scale) + x - math.log1p(x))
+                   + math.log((b * u) ** 2 + c * (a * v) ** 2))
+    slope = float(np.polyfit(ts, lnk, 1)[0])
+    if not math.isfinite(slope):  # |beta| t, or the fit's sums, past the float range
+        raise OverflowError(f"late-time exponent beyond the float range at beta = {spec.beta}")
+    return slope

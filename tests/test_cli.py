@@ -627,7 +627,10 @@ class TestMain:
         (["--mode", "complexity", "--alpha", "1e155", "--beta", "1",
           "--tmin", "4", "--tmax", "6", "--steps", "3"], "4.0"),
         (["--mode", "verify", "--alpha", "1e155", "--beta", "1"], "0.5"),
-    ], ids=["complexity 1e150 50", "complexity 1e155 1", "verify 1e155 1"])
+        # beta t is finite, but sinh(beta t / 2) is beyond the float range
+        (["--mode", "complexity", "--beta", "300", "--tmin", "6", "--tmax", "6",
+          "--steps", "1"], "6.0"),
+    ], ids=["complexity 1e150 50", "complexity 1e155 1", "verify 1e155 1", "complexity 1 300"])
     def test_complexity_beyond_the_float_range_names_k(self, argv, t, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -636,6 +639,20 @@ class TestMain:
         assert len(lines) == 1 and lines[0].startswith("numerical failure:")
         assert f"complexity K(t) overflows at t={t}" in lines[0]
         assert "Numerical result out of range" not in lines[0]
+
+    @pytest.mark.parametrize("argv", [
+        ["--mode", "autocorrelator", "--tmax", "4.8", "--alpha", "0.2", "--beta", "1.4"],
+        ["--mode", "verify", "--beta", "20", "--dim", "64", "--steps", "3"],
+    ], ids=["autocorrelator 0.2 1.4", "verify 1 20"])
+    def test_phi_zero_overflow_names_its_product_form(self, argv, capsys):
+        # a factor of the product overflows although |phi_0| <= 1
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+        assert "product form of phi_0" in lines[0]
+        assert "math range error" not in lines[0]
 
     @pytest.mark.parametrize("mode", ["variance", "distribution", "autocorrelator"])
     def test_float_power_overflow_prints_no_errno_pair(self, mode, capsys):
@@ -691,6 +708,22 @@ class TestMain:
         out, err = capsys.readouterr()
         exponent = json.loads(out)["documented_discrepancies"]["late_time_exponent"]
         assert abs(exponent["measured_over_t_4_to_6"] - 0.403419112479455) <= 1e-12
+        assert err.splitlines() == [
+            f"{name}: PASS" for name in ("oracle_vs_closed_form", "normalization",
+                                         "complexity_closed_vs_direct", "limit_recovery")
+        ]
+
+    @pytest.mark.parametrize("beta", ["61", "100", "177"])
+    def test_verify_of_a_pure_squeeze_reports_the_exponent(self, beta, capsys):
+        # sinh^2(beta t) overflows on part of t in [4, 6], but not at t <= 2,
+        # where the limit recovery evaluates K: the exponent is the 50-digit
+        # slope of 2 log sinh(beta t), 2 beta + O(beta e^{-8 beta}), which
+        # rounds to 2 beta here
+        assert main(["--mode", "verify", "--alpha", "0", "--beta", beta]) == 0
+        out, err = capsys.readouterr()
+        exponent = json.loads(out)["documented_discrepancies"]["late_time_exponent"]
+        assert exponent["measured_over_t_4_to_6"] == pytest.approx(2.0 * float(beta),
+                                                                   rel=1e-12, abs=0)
         assert err.splitlines() == [
             f"{name}: PASS" for name in ("oracle_vs_closed_form", "normalization",
                                          "complexity_closed_vs_direct", "limit_recovery")

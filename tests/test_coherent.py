@@ -543,23 +543,11 @@ def test_late_time_exponent_where_complexity_underflows(alpha, beta):
     assert abs(exponent - 0.403419112479455) <= 1e-12
 
 
-@pytest.mark.parametrize("alpha, beta", [(1e150, 50.0), (1e154, 1.0), (1e155, 1.0), (1e200, 0.0)])
-def test_late_time_exponent_where_complexity_overflows(alpha, beta):
-    # K(t) is beyond the float range on part of the grid, where
-    # schrodinger_complexity_t raises, whether alpha^2 is a normal float
-    # (the first two) or not: the exponent is the 50-digit least-squares
-    # slope of log K
+def _fifty_digit_slope(alpha, beta):
+    """The least-squares slope of log K over the 41 exponent times, in
+    50-digit arithmetic."""
     mpmath = pytest.importorskip("mpmath")
-    spec = LiouvillianSpec(alpha, beta)
     ts = np.linspace(4.0, 6.0, 41).tolist()
-    overflows = []
-    for t in ts:
-        try:
-            schrodinger_complexity_t(spec, t)
-        except OverflowError as err:
-            assert err.t == t and "K(t)" in str(err)
-            overflows.append(t)
-    assert overflows
     with mpmath.workdps(50):
         a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
         x = [mpmath.mpf(t) for t in ts]
@@ -570,10 +558,45 @@ def test_late_time_exponent_where_complexity_overflows(alpha, beta):
         xbar, ybar = mpmath.fsum(x) / len(x), mpmath.fsum(y) / len(y)
         slope = (mpmath.fsum((xi - xbar) * (yi - ybar) for xi, yi in zip(x, y))
                  / mpmath.fsum((xi - xbar) ** 2 for xi in x))
-        expected = float(slope)
+        return float(slope)
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (1.0, 1.0), (0.5, 0.75), (2.0, 0.5), (1.0, 0.0), (0.0, 1.0), (1.0, 1e3),
+    (0.0, 1e300), (1e300, 1e300), (1e300, 1e-300),
+])
+def test_late_time_exponent_is_the_fifty_digit_slope(alpha, beta):
+    exponent = late_time_growth_exponent(LiouvillianSpec(alpha, beta))
+    assert exponent == pytest.approx(_fifty_digit_slope(alpha, beta), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e150, 50.0), (1e154, 1.0), (1e155, 1.0), (1e200, 0.0),
+                                         (1.0, 100.0), (1.0, 200.0), (0.0, 230.0)])
+def test_late_time_exponent_where_complexity_overflows(alpha, beta):
+    # K(t) is beyond the float range on part of the grid, where
+    # schrodinger_complexity_t raises, whether alpha^2 is a normal float
+    # (the first two) or not, or sinh(beta t) overflows (the last three):
+    # the exponent is the 50-digit least-squares slope of log K
+    spec = LiouvillianSpec(alpha, beta)
+    ts = np.linspace(4.0, 6.0, 41).tolist()
+    overflows = []
+    for t in ts:
+        try:
+            schrodinger_complexity_t(spec, t)
+        except OverflowError as err:
+            assert err.t == t and "K(t)" in str(err)
+            overflows.append(t)
+    assert overflows
     exponent = late_time_growth_exponent(spec)
     assert math.isfinite(exponent)
-    assert exponent == pytest.approx(expected, rel=1e-12, abs=0)
+    assert exponent == pytest.approx(_fifty_digit_slope(alpha, beta), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("beta", [1e308, -1e308, 1e307])
+def test_late_time_exponent_beyond_the_float_range(beta):
+    # |beta| t, or the sums of the fit, overflow: no inf or NaN exponent
+    with pytest.raises(OverflowError, match="late-time exponent"):
+        late_time_growth_exponent(LiouvillianSpec(1.0, beta))
 
 
 def test_late_time_exponent_needs_a_generator():
