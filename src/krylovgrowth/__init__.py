@@ -23,6 +23,7 @@ from .algebra import (
     build_liouvillian,
     commutator,
     hamiltonian_to_matrix,
+    oracle_states,
 )
 from .coherent import (
     AmplitudeSeries,
@@ -59,8 +60,6 @@ from .fock import (
     TruncationConfig,
     build_ladders,
     evolve_grid,
-    evolve_state,
-    guard_band_mass,
 )
 from .lanczos import (
     KrylovChain,

@@ -7,7 +7,8 @@ closes the defining relations
     [D, H] = -2H,  [D, K] = 2K,  [H, K] = D
     [D, P] = -P,   [D, G] = G
 
-on the non-guard block, with M acting as the identity (central extension).
+off the last two rows and columns of the truncated basis, with M acting
+as the identity (central extension).
 In physical terms H is the free-particle Hamiltonian p^2/2, K the special
 conformal generator, D the dilatation, P and G translation and boost, and
 the sl(2,R) triple L0, L+1, L-1 realizes the squeeze sector on even Fock
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .fock import OperatorMatrix, TruncationConfig, build_ladders
+from .fock import FockVector, OperatorMatrix, TruncationConfig, build_ladders, evolve_grid
 
 __all__ = [
     "LiouvillianSpec",
@@ -35,8 +36,13 @@ __all__ = [
     "build_generators",
     "commutator",
     "build_liouvillian",
+    "oracle_states",
     "hamiltonian_to_matrix",
 ]
+
+# Amplitude bar of the dense oracle: a time is compared with the closed
+# form only where its truncation estimate is within it, and must agree to it.
+ORACLE_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,7 +81,7 @@ def build_generators(cfg: TruncationConfig) -> Dict[str, np.ndarray]:
 
     P = (a^dag - a)/sqrt(2)        translation
     G = (a^dag + a)/sqrt(2)        boost
-    M = a a^dag - a^dag a          central extension (identity off the guard band)
+    M = a a^dag - a^dag a          central extension (identity off the last row and column)
     H = -(a - a^dag)^2 / 4         free Hamiltonian p^2/2
     K = -(a + a^dag)^2 / 4         special conformal -x^2/2
     D = (a^2 - (a^dag)^2) / 2      dilatation
@@ -128,6 +134,31 @@ def build_liouvillian(spec: LiouvillianSpec, cfg: TruncationConfig) -> OperatorM
         if spec.beta:
             bands[0, 2:] = 0.5 * spec.beta * (root[1:-1] * root[2:])
     return OperatorMatrix(bands)
+
+
+def _comparison_dim(dim: int) -> int:
+    """N' = N + max(1, N // 8), the truncation :func:`oracle_states` compares with."""
+    return dim + max(1, dim // 8)
+
+
+def oracle_states(spec: LiouvillianSpec, t_grid: Sequence[float],
+                  dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dense oracle: the vacuum evolved by L at every time of ``t_grid``
+    at truncation N = ``dim``, bitwise the read-only rows of
+    :func:`~krylovgrowth.fock.evolve_grid`, and an a-posteriori estimate of
+    each state's truncation error from a second evolution at
+    N' = ``_comparison_dim(N)``: max(max_{k<N} |psi_N[k] - psi_N'[k]|,
+    max_{k>=N} |psi_N'[k]|). An estimate, not a bound; reported, not judged.
+    The errors are those of ``evolve_grid``, so a NaN time raises
+    ``ValueError`` before any eigendecomposition."""
+    states = evolve_grid(build_liouvillian(spec, TruncationConfig(dim=dim)), t_grid,
+                         FockVector.basis_state(dim, 0))
+    wide_dim = _comparison_dim(dim)
+    wide = evolve_grid(build_liouvillian(spec, TruncationConfig(dim=wide_dim)), t_grid,
+                       FockVector.basis_state(wide_dim, 0))
+    estimates = np.maximum(np.abs(states - wide[:, :dim]).max(axis=1),
+                           np.abs(wide[:, dim:]).max(axis=1))
+    return states, estimates
 
 
 def hamiltonian_to_matrix(h: QuadraticHamiltonian, cfg: TruncationConfig) -> np.ndarray:

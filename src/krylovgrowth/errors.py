@@ -29,8 +29,10 @@ class DimensionMismatch(KrylovGrowthError, ValueError):
 
 
 class TruncationOverflow(KrylovGrowthError, RuntimeError):
-    """Probability mass leaked into the guard band: the truncation dim is
-    too small for the requested evolution or squeeze strength."""
+    """The truncation dim is too small for the requested evolution: the
+    dense oracle's truncation estimate
+    (:func:`~krylovgrowth.algebra.oracle_states`) exceeds the caller's bar
+    at the largest dim tried."""
 
 
 class Breakdown(KrylovGrowthError, RuntimeError):

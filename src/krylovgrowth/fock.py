@@ -1,31 +1,25 @@
 """Truncated-Fock-space linear algebra.
 
 This module is the brute-force side of every cross-check in the library:
-ladder-operator matrices, exact unitary evolution by symmetric
-eigendecomposition and the guard band, all on a finite number basis
-``|0>, ..., |dim-1>``. The evolution generator L is real and symmetric,
-so it is stored by its main and upper diagonals (:class:`OperatorMatrix`)
-and applied through a stencil of 2b + 1 coefficient rows, one per diagonal
-from the outermost subdiagonal to the outermost superdiagonal: building
-and applying it costs O(dim), and a dense dim x dim array is formed only
-for the eigendecomposition, the library's one exact exponential
+ladder-operator matrices and exact unitary evolution by symmetric
+eigendecomposition, all on a finite number basis ``|0>, ..., |dim-1>``.
+The evolution generator L is real and symmetric, so it is stored by its
+main and upper diagonals (:class:`OperatorMatrix`) and applied through a
+stencil of 2b + 1 coefficient rows, one per diagonal from the outermost
+subdiagonal to the outermost superdiagonal: building and applying it
+costs O(dim), and a dense dim x dim array is formed only for the
+eigendecomposition, the library's one exact exponential
 (``OperatorMatrix._exp``, shared with the Lanczos chain). The ladder
 matrices are plain arrays: they feed the small symbolic checks of
 :mod:`~krylovgrowth.algebra` and :mod:`~krylovgrowth.bch`.
 
 Truncating the Fock space breaks operator identities near the top of the
-basis (e.g. ``[a, a^dag] = 1`` fails in the last row/column), so a guard
-band occupying the top eighth of the indices (``GUARD_FRACTION``) is
-reserved for *detecting* leakage: its mass is the probability that has
-reached the top of the basis. :func:`evolve_grid` reports it for every
-state, and :func:`evolve_state` raises
-:class:`~krylovgrowth.errors.TruncationOverflow` where it exceeds
-``tail_tolerance``. A small mass does not bound the error of the
-amplitudes below the band: at (alpha, beta) = (0, 1), dim 256 and
-t = 1.5 the guard mass is 2.5e-11, yet the state is 3.8e-7 off the closed
-form. Every size is that of an array: the guard band is taken from the
-dim of the state at hand, and :class:`TruncationConfig` only sizes what
-the builders make.
+basis (e.g. ``[a, a^dag] = 1`` fails in the last row/column), so an
+evolved state is only as good as the truncation that holds it. This
+module does not judge that: :func:`evolve_grid` returns the states, and
+:func:`~krylovgrowth.algebra.oracle_states` estimates their truncation
+error by evolving once more in a larger basis. Every size is that of an
+array: :class:`TruncationConfig` only sizes what the builders make.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, TruncationOverflow
+from .errors import DimensionMismatch
 
 __all__ = [
     "TruncationConfig",
@@ -45,12 +39,7 @@ __all__ = [
     "OperatorMatrix",
     "build_ladders",
     "evolve_grid",
-    "evolve_state",
-    "guard_band_mass",
 ]
-
-# Share of the top indices held back as the guard band.
-GUARD_FRACTION = 0.125
 
 
 @dataclass(frozen=True)
@@ -63,12 +52,6 @@ class TruncationConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be positive, got {self.dim}")
-
-
-def _guard_start(dim: int) -> int:
-    """First index of the guard band, the top ``GUARD_FRACTION`` of a
-    dim-dimensional basis (at least 1 index)."""
-    return dim - max(1, int(dim * GUARD_FRACTION))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -201,23 +184,14 @@ def build_ladders(cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
     return a, a.T.copy()
 
 
-def guard_band_mass(vec: FockVector) -> float:
-    """Probability mass sitting on the guard band of ``vec``'s own dim."""
-    return float(np.sum(np.abs(vec.amplitudes[_guard_start(vec.dim):]) ** 2))
-
-
-def evolve_grid(L: OperatorMatrix, t_grid: Sequence[float],
-                v0: FockVector) -> tuple[np.ndarray, np.ndarray]:
+def evolve_grid(L: OperatorMatrix, t_grid: Sequence[float], v0: FockVector) -> np.ndarray:
     """exp(i t L) v0 at every time of ``t_grid`` by symmetric
     eigendecomposition (unitary to machine precision, computed once per
     ``L``): the read-only states, one row per time, each bitwise what that
-    time alone gives, and each row's guard-band mass, not judged here: the
-    probability that reached the top of the basis, which does not bound
-    the amplitude error (module docstring). A NaN time, or a non-finite
-    amplitude of ``v0``, raises ``ValueError``. The first time whose phases
-    t * eigenvalue overflow raises :class:`OverflowError` with that time as
-    its ``t``, and the first whose norm drifts by more than 1e-10
-    ``ArithmeticError``."""
+    time alone gives. A NaN time, or a non-finite amplitude of ``v0``,
+    raises ``ValueError``. The first time whose phases t * eigenvalue
+    overflow raises :class:`OverflowError` with that time as its ``t``, and
+    the first whose norm drifts by more than 1e-10 ``ArithmeticError``."""
     if L.dim != v0.dim:
         raise DimensionMismatch(f"operator dim {L.dim} != state dim {v0.dim}")
     if not np.isfinite(v0.amplitudes).all():
@@ -232,27 +206,4 @@ def evolve_grid(L: OperatorMatrix, t_grid: Sequence[float],
             err.t = t_grid[i]
             raise err
         raise ArithmeticError(f"unitarity lost: norm drift {drift[i]:.3e}")
-    return _freeze(states), np.sum(np.abs(states[:, _guard_start(L.dim):]) ** 2, axis=1)
-
-
-def evolve_state(
-    L: OperatorMatrix, t: float, v0: FockVector, tail_tolerance: float = 1e-10
-) -> FockVector:
-    """:func:`evolve_grid` at one time, with its errors; a state whose
-    guard-band mass exceeds ``tail_tolerance`` raises
-    :class:`TruncationOverflow`: probability has reached the top of the
-    basis, so ``L.dim`` is too small for this time. A mass under the
-    tolerance detects no leak, but does not bound the amplitude error
-    (module docstring)."""
-    if not tail_tolerance > 0:
-        raise ValueError("tail_tolerance must be > 0")
-    (state,), (mass,) = evolve_grid(L, [t], v0)
-    if mass > tail_tolerance:
-        raise TruncationOverflow(
-            f"guard-band mass {mass:.3e} exceeds tail tolerance "
-            f"{tail_tolerance:.1e}; increase dim",
-            guard_mass=float(mass),
-            dim=L.dim,
-            t=t,
-        )
-    return FockVector(state)
+    return _freeze(states)

@@ -5,15 +5,22 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from krylovgrowth.algebra import (
+    ORACLE_TOLERANCE,
     LiouvillianSpec,
     QuadraticHamiltonian,
     build_generators,
     build_liouvillian,
     commutator,
     hamiltonian_to_matrix,
+    oracle_states,
 )
+from krylovgrowth.coherent import closed_form_params, phi_series
 from krylovgrowth.errors import DimensionMismatch
-from krylovgrowth.fock import OperatorMatrix, TruncationConfig, _guard_start, build_ladders
+from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, build_ladders, evolve_grid
+
+# The dim-16 generators obey their relations off the last two rows and
+# columns, where the truncation cuts the quadratic ladder products.
+GS = 14
 
 
 def stencil_product(op, x):
@@ -36,8 +43,7 @@ class TestGenerators:
                                "L0", "L_plus1", "L_minus1", "number"}
 
     def test_central_element_is_identity_off_guard(self, gens16):
-        gs = _guard_start(16)
-        dev = np.abs(gens16["M"] - np.eye(16))[:gs, :gs]
+        dev = np.abs(gens16["M"] - np.eye(16))[:GS, :GS]
         assert dev.max() <= 1e-12
 
     def test_bandwidths(self, gens16):
@@ -85,12 +91,11 @@ class TestGenerators:
 
 
 class TestCommutatorTable:
-    """The defining relations, checked off the guard band at 1e-10."""
+    """The defining relations, checked off the last two rows and columns at 1e-10."""
 
     def test_heisenberg_weyl_line(self, gens16):
         lhs = commutator(gens16["P"], gens16["G"])
-        gs = _guard_start(16)
-        assert np.max(np.abs((lhs + gens16["M"])[:gs, :gs])) <= 1e-10
+        assert np.max(np.abs((lhs + gens16["M"])[:GS, :GS])) <= 1e-10
 
     @pytest.mark.parametrize(
         "x, y, target, coef",
@@ -104,8 +109,7 @@ class TestCommutatorTable:
     )
     def test_sl2r_and_cross_lines(self, gens16, x, y, target, coef):
         lhs = commutator(gens16[x], gens16[y])
-        gs = _guard_start(16)
-        dev = np.abs(lhs - coef * gens16[target])[:gs, :gs]
+        dev = np.abs(lhs - coef * gens16[target])[:GS, :GS]
         assert dev.max() <= 1e-10
 
     @pytest.mark.parametrize(
@@ -118,8 +122,7 @@ class TestCommutatorTable:
     )
     def test_weight_sector_relations(self, gens16, x, y, target, coef):
         lhs = commutator(gens16[x], gens16[y])
-        gs = _guard_start(16)
-        dev = np.abs(lhs - coef * gens16[target])[:gs, :gs]
+        dev = np.abs(lhs - coef * gens16[target])[:GS, :GS]
         assert dev.max() <= 1e-10
 
     @pytest.mark.parametrize(
@@ -129,14 +132,12 @@ class TestCommutatorTable:
     def test_semidirect_action(self, gens16, x, y, target, coef):
         # translations/boosts transform under the quadratic sector
         lhs = commutator(gens16[x], gens16[y])
-        gs = _guard_start(16)
-        dev = np.abs(lhs - coef * gens16[target])[:gs, :gs]
+        dev = np.abs(lhs - coef * gens16[target])[:GS, :GS]
         assert dev.max() <= 1e-10
 
     def test_ladder_commutator(self, gens16):
         lhs = commutator(gens16["a"], gens16["a_dagger"])
-        gs = _guard_start(16)
-        assert np.max(np.abs(lhs - np.eye(16))[:gs, :gs]) <= 1e-10
+        assert np.max(np.abs(lhs - np.eye(16))[:GS, :GS]) <= 1e-10
 
     def test_antisymmetry(self, gens16):
         z = commutator(gens16["H"], gens16["H"])
@@ -191,6 +192,62 @@ class TestLiouvillian:
     def test_rejects_nonfinite_spec(self):
         with pytest.raises(ValueError):
             LiouvillianSpec(float("nan"), 1.0)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shapes of the matrices np.linalg.eigh is called on."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    return calls
+
+
+def true_error(spec, t, psi):
+    """Largest |psi_k - phi_k| against the amplitude series; the series'
+    amplitudes past len(psi), which the truncation drops, count whole."""
+    phi = phi_series(closed_form_params(spec, t), tol=1e-12, max_k=16384).phi
+    n = min(len(phi), len(psi))
+    return max(np.abs(psi[:n] - phi[:n]).max(), np.abs(phi[len(psi):]).max(initial=0.0))
+
+
+class TestOracleStates:
+    @pytest.mark.parametrize("dim", [4, 64])
+    def test_rows_are_evolve_grid_at_dim(self, dim, eigh_calls):
+        spec, ts = LiouvillianSpec(1.0, 1.0), [0.0, 0.5, -1.25, 2.0]
+        states, estimates = oracle_states(spec, ts, dim)
+        # one eigendecomposition at dim, one at a larger comparison dim
+        assert eigh_calls[0] == (dim, dim) and eigh_calls[1] == (dim + max(1, dim // 8),) * 2
+        want = evolve_grid(build_liouvillian(spec, TruncationConfig(dim=dim)), ts,
+                           FockVector.basis_state(dim, 0))
+        assert states.tobytes() == want.tobytes() and not states.flags.writeable
+        assert estimates.shape == (len(ts),)
+
+    @pytest.mark.parametrize("dim", [256, 512])
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.0, 1.0), (0.25, 1.5)])
+    def test_estimate_tracks_the_true_error(self, alpha, beta, dim):
+        # an estimate, not a bound: the larger truncation has an error of its
+        # own, and near the truncation limit the true error exceeds the
+        # estimate by up to 3.7% on these grids; each grid reaches times
+        # the dim cannot hold
+        spec = LiouvillianSpec(alpha, beta)
+        ts = np.linspace(0.0, 2.0, 41).tolist()
+        states, estimates = oracle_states(spec, ts, dim)
+        assert estimates.max() > ORACLE_TOLERANCE
+        for t, psi, estimate in zip(ts, states, estimates):
+            error = true_error(spec, t, psi)
+            assert error <= 1e-13 or error <= 1.1 * estimate, (t, error, estimate)
+
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
+    def test_estimate_at_t0_is_rounding(self, alpha, beta):
+        # both truncations return the vacuum through their eigenvectors
+        _, estimates = oracle_states(LiouvillianSpec(alpha, beta), [0.0, -0.0], 256)
+        assert estimates.max() <= 1e-14
+
+    def test_nan_time_raises_before_any_eigh(self, eigh_calls):
+        with pytest.raises(ValueError, match="t=nan"):
+            oracle_states(LiouvillianSpec(1.0, 1.0), [0.5, math.nan], 64)
+        assert eigh_calls == []
 
 
 class TestQuadraticHamiltonian:

@@ -7,7 +7,7 @@ from krylovgrowth.algebra import LiouvillianSpec, QuadraticHamiltonian
 from krylovgrowth.bch import apply_displacement_squeeze, decompose_exponential, to_rep4
 from krylovgrowth.errors import DecompositionFailure
 from krylovgrowth.coherent import DisplacementParams, closed_form_params, hermite_argument
-from krylovgrowth.fock import FockVector, TruncationConfig, evolve_state
+from krylovgrowth.fock import FockVector, TruncationConfig, evolve_grid
 from krylovgrowth.algebra import build_liouvillian
 
 
@@ -135,8 +135,8 @@ class TestStateLevelIdentity:
         spec = LiouvillianSpec(alpha, beta)
         psi_group = apply_displacement_squeeze(closed_form_params(spec, t), cfg)
         L = build_liouvillian(spec, cfg)
-        psi_exact = evolve_state(L, t, FockVector.basis_state(256, 0))
-        assert np.max(np.abs(psi_group.amplitudes - psi_exact.amplitudes)) <= 1e-8
+        (psi_exact,) = evolve_grid(L, [t], FockVector.basis_state(256, 0))
+        assert np.max(np.abs(psi_group.amplitudes - psi_exact)) <= 1e-8
 
     def test_operators_are_unitary(self):
         # truncated generators are anti-Hermitian, so D(v) S(w) keeps the norm of |0>

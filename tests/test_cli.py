@@ -340,13 +340,14 @@ class TestFigureData:
 
 
 class TestVerify:
-    def test_one_eigendecomposition_per_run(self, monkeypatch):
+    def test_one_eigendecomposition_per_dim(self, monkeypatch):
+        # the oracle at --dim, and the comparison dim of its truncation estimate
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         cfg = SweepConfig(t_max=1.0, steps=5, dim=64, mode="verify")
         report = verify(cfg)
-        assert calls == [(64, 64)]
+        assert calls == [(64, 64), (72, 72)]
         assert list(report["config"].items()) == list(asdict(cfg).items())
 
     def test_passes_with_truncation_skips(self):
@@ -645,14 +646,46 @@ class TestMain:
         ["--mode", "verify", "--beta", "20", "--dim", "64", "--steps", "3"],
     ], ids=["autocorrelator 0.2 1.4", "verify 1 20"])
     def test_phi_zero_overflow_names_its_product_form(self, argv, capsys):
-        # a factor of the product overflows although |phi_0| <= 1
-        assert main(argv) == 2
+        # a factor of the product overflows although |phi_0| <= 1: the sweep
+        # ends with exit 2, while verify's probe reports it and passes
+        code = main(argv)
         captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
-        assert "product form of phi_0" in lines[0]
-        assert "math range error" not in lines[0]
+        if "verify" in argv:
+            assert code == 0
+            rows = json.loads(captured.out)["documented_discrepancies"]["autocorrelator_alt_form"]
+            messages = [row["error"] for row in rows if "error" in row]
+        else:
+            assert code == 2 and captured.out == ""
+            messages = captured.err.splitlines()
+            assert len(messages) == 1 and messages[0].startswith("numerical failure:")
+        assert messages
+        for message in messages:
+            assert "product form of phi_0" in message and "math range error" not in message
+
+    def test_probe_failures_never_set_the_exit(self, monkeypatch, capsys):
+        # at (1, 20) phi_0's product form overflows from t = 0.4, and here the
+        # late-time exponent is made to overflow too: each probe keeps its
+        # keys, with null values and the message, and the four authoritative
+        # checks alone set the exit
+        def overflow(spec):
+            raise OverflowError("late-time exponent beyond the float range")
+
+        monkeypatch.setattr(cli, "late_time_growth_exponent", overflow)
+        assert main(["--mode", "verify", "--beta", "20", "--tmax", "0.05", "--steps", "3"]) == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"{name}: PASS" for name in cli._AUTHORITATIVE]
+        probes = json.loads(out)["documented_discrepancies"]
+        rows = probes["autocorrelator_alt_form"]
+        assert [row["t"] for row in rows] == [0.1, 0.2, 0.4]
+        assert "error" not in rows[0] and rows[0]["deviation"] > 0
+        assert rows[2]["authoritative"] is None and rows[2]["deviation"] is None
+        assert rows[2]["alt_form"] == 0.0
+        assert "product form of phi_0" in rows[2]["error"] and "t=0.4" in rows[2]["error"]
+        assert probes["late_time_exponent"] == {
+            "measured_over_t_4_to_6": None, "candidate_beta": 20.0, "candidate_two_beta": 40.0,
+            "error": "result beyond the float range: late-time exponent beyond the float range "
+                     "[alpha=1.0, beta=20.0, dim=256]",
+        }
 
     @pytest.mark.parametrize("mode", ["variance", "distribution", "autocorrelator"])
     def test_float_power_overflow_prints_no_errno_pair(self, mode, capsys):
@@ -688,6 +721,11 @@ class TestMain:
 
         tiny, zero = report(beta), report("0")
         assert tiny["pass"] is True
+        # approx compares flat sections: the nested estimate on its own
+        tiny_estimate, zero_estimate = (r["oracle_vs_closed_form"].pop("truncation_estimate")
+                                        for r in (tiny, zero))
+        assert tiny_estimate["dims"] == zero_estimate["dims"]
+        assert tiny_estimate["per_t"] == pytest.approx(zero_estimate["per_t"], rel=1e-12, abs=1e-12)
         for check in ("oracle_vs_closed_form", "normalization", "complexity_closed_vs_direct",
                       "limit_recovery"):
             assert tiny[check] == pytest.approx(zero[check], rel=1e-12, abs=1e-12)
@@ -733,16 +771,33 @@ class TestMain:
         assert main(["--figure", "fig2", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig2.csv").exists()
 
-    def test_verify_exit_three_when_dim_cannot_meet_bar(self):
-        # dim=128 leaves ~1e-7 oracle truncation noise at t=1: authoritative
-        # failure, distinct from the numerical-failure exit
-        code = main(["--mode", "verify", "--tmax", "1.5", "--steps", "4",
-                     "--dim", "128", "--out", "/dev/null"])
+    def test_verify_exit_three_when_dim_cannot_meet_bar(self, tmp_path):
+        # dim=16 holds none of the times in [1, 1.5]: with no time checked
+        # the oracle check fails, an authoritative failure distinct from the
+        # numerical-failure exit
+        out = tmp_path / "report.json"
+        code = main(["--mode", "verify", "--tmin", "1", "--tmax", "1.5", "--steps", "4",
+                     "--dim", "16", "--out", str(out)])
         assert code == 3
+        oracle = json.loads(out.read_text())["oracle_vs_closed_form"]
+        assert oracle["checked_t"] == [] and len(oracle["skipped_truncation_limited_t"]) == 4
+
+    def test_verify_at_default_flags_exits_zero(self, tmp_path):
+        # a time is checked exactly where its truncation estimate is within
+        # the 1e-8 bar; the late times the default dim cannot hold are skipped
+        out = tmp_path / "report.json"
+        assert main(["--mode", "verify", "--out", str(out)]) == 0
+        oracle = json.loads(out.read_text())["oracle_vs_closed_form"]
+        estimate = oracle["truncation_estimate"]
+        assert estimate["dims"] == [256, 288]
+        ts = SweepConfig().t_grid().tolist()
+        by_t = dict(zip(ts, estimate["per_t"]))
+        assert oracle["checked_t"] == [t for t in ts if by_t[t] <= 1e-8]
+        assert oracle["skipped_truncation_limited_t"] == [t for t in ts if by_t[t] > 1e-8]
+        assert oracle["checked_t"] and oracle["skipped_truncation_limited_t"]
+        assert oracle["max_amplitude_deviation"] <= oracle["tolerance"] == 1e-8
 
     def test_verify_exit_zero(self, tmp_path):
-        # dim=128 leaves ~1e-7 truncation noise in the oracle at t=1 and
-        # correctly verify-fails; 256 meets the authoritative bar
         out = tmp_path / "report.json"
         code = main(["--mode", "verify", "--tmax", "1.5", "--steps", "4",
                      "--dim", "256", "--out", str(out)])
@@ -821,7 +876,7 @@ def reference_parser():
                         help=f"grid points (default {d.steps})")
     parser.add_argument("--dim", type=int, default=d.dim, help=f"Fock truncation (default {d.dim})")
     parser.add_argument("--tol", type=float, default=d.tol,
-                        help=f"series/guard tolerance (default {d.tol:g})")
+                        help=f"series tolerance (default {d.tol:g})")
     parser.add_argument("--mode", choices=MODES, default=d.mode, help="observable to sweep")
     parser.add_argument("--format", choices=FORMATS, default="csv")
     parser.add_argument("--out", type=str,

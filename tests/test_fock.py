@@ -7,15 +7,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from krylovgrowth.algebra import LiouvillianSpec, build_liouvillian
 from krylovgrowth.coherent import closed_form_params, phi_series
-from krylovgrowth.errors import DimensionMismatch, TruncationOverflow
+from krylovgrowth.errors import DimensionMismatch
 from krylovgrowth.fock import (
     FockVector,
     OperatorMatrix,
     TruncationConfig,
     build_ladders,
     evolve_grid,
-    evolve_state,
-    guard_band_mass,
 )
 
 
@@ -159,13 +157,13 @@ def hw_generator(alpha, dim):
 class TestEvolveState:
     def test_t0_identity(self):
         L = hw_generator(0.8, 32)
-        psi = evolve_state(L, 0.0, vacuum(32))
-        assert np.allclose(psi.amplitudes, vacuum(32).amplitudes, atol=1e-14)
+        (psi,) = evolve_grid(L, [0.0], vacuum(32))
+        assert np.allclose(psi, vacuum(32).amplitudes, atol=1e-14)
 
     def test_poisson_distribution(self):
         # |<k|e^{i t alpha (a+ad)}|0>|^2 is Poisson with mean (alpha t)^2
-        psi = evolve_state(hw_generator(1.0, 64), 0.5, vacuum(64))
-        probs = psi.probabilities()
+        (psi,) = evolve_grid(hw_generator(1.0, 64), [0.5], vacuum(64))
+        probs = FockVector(psi).probabilities()
         lam = 0.25
         for k in range(3):
             expected = math.exp(-lam) * lam**k / math.factorial(k)
@@ -174,12 +172,12 @@ class TestEvolveState:
     def test_unitarity_and_group_property(self):
         # 0.7 (a + a^dag) + 0.3 (a^2 + (a^dag)^2)
         L = build_liouvillian(LiouvillianSpec(0.7, 0.6), TruncationConfig(dim=128))
-        for t in (0.3, 0.9, 1.7):
-            psi = evolve_state(L, t, vacuum(128))
-            assert abs(psi.norm_sq - 1.0) <= 1e-10
-        two_step = evolve_state(L, 0.9, evolve_state(L, 0.4, vacuum(128)))
-        one_step = evolve_state(L, 1.3, vacuum(128))
-        assert np.max(np.abs(two_step.amplitudes - one_step.amplitudes)) <= 1e-9
+        for psi in evolve_grid(L, [0.3, 0.9, 1.7], vacuum(128)):
+            assert abs(FockVector(psi).norm_sq - 1.0) <= 1e-10
+        (half,) = evolve_grid(L, [0.4], vacuum(128))
+        (two_step,) = evolve_grid(L, [0.9], FockVector(half))
+        (one_step,) = evolve_grid(L, [1.3], vacuum(128))
+        assert np.max(np.abs(two_step - one_step)) <= 1e-9
 
     @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (1.5, 0.25), (1.0, 0.0), (0.0, 1.0)])
     def test_amplitudes_match_closed_form_with_phases(self, alpha, beta):
@@ -187,16 +185,10 @@ class TestEvolveState:
         # truncation covers; (0.25, 1.5) at t = 1 is truncation-limited
         # (4.5e-7) and left out
         spec = LiouvillianSpec(alpha, beta)
-        psi = evolve_state(build_liouvillian(spec, TruncationConfig(dim=256)), 0.5, vacuum(256))
+        (psi,) = evolve_grid(build_liouvillian(spec, TruncationConfig(dim=256)), [0.5], vacuum(256))
         series = phi_series(closed_form_params(spec, 0.5), tol=1e-12)
-        n = min(series.k_max + 1, psi.dim)
-        assert np.max(np.abs(psi.amplitudes[:n] - series.phi[:n])) <= 1e-12
-
-    def test_truncation_overflow_when_dim_too_small(self):
-        L = build_liouvillian(LiouvillianSpec(0.0, 1.0), TruncationConfig(dim=32))
-        with pytest.raises(TruncationOverflow) as err:
-            evolve_state(L, 2.0, vacuum(32))
-        assert err.value.context["dim"] == L.dim == 32
+        n = min(series.k_max + 1, len(psi))
+        assert np.max(np.abs(psi[:n] - series.phi[:n])) <= 1e-12
 
     @pytest.mark.parametrize("t", [1e308, -1e308, math.inf, -math.inf])
     def test_overflowing_phase_names_its_time(self, t):
@@ -205,7 +197,7 @@ class TestEvolveState:
         # times after it are evaluated without a warning
         L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=32))
         with pytest.raises(OverflowError) as err:
-            evolve_state(L, t, vacuum(32))
+            evolve_grid(L, [t], vacuum(32))
         assert err.value.t == t
         for grid in ([0.5, -0.0, t, 0.25, -t], [t, 1e308, 0.5]):
             with warnings.catch_warnings(), pytest.raises(OverflowError) as err:
@@ -217,8 +209,6 @@ class TestEvolveState:
         # a NaN time is no phase overflow: rejected before L is diagonalized,
         # wherever it stands in a grid
         L = hw_generator(0.8, 32)
-        with pytest.raises(ValueError, match="t=nan"):
-            evolve_state(L, math.nan, vacuum(32))
         for grid in ([math.nan], [0.5, 1e308, math.nan], [-1.0, 0.0, 2.0, math.nan, 0.3]):
             with pytest.raises(ValueError, match="t=nan"):
                 evolve_grid(L, grid, vacuum(32))
@@ -228,25 +218,22 @@ class TestEvolveState:
     def test_grid_rows_are_the_per_time_products(self, dim):
         # each row against the per-time product in the eigenbasis, on an
         # unsorted grid with negative times, both zeros and 1e-300, for the
-        # vacuum and a complex state; each mass is guard_band_mass of its row
+        # vacuum and a complex state, and against the time evolved alone
         L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=dim))
         eigvals, eigvecs = np.linalg.eigh(L.to_dense())
         rng = np.random.default_rng(dim)
         amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         ts = [0.3, -0.0, -0.7, 1.5, 0.0, 1e-300, -1e-300, -1.2, 0.05, 2.0]
         for v0 in (vacuum(dim), FockVector(amps / np.linalg.norm(amps))):
-            states, masses = evolve_grid(L, ts, v0)
+            states = evolve_grid(L, ts, v0)
             assert states.shape == (len(ts), dim) and states.dtype == complex
-            assert masses.shape == (len(ts),)
             assert not states.flags.writeable
-            for psi, mass, t in zip(states, masses, ts):
+            for psi, t in zip(states, ts):
                 want = eigvecs @ (np.exp(1j * t * eigvals) * (eigvecs.T @ v0.amplitudes))
                 assert psi.tobytes() == want.tobytes()
-                assert mass == guard_band_mass(FockVector(psi))
-                one = evolve_state(L, t, v0, tail_tolerance=1.0)
-                assert one.amplitudes.tobytes() == want.tobytes()
-            empty, no_mass = evolve_grid(L, [], v0)
-            assert empty.shape == (0, dim) and no_mass.shape == (0,)
+                (one,) = evolve_grid(L, [t], v0)
+                assert one.tobytes() == want.tobytes()
+            assert evolve_grid(L, [], v0).shape == (0, dim)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, -math.inf)])
     def test_rejects_a_non_finite_state(self, bad):
@@ -255,33 +242,4 @@ class TestEvolveState:
         amps = np.zeros(32, dtype=complex)
         amps[0], amps[3] = 1.0, bad
         with pytest.raises(ValueError, match="finite"):
-            evolve_state(L, 0.5, FockVector(amps))
-
-    @pytest.mark.parametrize("tail_tolerance", [0.0, -1e-10, float("nan")])
-    def test_rejects_bad_tail_tolerance(self, tail_tolerance):
-        L = hw_generator(0.8, 32)
-        with pytest.raises(ValueError):
-            evolve_state(L, 0.1, vacuum(32), tail_tolerance)
-
-    def test_tail_tolerance_sets_the_guard_bar(self):
-        # at t = 1.2 the dim-256 guard band holds a little mass, below the
-        # default bar: a bar under it trips
-        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=256))
-        mass = guard_band_mass(evolve_state(L, 1.2, vacuum(256)))
-        assert 0 < mass <= 1e-10
-        with pytest.raises(TruncationOverflow):
-            evolve_state(L, 1.2, vacuum(256), mass / 2)
-
-    def test_guard_band_mass_reports_top_block(self):
-        # dim 8: the guard is index 7 only
-        amps = np.zeros(8, dtype=complex)
-        amps[7] = 0.5
-        amps[0] = math.sqrt(0.75)
-        assert guard_band_mass(FockVector(amps)) == pytest.approx(0.25)
-
-    @pytest.mark.parametrize("dim, start", [(1, 0), (7, 6), (8, 7), (16, 14), (256, 224)])
-    def test_guard_band_is_the_top_eighth(self, dim, start):
-        # the top eighth of the indices, and at least one
-        amps = np.zeros(dim)
-        amps[start:] = 1.0
-        assert guard_band_mass(FockVector(amps)) == dim - start
+            evolve_grid(L, [0.5], FockVector(amps))

@@ -8,7 +8,7 @@ import pytest
 from krylovgrowth import lanczos
 from krylovgrowth.algebra import LiouvillianSpec, build_liouvillian
 from krylovgrowth.errors import Breakdown, EdgeLeak
-from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, evolve_state
+from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, evolve_grid
 from krylovgrowth.lanczos import (
     KrylovChain,
     chain_complexity,
@@ -416,9 +416,8 @@ class TestChainComplexity:
         L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=256))
         chain = lanczos_tridiagonalize(L, vacuum(256), 120)
         ts = [0.5, 1.0]
-        for t, phi in zip(ts, propagate_chain(chain, ts)):
-            psi = evolve_state(L, t, vacuum(256))
-            proj = project_onto_chain(chain, psi)
+        for phi, psi in zip(propagate_chain(chain, ts), evolve_grid(L, ts, vacuum(256))):
+            proj = project_onto_chain(chain, FockVector(psi))
             K_proj = float(np.sum(np.arange(chain.m) * np.abs(proj) ** 2))
             assert chain_complexity(phi) == pytest.approx(K_proj, abs=1e-9)
 

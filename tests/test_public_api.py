@@ -27,7 +27,7 @@ REMOVED = {
         "OperatorMatrix.from_entries", "OperatorMatrix.__matmul__", "OperatorMatrix.is_hermitian",
         "HERMITIAN_TOL", "TruncationConfig.tail_tolerance", "TruncationConfig.guard_size",
         "TruncationConfig.guard_start", "OperatorMatrix.matvec", "band_windows",
-        "OperatorMatrix.leading_matvec",
+        "OperatorMatrix.leading_matvec", "evolve_state", "guard_band_mass", "GUARD_FRACTION",
     ),
     "cli": ("ResultRow",),
     "lanczos": ("ChainWavefunction", "KrylovChain.tridiagonal"),
