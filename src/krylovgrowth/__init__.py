@@ -21,6 +21,7 @@ from .algebra import (
     QuadraticHamiltonian,
     build_generators,
     build_liouvillian,
+    chain_states,
     commutator,
     hamiltonian_to_matrix,
     oracle_states,

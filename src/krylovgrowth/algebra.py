@@ -27,8 +27,9 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, EdgeLeak, _grow
 from .fock import FockVector, OperatorMatrix, TruncationConfig, build_ladders, evolve_grid
+from .lanczos import PREFIX_BLOCK, KrylovChain, lanczos_tridiagonalize, propagate_chain
 
 __all__ = [
     "LiouvillianSpec",
@@ -37,12 +38,14 @@ __all__ = [
     "commutator",
     "build_liouvillian",
     "oracle_states",
+    "chain_states",
     "hamiltonian_to_matrix",
 ]
 
 # Amplitude bar of the dense oracle: a time is compared with the closed
 # form only where its truncation estimate is within it, and must agree to it.
 ORACLE_TOLERANCE = 1e-8
+CHAIN_SIZES = (128, 256, 512, 1024)  # the chain lengths chain_states tries, in order
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,20 @@ def oracle_states(spec: LiouvillianSpec, t_grid: Sequence[float],
     estimates = np.maximum(np.abs(states - wide[:, :dim]).max(axis=1),
                            np.abs(wide[:, dim:]).max(axis=1))
     return states, estimates
+
+
+def chain_states(spec: LiouvillianSpec, t_grid: Sequence[float]) -> tuple[KrylovChain, np.ndarray]:
+    """The vacuum's chain of L and its ``propagate_chain`` rows over ``t_grid`` at
+    the first m of ``CHAIN_SIZES`` with no edge leak, L built at the first multiple
+    of ``PREFIX_BLOCK`` above 2m (no step meets the truncation). ``Breakdown`` and
+    ``OverflowError`` propagate from the first m, the last m's ``EdgeLeak`` unchanged."""
+    def attempt(m):
+        dim = -(-(2 * m + 1) // PREFIX_BLOCK) * PREFIX_BLOCK
+        L = build_liouvillian(spec, TruncationConfig(dim=dim))
+        chain = lanczos_tridiagonalize(L, FockVector.basis_state(dim, 0), m)
+        return chain, propagate_chain(chain, t_grid)
+
+    return _grow(CHAIN_SIZES, attempt, EdgeLeak)
 
 
 def hamiltonian_to_matrix(h: QuadraticHamiltonian, cfg: TruncationConfig) -> np.ndarray:

@@ -1,15 +1,15 @@
 """Command-line front end: parameter sweeps, figure data, verification.
 
 One entry point (``krylov-growth``) drives the library over a time grid.
-Grid points are evaluated independently in grid order, so identical
-configurations produce byte-identical output files.
+Grid points are evaluated in grid order, and identical configurations
+produce byte-identical output files.
 
 Exit codes: 0 success, 1 invalid configuration (a non-finite alpha,
 beta, time or tolerance included, an ``--out`` file that cannot be
-written, and a ``--steps`` or ``--dim`` too large to allocate or index),
-2 numerical failure (chain edge leak, non-convergent series, a result
-beyond the float range; the message carries the offending alpha, beta,
-t, dim), 3 authoritative verification failure.
+written, and a ``--steps``, or a ``verify`` ``--dim``, too large to
+allocate or index), 2 numerical failure (an edge leak of the longest
+chain, non-convergent series, a result beyond the float range; the message
+carries the offending alpha, beta, t, dim), 3 authoritative verification failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
-from .algebra import (ORACLE_TOLERANCE, LiouvillianSpec, _comparison_dim, build_liouvillian,
+from .algebra import (ORACLE_TOLERANCE, LiouvillianSpec, _comparison_dim, chain_states,
                       oracle_states)
 from .coherent import (
     DisplacementParams,
@@ -46,8 +46,7 @@ from .coherent import (
     _square_is_normal,
 )
 from .errors import KrylovGrowthError
-from .fock import FockVector, TruncationConfig
-from .lanczos import chain_complexity, lanczos_tridiagonalize, propagate_chain
+from .lanczos import chain_complexity
 
 __all__ = ["SweepConfig", "run_sweep", "figure_data", "verify", "main"]
 
@@ -154,15 +153,12 @@ def _autocorrelator_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
 
 
 def _lanczos_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
-    # the chain is built before any grid time is drawn: its failures have no t
-    L = build_liouvillian(cfg.spec(), TruncationConfig(dim=cfg.dim))
-    chain = lanczos_tridiagonalize(L, FockVector.basis_state(cfg.dim, 0), min(cfg.dim // 2, 128))
-    ts = list(ts)
-    Ks = chain_complexity(propagate_chain(chain, ts)).tolist()
+    ts = cfg.t_grid().tolist()  # undrawn: only an edge leak or a phase overflow names a t
+    Ks = chain_complexity(chain_states(cfg.spec(), ts)[1]).tolist()
     return [{"t": t, "values": {"K_chain": K}, "method": "lanczos_chain"} for t, K in zip(ts, Ks)]
 
 
-# Row function of each sweep mode; it draws the grid times in order.
+# Row function of each sweep mode; it draws the grid times in order, or none.
 _ROWS: Dict[str, Callable[[SweepConfig, Iterable[float]], List[dict]]] = {
     "complexity": _complexity_rows,
     "variance": _variance_rows,
@@ -179,8 +175,7 @@ def run_sweep(cfg: SweepConfig) -> List[dict]:
     A numerical failure, a float-range overflow included, raises
     :class:`KrylovGrowthError` carrying alpha, beta, dim and the t it
     occurred at: the time the error names, else the last grid time the mode
-    had drawn. A failure before the mode drew any grid time (the Lanczos
-    chain construction) carries no t.
+    had drawn, if any (``lanczos`` draws none: a failure building its chain has no t).
     """
     rows_of = _ROWS.get(cfg.mode)
     if rows_of is None:
@@ -435,7 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add("--tmax", dest="t_max", metavar="TMAX", type=float, default=d.t_max,
         help=f"grid end (default {d.t_max:g})")
     add("--steps", type=int, default=d.steps, help=f"grid points (default {d.steps})")
-    add("--dim", type=int, default=d.dim, help=f"Fock truncation (default {d.dim})")
+    add("--dim", type=int, default=d.dim,
+        help=f"Fock truncation of the dense oracle (verify; default {d.dim})")
     add("--tol", type=float, default=d.tol, help=f"series tolerance (default {d.tol:g})")
     add("--mode", choices=MODES, default=d.mode, help="observable to sweep")
     add("--format", choices=FORMATS, default="csv")

@@ -23,7 +23,8 @@ Every step is the three-term step in Paige's order, b_{j-1} q_{j-2} off
 before a_j q_{j-1} (the order decides the recursion's accuracy: Paige,
 J. Inst. Math. Appl. 10 (1972) 373). A step whose prefix fits inside dim
 then makes one more local pass against q_{j-1}: O(j) work, independent of
-dim once dim >= b*m + s0 + 1. A step whose prefix meets the truncation
+dim once dim >= b*m + s0 + 1, as at every length
+:func:`~krylovgrowth.algebra.chain_states` tries. A step whose prefix meets the truncation
 instead projects the candidate against every retained vector (classical
 Gram-Schmidt), and again only where the first pass removed more than
 1 - 1/sqrt(2) of its norm (the "twice is enough" test of Daniel, Gragg,

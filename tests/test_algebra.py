@@ -4,19 +4,23 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+from krylovgrowth import algebra
 from krylovgrowth.algebra import (
+    CHAIN_SIZES,
     ORACLE_TOLERANCE,
     LiouvillianSpec,
     QuadraticHamiltonian,
     build_generators,
     build_liouvillian,
+    chain_states,
     commutator,
     hamiltonian_to_matrix,
     oracle_states,
 )
 from krylovgrowth.coherent import closed_form_params, phi_series
-from krylovgrowth.errors import DimensionMismatch
+from krylovgrowth.errors import Breakdown, DimensionMismatch, EdgeLeak
 from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, build_ladders, evolve_grid
+from krylovgrowth.lanczos import EDGE_LEAK_TOL, lanczos_tridiagonalize, propagate_chain
 
 # The dim-16 generators obey their relations off the last two rows and
 # columns, where the truncation cuts the quadratic ladder products.
@@ -248,6 +252,62 @@ class TestOracleStates:
         with pytest.raises(ValueError, match="t=nan"):
             oracle_states(LiouvillianSpec(1.0, 1.0), [0.5, math.nan], 64)
         assert eigh_calls == []
+
+
+@pytest.fixture
+def chain_sizes(monkeypatch):
+    """The site counts chain_states asks lanczos_tridiagonalize for, and the
+    dim of the L it passes with each."""
+    calls = []
+
+    def spy(L, seed, m):
+        calls.append((m, L.dim))
+        return lanczos_tridiagonalize(L, seed, m)
+
+    monkeypatch.setattr(algebra, "lanczos_tridiagonalize", spy)
+    return calls
+
+
+class TestChainStates:
+    def test_first_size_is_the_128_site_chain_at_any_dim(self, chain_sizes):
+        # a benchmark-like input, which the 128-site chain holds: bitwise
+        # that chain built at a dim far past its reach
+        spec, ts = LiouvillianSpec(0.8, 0.6), np.linspace(0.0, 2.0, 41).tolist()
+        chain, rows = chain_states(spec, ts)
+        assert chain_sizes == [(128, 288)]
+        L = build_liouvillian(spec, TruncationConfig(dim=1152))
+        want = lanczos_tridiagonalize(L, FockVector.basis_state(1152, 0), 128)
+        assert chain.a.tobytes() == want.a.tobytes() and chain.b.tobytes() == want.b.tobytes()
+        assert rows.tobytes() == propagate_chain(want, ts).tobytes()
+
+    def test_sizes_climb_until_the_edge_holds(self, chain_sizes):
+        chain, rows = chain_states(LiouvillianSpec(1.0, 1.0), np.linspace(0.0, 2.0, 41).tolist())
+        # L is built at the first multiple of 32 above 2m
+        assert chain_sizes == [(128, 288), (256, 544), (512, 1056)]
+        assert chain.m == 512 and rows.shape == (41, 512)
+        assert abs(rows[:, -1]).max() ** 2 <= EDGE_LEAK_TOL
+
+    def test_the_largest_chain_leaks_unchanged(self, chain_sizes):
+        with pytest.raises(EdgeLeak) as err:
+            chain_states(LiouvillianSpec(1.0, 1.0), [0.0, 3.0, 6.0, 9.0, 12.0])
+        assert [m for m, _ in chain_sizes] == list(CHAIN_SIZES)
+        assert err.value.t == 3.0 and err.value.context["m"] == 1024
+        assert err.value.context["edge_mass"] > EDGE_LEAK_TOL
+
+    def test_breakdown_from_the_first_size_has_no_t(self, chain_sizes):
+        with pytest.raises(Breakdown) as err:
+            chain_states(LiouvillianSpec(0.0, 0.0), [0.0, 0.5, 1.0])
+        assert chain_sizes == [(128, 288)]
+        assert not hasattr(err.value, "t") and "t" not in err.value.context
+
+    @pytest.mark.parametrize("alpha, ts, t", [
+        (1e200, [0.0, 1.0], None),  # a hopping beyond the float range
+        (1.0, [0.0, 5e307, 1e308], 5e307),  # a phase t * eigenvalue
+    ])
+    def test_overflow_from_the_first_size(self, alpha, ts, t, chain_sizes):
+        with pytest.raises(OverflowError) as err:
+            chain_states(LiouvillianSpec(alpha, 1.0), ts)
+        assert chain_sizes == [(128, 288)] and getattr(err.value, "t", None) == t
 
 
 class TestQuadraticHamiltonian:

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from krylovgrowth.algebra import LiouvillianSpec
+from krylovgrowth.algebra import LiouvillianSpec, build_liouvillian
 from krylovgrowth.coherent import (
     autocorrelator_t,
     closed_form_params,
@@ -15,6 +15,8 @@ from krylovgrowth.coherent import (
     phi_series,
     schrodinger_complexity_t,
 )
+from krylovgrowth.fock import FockVector, TruncationConfig
+from krylovgrowth.lanczos import chain_complexity, lanczos_tridiagonalize, propagate_chain
 from krylovgrowth import cli
 from krylovgrowth.cli import (
     FIGURES,
@@ -385,15 +387,14 @@ EXIT_CASES = (
 
 # Sizes numpy refuses before it touches memory: 10**17 float64 values are
 # 711 PiB, beyond any 64-bit user address space, and 10**30 is beyond the
-# array index range.
+# array index range. Only verify reads --dim.
 HUGE_CASES = (
     [(["--mode", mode, "--steps", str(10**17)], "Unable to allocate")
      for mode in ("complexity", "verify", "lanczos")]
-    + [(["--mode", mode, "--dim", str(10**17)], "Unable to allocate") for mode in ("lanczos", "verify")]
+    + [(["--mode", "verify", "--dim", str(10**17)], "Unable to allocate")]
     + [(["--mode", mode, "--steps", str(10**30)], "Maximum allowed size exceeded")
        for mode in ("complexity", "verify", "lanczos")]
-    + [(["--mode", mode, "--dim", str(10**30)], "Maximum allowed size exceeded")
-       for mode in ("lanczos", "verify")]
+    + [(["--mode", "verify", "--dim", str(10**30)], "Maximum allowed size exceeded")]
 )
 
 
@@ -604,6 +605,25 @@ class TestMain:
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == ["t,K_chain", "0,0"]
+
+    def test_default_lanczos_exits_0_with_a_converged_chain(self, capsys):
+        assert main(["--mode", "lanczos"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        t, K = captured.out.splitlines()[-1].split(",")
+        # the 768-site chain, one step of the ladder past the 512 sites the
+        # grid to t = 2 needs
+        L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=1568))
+        chain = lanczos_tridiagonalize(L, FockVector.basis_state(1568, 0), 768)
+        (want,) = chain_complexity(propagate_chain(chain, [2.0]))
+        assert t == "2" and float(K) == pytest.approx(want, rel=1e-11)
+
+    def test_lanczos_reads_no_dim(self, capsys):
+        outs = []
+        for dim in ("16", "1152"):
+            assert main(["--mode", "lanczos", "--dim", dim]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("mode, row", [("complexity", "0,0"), ("autocorrelator", "0,1,1")])
     def test_t0_needs_no_power_of_alpha(self, mode, row, capsys):
@@ -874,7 +894,8 @@ def reference_parser():
                         help=f"grid end (default {d.t_max:g})")
     parser.add_argument("--steps", type=int, default=d.steps,
                         help=f"grid points (default {d.steps})")
-    parser.add_argument("--dim", type=int, default=d.dim, help=f"Fock truncation (default {d.dim})")
+    parser.add_argument("--dim", type=int, default=d.dim,
+                        help=f"Fock truncation of the dense oracle (verify; default {d.dim})")
     parser.add_argument("--tol", type=float, default=d.tol,
                         help=f"series tolerance (default {d.tol:g})")
     parser.add_argument("--mode", choices=MODES, default=d.mode, help="observable to sweep")

@@ -5,8 +5,10 @@ traceback or a warning; an exit 1 or 2 ends in one error line (argparse may
 print its usage block first); the output of an exit 0 parses, and that of
 ``verify`` holds the report's keys. Inputs are argv lists and ``--config``
 files over the six modes, with extreme floats and ints in every numeric
-flag. ``--dim`` stays at or below 1025 (256 for ``verify``) and ``--steps``
-at or below 101, so that each call takes milliseconds.
+flag. ``--dim`` stays at or below 1025 (256 for ``verify``, the one mode
+that reads it) and ``--steps`` at or below 101, so that each call takes
+milliseconds, except a ``lanczos`` call whose grid needs the 1024-site
+chain: about 0.6 s.
 """
 
 import contextlib

@@ -63,6 +63,13 @@ def test_package_imports_resolve():
         assert getattr(krylovgrowth, symbol) is getattr(module, symbol)
 
 
+@pytest.mark.parametrize("symbol", ["oracle_states", "chain_states"])
+def test_oracle_and_chain_entry_points_are_exported(symbol):
+    from krylovgrowth import algebra
+
+    assert symbol in algebra.__all__ and getattr(krylovgrowth, symbol) is getattr(algebra, symbol)
+
+
 def test_removed_symbols_are_gone():
     for name, symbols in REMOVED.items():
         module = importlib.import_module(f"krylovgrowth.{name}")
