@@ -4,9 +4,19 @@ policy built on them.
 Every exception carries a ``context`` dict so that sweep drivers can attach
 the (alpha, beta, t, dim) tuple that triggered a numerical failure before
 re-raising.
+
+The library's logger, ``logging.getLogger("krylovgrowth")``, lives here too.
+It has no handler of its own and logs at DEBUG only, so nothing reaches
+stderr unless the caller configures logging: each escalation of
+:func:`_grow`, each time ``verify`` skips for truncation, and each rerun of
+the Lanczos recurrence after its Gram check.
 """
 
 from __future__ import annotations
+
+import logging
+
+_log = logging.getLogger("krylovgrowth")
 
 
 class KrylovGrowthError(Exception):
@@ -30,7 +40,7 @@ class DimensionMismatch(KrylovGrowthError, ValueError):
 
 class TruncationOverflow(KrylovGrowthError, RuntimeError):
     """The truncation dim is too small for the requested evolution: the
-    dense oracle's truncation estimate
+    dense oracle's Duhamel estimate of its 2-norm truncation error
     (:func:`~krylovgrowth.algebra.oracle_states`) exceeds the caller's bar
     at the largest dim tried."""
 
@@ -67,11 +77,13 @@ class DecompositionFailure(KrylovGrowthError, RuntimeError):
 def _grow(sizes, attempt, too_small):
     """``attempt(size)`` at the first of ``sizes`` where it does not raise
     ``too_small``: the library's one size-escalation loop. At the last size
-    that error propagates unchanged; any other error propagates at once."""
+    that error propagates unchanged; any other error propagates at once.
+    Each escalation is logged at DEBUG with the error's ``context``."""
     *smaller, last = sizes
-    for size in smaller:
+    for size, bigger in zip(smaller, sizes[1:]):
         try:
             return attempt(size)
-        except too_small:
-            pass
+        except too_small as err:
+            _log.debug("%s at size %s, trying %s: %s", type(err).__name__, size, bigger,
+                       err.context)
     return attempt(last)

@@ -17,9 +17,11 @@ Truncating the Fock space breaks operator identities near the top of the
 basis (e.g. ``[a, a^dag] = 1`` fails in the last row/column), so an
 evolved state is only as good as the truncation that holds it. This
 module does not judge that: :func:`evolve_grid` returns the states, and
-:func:`~krylovgrowth.algebra.oracle_states` estimates their truncation
-error by evolving once more in a larger basis. Every size is that of an
-array: :class:`TruncationConfig` only sizes what the builders make.
+:func:`~krylovgrowth.algebra.oracle_states` estimates their 2-norm
+truncation error from the same eigendecomposition, by Duhamel's formula:
+the integral over time of the norm of what L maps past the top of the
+basis. Every size is that of an array: :class:`TruncationConfig` only
+sizes what the builders make.
 """
 
 from __future__ import annotations

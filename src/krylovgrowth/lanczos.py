@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import Breakdown, DimensionMismatch, EdgeLeak
+from .errors import Breakdown, DimensionMismatch, EdgeLeak, _log
 from .fock import FockVector, OperatorMatrix
 
 __all__ = [
@@ -166,7 +166,10 @@ def lanczos_tridiagonalize(
         Q = chain.basis[:, :width]
         gram = Q @ Q.T
         gram.flat[:: chain.m + 1] -= 1.0
-        if not np.max(np.abs(gram)) <= ORTHONORMAL_TOL:
+        loss = np.max(np.abs(gram))
+        if not loss <= ORTHONORMAL_TOL:
+            _log.debug("Gram check of the %s-site chain off by %.3e: rerunning with the "
+                       "full projection", m, loss)
             chain, _ = _recurrence(L, q0, s0, m, False)
     return chain
 

@@ -35,7 +35,9 @@ from krylovgrowth.errors import TruncationOverflow, _grow
 from krylovgrowth.fock import FockVector, TruncationConfig, evolve_grid
 from krylovgrowth.lanczos import chain_complexity, lanczos_tridiagonalize, project_onto_chain, propagate_chain
 
-DIM_LADDER = (256, 512, 1152)
+# The oracle's estimate bounds the 2-norm error: at t = 2 and (1, 1) it
+# reads 2.2e-7 at dim 1152 (a true 2-norm error of 4.0e-8) and 3.4e-9 at 1408.
+DIM_LADDER = (256, 512, 1408)
 ALPHA_BETA_GRID = [
     (a, b)
     for a in (0.0, 0.25, 0.5, 1.0)

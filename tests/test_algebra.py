@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from krylovgrowth.algebra import (
     hamiltonian_to_matrix,
     oracle_states,
 )
-from krylovgrowth.coherent import closed_form_params, phi_series
 from krylovgrowth.errors import Breakdown, DimensionMismatch, EdgeLeak
 from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, build_ladders, evolve_grid
 from krylovgrowth.lanczos import EDGE_LEAK_TOL, lanczos_tridiagonalize, propagate_chain
@@ -207,12 +207,7 @@ def eigh_calls(monkeypatch):
     return calls
 
 
-def true_error(spec, t, psi):
-    """Largest |psi_k - phi_k| against the amplitude series; the series'
-    amplitudes past len(psi), which the truncation drops, count whole."""
-    phi = phi_series(closed_form_params(spec, t), tol=1e-12, max_k=16384).phi
-    n = min(len(phi), len(psi))
-    return max(np.abs(psi[:n] - phi[:n]).max(), np.abs(phi[len(psi):]).max(initial=0.0))
+GRID = np.linspace(0.0, 2.0, 41).tolist()
 
 
 class TestOracleStates:
@@ -220,8 +215,8 @@ class TestOracleStates:
     def test_rows_are_evolve_grid_at_dim(self, dim, eigh_calls):
         spec, ts = LiouvillianSpec(1.0, 1.0), [0.0, 0.5, -1.25, 2.0]
         states, estimates = oracle_states(spec, ts, dim)
-        # one eigendecomposition at dim, one at a larger comparison dim
-        assert eigh_calls[0] == (dim, dim) and eigh_calls[1] == (dim + max(1, dim // 8),) * 2
+        # the estimate reuses the one eigendecomposition of the evolution
+        assert eigh_calls == [(dim, dim)]
         want = evolve_grid(build_liouvillian(spec, TruncationConfig(dim=dim)), ts,
                            FockVector.basis_state(dim, 0))
         assert states.tobytes() == want.tobytes() and not states.flags.writeable
@@ -230,21 +225,36 @@ class TestOracleStates:
     @pytest.mark.parametrize("dim", [256, 512])
     @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.0, 1.0), (0.25, 1.5)])
     def test_estimate_tracks_the_true_error(self, alpha, beta, dim):
-        # an estimate, not a bound: the larger truncation has an error of its
-        # own, and near the truncation limit the true error exceeds the
-        # estimate by up to 3.7% on these grids; each grid reaches times
-        # the dim cannot hold
+        # the reference is the oracle at 2N, whose own estimate is within
+        # 1e-13 wherever the estimate at N is within ten times the bar; each
+        # grid reaches times the dim cannot hold. The smallest margin of the
+        # estimate over the 2-norm error is 2.1x, at N = 256.
         spec = LiouvillianSpec(alpha, beta)
-        ts = np.linspace(0.0, 2.0, 41).tolist()
-        states, estimates = oracle_states(spec, ts, dim)
+        states, estimates = oracle_states(spec, GRID, dim)
+        wide, wide_estimates = oracle_states(spec, GRID, 2 * dim)
+        errors = np.hypot(np.linalg.norm(states - wide[:, :dim], axis=1),
+                          np.linalg.norm(wide[:, dim:], axis=1))
         assert estimates.max() > ORACLE_TOLERANCE
-        for t, psi, estimate in zip(ts, states, estimates):
-            error = true_error(spec, t, psi)
-            assert error <= 1e-13 or error <= 1.1 * estimate, (t, error, estimate)
+        assert wide_estimates[estimates <= 10 * ORACLE_TOLERANCE].max() <= 1e-13
+        resolved = errors > 1e-13
+        assert resolved.any()
+        assert np.all(estimates[resolved] >= errors[resolved])
+
+    @pytest.mark.parametrize("dim", [256, 512])
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.0, 1.0), (0.25, 1.5), (1.0, 20.0)])
+    def test_estimate_is_its_converged_quadrature(self, alpha, beta, dim, monkeypatch):
+        # a trapezoid sum, within 1% of one on nodes 16 times as dense
+        spec = LiouvillianSpec(alpha, beta)
+        _, estimates = oracle_states(spec, GRID, dim)
+        monkeypatch.setattr(algebra, "_NODES_PER_UNIT_T", 16 * algebra._NODES_PER_UNIT_T)
+        _, refined = oracle_states(spec, GRID, dim)
+        resolved = refined > 1e-13
+        assert resolved.any()
+        assert np.all(np.abs(estimates - refined)[resolved] <= 0.01 * refined[resolved])
 
     @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0)])
     def test_estimate_at_t0_is_rounding(self, alpha, beta):
-        # both truncations return the vacuum through their eigenvectors
+        # an integral over no time
         _, estimates = oracle_states(LiouvillianSpec(alpha, beta), [0.0, -0.0], 256)
         assert estimates.max() <= 1e-14
 
@@ -252,6 +262,33 @@ class TestOracleStates:
         with pytest.raises(ValueError, match="t=nan"):
             oracle_states(LiouvillianSpec(1.0, 1.0), [0.5, math.nan], 64)
         assert eigh_calls == []
+
+    def test_long_grid_is_integrated_in_blocks(self):
+        # 64 000 nodes to t = 200: taken all at once, their phases alone
+        # would take eight times the bytes of the states
+        spec, ts = LiouvillianSpec(0.1, 0.1), np.linspace(0.0, 200.0, 4001).tolist()
+        oracle_states(spec, ts[:2], 256)
+        tracemalloc.start()
+        try:
+            states, estimates = oracle_states(spec, ts, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * states.nbytes
+        assert np.all(np.diff(estimates) >= 0) and estimates[-1] == 2.0
+
+    @pytest.mark.parametrize("alpha, beta", [(1e-5, 0.0), (0.0, 0.0)])
+    def test_past_the_last_node_the_integral_goes_on_at_the_a_priori_rate(self, alpha, beta):
+        # at most _MAX_NODES nodes, however long the grid: at |alpha|, |beta|
+        # <= 1 they reach t = 204.8
+        ts = [0.0, 1.0, 1e3, 1e150]
+        _, estimates = oracle_states(LiouvillianSpec(alpha, beta), ts, 64)
+        rate = abs(alpha) * math.sqrt(64)
+        horizon = algebra._MAX_NODES / algebra._NODES_PER_UNIT_T
+        assert estimates[1] <= 1e-13
+        assert estimates[2] == pytest.approx(estimates[1] + rate * (1e3 - horizon), rel=1e-3,
+                                             abs=1e-13)
+        assert estimates[3] == (2.0 if rate else 0.0)
 
 
 @pytest.fixture

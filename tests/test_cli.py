@@ -1,5 +1,6 @@
 import argparse
 import json
+import logging
 import math
 import warnings
 from dataclasses import asdict
@@ -110,8 +111,9 @@ class TestRunSweep:
                           dim=16, mode="lanczos")
         with pytest.raises(KrylovGrowthError) as err:
             run_sweep(cfg)
-        assert err.value.context["dim"] == 16
-        assert "alpha" in err.value.context
+        # the chain sizes itself: the run's dim is no part of the failure
+        assert "dim" not in err.value.context
+        assert "alpha" in err.value.context and err.value.context["m"] == 1024
 
     @pytest.mark.parametrize(
         "kwargs, t",
@@ -343,13 +345,13 @@ class TestFigureData:
 
 class TestVerify:
     def test_one_eigendecomposition_per_dim(self, monkeypatch):
-        # the oracle at --dim, and the comparison dim of its truncation estimate
+        # the oracle at --dim, whose truncation estimate reuses its eigenvectors
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         cfg = SweepConfig(t_max=1.0, steps=5, dim=64, mode="verify")
         report = verify(cfg)
-        assert calls == [(64, 64), (72, 72)]
+        assert calls == [(64, 64)]
         assert list(report["config"].items()) == list(asdict(cfg).items())
 
     def test_passes_with_truncation_skips(self):
@@ -490,7 +492,16 @@ class TestMain:
         code = main(["--mode", "lanczos", "--dim", "16", "--tmax", "12", "--steps", "4"])
         assert code == 2
         err = capsys.readouterr().err
-        assert "dim=16" in err
+        # the message names the chain the run used, not the --dim it never read
+        assert "m=1024" in err and "dim=" not in err
+
+    def test_chain_escalation_is_logged_and_not_printed(self, caplog, capsys):
+        caplog.set_level(logging.DEBUG, logger="krylovgrowth")
+        assert main(["--mode", "lanczos", "--tmax", "1.5", "--alpha", "1.5", "--beta", "1.0"]) == 0
+        assert capsys.readouterr().err == ""
+        (record,) = caplog.records
+        assert record.name == "krylovgrowth" and record.levelno == logging.DEBUG
+        assert record.getMessage().startswith("EdgeLeak at size 128, trying 256: {'m': 128, ")
 
     def test_series_cap_names_its_time(self, capsys):
         code = main(["--mode", "distribution", "--format", "json", "--steps", "41",
@@ -499,7 +510,7 @@ class TestMain:
         assert code == 2 and captured.out == ""
         assert captured.err == (
             "numerical failure: series tail 2.263e-09 still above tol 1.0e-10 at cap "
-            "k_max=4096 [alpha=0.5, beta=1.0, dim=256, k_max=4096, t=2.9749999999999996, "
+            "k_max=4096 [alpha=0.5, beta=1.0, k_max=4096, t=2.9749999999999996, "
             "tail=2.262662390783987e-09]\n"
         )
 
@@ -514,7 +525,9 @@ class TestMain:
             kind = "invalid configuration" if code == 1 else "numerical failure"
             assert captured.err.splitlines()[-1].startswith(kind)
         if code == 2:
-            assert "alpha=" in captured.err and "dim=" in captured.err
+            # only verify reads --dim, and only its messages name it
+            assert "alpha=" in captured.err
+            assert ("dim=" in captured.err) == ("verify" in argv)
 
     @pytest.mark.parametrize("flags", [
         ["--alpha", "1e200"], ["--beta", "1e200"], ["--alpha", "1e308", "--beta", "1e308"],
@@ -714,7 +727,7 @@ class TestMain:
         assert main(["--mode", mode, "--alpha", "1e155", "--steps", "3"]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["numerical failure: result beyond the float range "
-                         "[alpha=1e+155, beta=1.0, dim=256, t=1.0]"]
+                         "[alpha=1e+155, beta=1.0, t=1.0]"]
 
     @pytest.mark.parametrize("beta", ["1e-200", "1e-160", "5e-324"])
     @pytest.mark.parametrize("mode", ["complexity", "variance", "distribution", "autocorrelator"])
@@ -809,7 +822,7 @@ class TestMain:
         assert main(["--mode", "verify", "--out", str(out)]) == 0
         oracle = json.loads(out.read_text())["oracle_vs_closed_form"]
         estimate = oracle["truncation_estimate"]
-        assert estimate["dims"] == [256, 288]
+        assert estimate["dims"] == [256]
         ts = SweepConfig().t_grid().tolist()
         by_t = dict(zip(ts, estimate["per_t"]))
         assert oracle["checked_t"] == [t for t in ts if by_t[t] <= 1e-8]

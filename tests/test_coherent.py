@@ -1,4 +1,5 @@
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -380,6 +381,15 @@ class TestGrow:
         with pytest.raises(OverflowError):
             _grow([1, 2, 3], attempt, NonConvergent)
         assert tried == [1]
+
+    def test_each_escalation_is_logged(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="krylovgrowth")
+        series = phi_series(closed_form_params(LiouvillianSpec(1.0, 1.0), 1.0), tol=1e-10)
+        assert series.k_max == 128
+        (record,) = caplog.records
+        assert record.name == "krylovgrowth" and record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert message.startswith("NonConvergent at size 64, trying 128: {") and "'k_max': 64" in message
 
 
 class TestComplexityOfTime:
