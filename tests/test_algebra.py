@@ -225,19 +225,26 @@ class TestOracleStates:
     @pytest.mark.parametrize("dim", [256, 512])
     @pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.0, 1.0), (0.25, 1.5)])
     def test_estimate_tracks_the_true_error(self, alpha, beta, dim):
-        # the reference is the oracle at 2N, whose own estimate is within
-        # 1e-13 wherever the estimate at N is within ten times the bar; each
-        # grid reaches times the dim cannot hold. The smallest margin of the
-        # estimate over the 2-norm error is 2.1x, at N = 256.
+        # the reference is the oracle at 2N, so the true error is within the
+        # measured one plus the reference's own. Wherever the estimate at N
+        # is within ten times the bar, it must cover that sum, the
+        # reference's estimate standing for its error: there that estimate
+        # is at its rounding floor (the 2N states agree with 4N ones to
+        # 6.5e-15): at (0.25, 1.5), 2N = 512, it reads 7.7e-14 on one BLAS
+        # thread and 1.02e-13 on two, so it is added rather than held to a
+        # fixed bar. Each grid reaches times the dim cannot hold. The
+        # smallest margin of the estimate over the 2-norm error is 2.1x, at
+        # N = 256, and over the sum 1.9x.
         spec = LiouvillianSpec(alpha, beta)
         states, estimates = oracle_states(spec, GRID, dim)
         wide, wide_estimates = oracle_states(spec, GRID, 2 * dim)
         errors = np.hypot(np.linalg.norm(states - wide[:, :dim], axis=1),
                           np.linalg.norm(wide[:, dim:], axis=1))
         assert estimates.max() > ORACLE_TOLERANCE
-        assert wide_estimates[estimates <= 10 * ORACLE_TOLERANCE].max() <= 1e-13
         resolved = errors > 1e-13
-        assert resolved.any()
+        near = resolved & (estimates <= 10 * ORACLE_TOLERANCE)
+        assert near.any()
+        assert np.all(estimates[near] >= errors[near] + wide_estimates[near])
         assert np.all(estimates[resolved] >= errors[resolved])
 
     @pytest.mark.parametrize("dim", [256, 512])
