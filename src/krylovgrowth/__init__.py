@@ -25,6 +25,7 @@ from .algebra import (
     commutator,
     hamiltonian_to_matrix,
     oracle_states,
+    sized_oracle_states,
 )
 from .coherent import (
     AmplitudeSeries,

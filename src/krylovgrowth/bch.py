@@ -28,13 +28,13 @@ import math
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.sparse import csr_matrix
+from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
 
 from .algebra import LiouvillianSpec, QuadraticHamiltonian
 from .coherent import DisplacementParams, closed_form_params
 from .errors import DecompositionFailure
-from .fock import FockVector, TruncationConfig, build_ladders
+from .fock import FockVector, TruncationConfig
 
 __all__ = [
     "to_rep4",
@@ -125,15 +125,20 @@ def decompose_exponential(spec: LiouvillianSpec, t: float) -> DisplacementParams
 def apply_displacement_squeeze(p: DisplacementParams, cfg: TruncationConfig) -> FockVector:
     """theta * D(v) S(w) |0> in the truncated space.
 
-    The exponentials act on the single vacuum column (banded generators),
-    so they are applied with the exact expm-times-vector algorithm instead
-    of materializing the dense operator exponentials.
+    The exponentials act on the single vacuum column, so they are applied
+    with the exact expm-times-vector algorithm to the banded generators,
+    written as sparse diagonals: <k|a|k+1> = sqrt(k+1) and
+    <k|a^2|k+2> = sqrt(k+1) sqrt(k+2), the products the dense ladder
+    matrices give, so the state is bitwise theirs.
     """
-    a, ad = build_ladders(cfg)
-    gen_s = 0.5 * p.w * (a @ a) - 0.5 * p.w.conjugate() * (ad @ ad)
-    gen_d = p.v * a - p.v.conjugate() * ad
+    if cfg.dim < 2:
+        raise ValueError(f"dim must be >= 2 to hold ladder operators, got {cfg.dim}")
+    root = np.sqrt(np.arange(1, cfg.dim, dtype=float))
+    pair = root[:-1] * root[1:]
+    gen_s = diags([-0.5 * p.w.conjugate() * pair, 0.5 * p.w * pair], [-2, 2])
+    gen_d = diags([-p.v.conjugate() * root, p.v * root], [-1, 1])
     psi = np.zeros(cfg.dim, dtype=complex)
     psi[0] = 1.0
-    psi = expm_multiply(csr_matrix(gen_s), psi)
-    psi = expm_multiply(csr_matrix(gen_d), psi)
+    psi = expm_multiply(gen_s, psi)
+    psi = expm_multiply(gen_d, psi)
     return FockVector(p.theta * psi)

@@ -479,6 +479,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.out:
             Path(args.out).write_text(text)
     except KrylovGrowthError as exc:
+        _log.debug("%s ends the run: %s", type(exc).__name__, exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     # an --out that cannot be written, and a grid or truncation too large

@@ -8,8 +8,9 @@ re-raising.
 The library's logger, ``logging.getLogger("krylovgrowth")``, lives here too.
 It has no handler of its own and logs at DEBUG only, so nothing reaches
 stderr unless the caller configures logging: each escalation of
-:func:`_grow`, each time ``verify`` skips for truncation, and each rerun of
-the Lanczos recurrence after its Gram check.
+:func:`_grow`, each time ``verify`` skips for truncation, each rerun of
+the Lanczos recurrence after its Gram check, and the numerical failure that
+ends a ``krylov-growth`` run (exit 2), before its one stderr line.
 """
 
 from __future__ import annotations
@@ -39,10 +40,12 @@ class DimensionMismatch(KrylovGrowthError, ValueError):
 
 
 class TruncationOverflow(KrylovGrowthError, RuntimeError):
-    """The truncation dim is too small for the requested evolution: the
-    dense oracle's Duhamel estimate of its 2-norm truncation error
-    (:func:`~krylovgrowth.algebra.oracle_states`) exceeds the caller's bar
-    at the largest dim tried."""
+    """The truncation dim is too small for the requested evolution: raised
+    by :func:`~krylovgrowth.algebra.sized_oracle_states` when the dense
+    oracle's Duhamel estimate of its 2-norm truncation error
+    (:func:`~krylovgrowth.algebra.oracle_states`) exceeds
+    ``ORACLE_TOLERANCE`` at the largest dim of ``ORACLE_DIMS``, with that
+    ``estimate``, ``dim`` and ``t`` in its ``context``."""
 
 
 class Breakdown(KrylovGrowthError, RuntimeError):

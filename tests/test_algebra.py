@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from krylovgrowth import algebra
 from krylovgrowth.algebra import (
     CHAIN_SIZES,
+    ORACLE_DIMS,
     ORACLE_TOLERANCE,
     LiouvillianSpec,
     QuadraticHamiltonian,
@@ -17,8 +19,9 @@ from krylovgrowth.algebra import (
     commutator,
     hamiltonian_to_matrix,
     oracle_states,
+    sized_oracle_states,
 )
-from krylovgrowth.errors import Breakdown, DimensionMismatch, EdgeLeak
+from krylovgrowth.errors import Breakdown, DimensionMismatch, EdgeLeak, TruncationOverflow
 from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, build_ladders, evolve_grid
 from krylovgrowth.lanczos import EDGE_LEAK_TOL, lanczos_tridiagonalize, propagate_chain
 
@@ -352,6 +355,40 @@ class TestChainStates:
         with pytest.raises(OverflowError) as err:
             chain_states(LiouvillianSpec(alpha, 1.0), ts)
         assert chain_sizes == [(128, 288)] and getattr(err.value, "t", None) == t
+
+
+class TestSizedOracleStates:
+    def test_dims_climb_until_every_time_holds(self, eigh_calls):
+        # t = 2 needs 1408 (estimate 5.2e-3 at 512), and the earlier times
+        # are taken from that dim too
+        spec, ts = LiouvillianSpec(1.0, 1.0), [0.5, 1.0, 2.0]
+        rows = sized_oracle_states(spec, ts)
+        assert ORACLE_DIMS == (256, 512, 1408)
+        assert eigh_calls == [(256, 256), (512, 512), (1408, 1408)]
+        assert rows.tobytes() == oracle_states(spec, ts, 1408)[0].tobytes()
+        assert not rows.flags.writeable
+
+    def test_a_grid_that_holds_at_the_first_dim_stops_there(self, eigh_calls):
+        spec, ts = LiouvillianSpec(1.0, 1.0), [0.5, 1.0]
+        rows = sized_oracle_states(spec, ts)
+        assert eigh_calls == [(256, 256)]
+        assert rows.tobytes() == oracle_states(spec, ts, 256)[0].tobytes()
+
+    def test_the_largest_dim_raises_for_its_first_time_over_the_bar(self):
+        with pytest.raises(TruncationOverflow) as err:
+            sized_oracle_states(LiouvillianSpec(1.0, 1.0), [0.5, 3.0, 4.0])
+        context = err.value.context
+        assert context["dim"] == 1408 and context["t"] == 3.0
+        assert context["estimate"] > ORACLE_TOLERANCE
+
+    def test_each_escalation_is_logged(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="krylovgrowth")
+        sized_oracle_states(LiouvillianSpec(1.0, 1.0), [0.5, 1.0, 2.0])
+        assert [record.getMessage().split(": ")[0] for record in caplog.records] == [
+            "TruncationOverflow at size 256, trying 512",
+            "TruncationOverflow at size 512, trying 1408",
+        ]
+        assert all(record.levelno == logging.DEBUG for record in caplog.records)
 
 
 class TestQuadraticHamiltonian:

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import expm_multiply
 
 from krylovgrowth.algebra import LiouvillianSpec, QuadraticHamiltonian
 from krylovgrowth.bch import apply_displacement_squeeze, decompose_exponential, to_rep4
 from krylovgrowth.errors import DecompositionFailure
 from krylovgrowth.coherent import DisplacementParams, closed_form_params, hermite_argument
-from krylovgrowth.fock import FockVector, TruncationConfig, evolve_grid
+from krylovgrowth.fock import FockVector, TruncationConfig, build_ladders, evolve_grid
 from krylovgrowth.algebra import build_liouvillian
 
 
@@ -137,6 +139,23 @@ class TestStateLevelIdentity:
         L = build_liouvillian(spec, cfg)
         (psi_exact,) = evolve_grid(L, [t], FockVector.basis_state(256, 0))
         assert np.max(np.abs(psi_group.amplitudes - psi_exact)) <= 1e-8
+
+    @pytest.mark.parametrize("v, w", [(0.7 - 0.2j, 0.4j), (0.3 + 0.1j, 0.2 - 0.3j), (0.0, 0.0)])
+    @pytest.mark.parametrize("dim", [2, 3, 64])
+    def test_banded_generators_are_the_dense_ladder_products(self, v, w, dim):
+        # bitwise the state from the dense ladder polynomials of the generators
+        p, cfg = DisplacementParams(v=v, w=w, theta=np.exp(0.3j)), TruncationConfig(dim=dim)
+        a, ad = build_ladders(cfg)
+        psi = np.zeros(dim, dtype=complex)
+        psi[0] = 1.0
+        psi = expm_multiply(csr_matrix(0.5 * w * (a @ a) - 0.5 * np.conj(w) * (ad @ ad)), psi)
+        psi = expm_multiply(csr_matrix(v * a - np.conj(v) * ad), psi)
+        got = apply_displacement_squeeze(p, cfg).amplitudes
+        assert got.tobytes() == (p.theta * psi).tobytes()
+
+    def test_needs_two_levels(self):
+        with pytest.raises(ValueError, match="dim must be >= 2"):
+            apply_displacement_squeeze(DisplacementParams(v=0.1, w=0.1), TruncationConfig(dim=1))
 
     def test_operators_are_unitary(self):
         # truncated generators are anti-Hermitian, so D(v) S(w) keeps the norm of |0>

@@ -503,6 +503,19 @@ class TestMain:
         assert record.name == "krylovgrowth" and record.levelno == logging.DEBUG
         assert record.getMessage().startswith("EdgeLeak at size 128, trying 256: {'m': 128, ")
 
+    def test_failure_that_ends_the_run_is_logged_and_printed_once(self, caplog, capsys):
+        caplog.set_level(logging.DEBUG, logger="krylovgrowth")
+        argv = ["--mode", "autocorrelator", "--tmax", "4.8", "--alpha", "0.2", "--beta", "1.4"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (record,) = caplog.records
+        assert record.name == "krylovgrowth" and record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert message.startswith("KrylovGrowthError ends the run: result beyond the float "
+                                  "range: a factor of the product form of phi_0")
+        assert captured.out == ""
+        assert captured.err == f"numerical failure: {message.partition(': ')[2]}\n"
+
     def test_series_cap_names_its_time(self, capsys):
         code = main(["--mode", "distribution", "--format", "json", "--steps", "41",
                      "--tmax", "3.5", "--alpha", "0.5", "--beta", "1.0"])

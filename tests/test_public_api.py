@@ -63,7 +63,7 @@ def test_package_imports_resolve():
         assert getattr(krylovgrowth, symbol) is getattr(module, symbol)
 
 
-@pytest.mark.parametrize("symbol", ["oracle_states", "chain_states"])
+@pytest.mark.parametrize("symbol", ["oracle_states", "sized_oracle_states", "chain_states"])
 def test_oracle_and_chain_entry_points_are_exported(symbol):
     from krylovgrowth import algebra
 
