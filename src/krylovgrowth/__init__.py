@@ -67,7 +67,6 @@ from .lanczos import (
     KrylovChain,
     chain_complexity,
     lanczos_tridiagonalize,
-    project_onto_chain,
     propagate_chain,
 )
 

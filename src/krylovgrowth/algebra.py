@@ -46,8 +46,8 @@ __all__ = [
 # Amplitude bar of the dense oracle: a time is compared with the closed
 # form only where its truncation estimate is within it, and must agree to it.
 ORACLE_TOLERANCE = 1e-8
-# Trapezoid nodes of the oracle's truncation estimate per unit time at
-# |alpha|, |beta| <= 1, and how many node spacings it integrates at most.
+# Trapezoid nodes of the oracle's truncation estimate per unit of the scaled
+# time max(|alpha|, |beta|) t, and how many node spacings it integrates at most.
 _NODES_PER_UNIT_T = 320
 _MAX_NODES = 1 << 16
 CHAIN_SIZES = (128, 256, 512, 1024)  # the chain lengths chain_states tries, in order
@@ -154,8 +154,10 @@ def oracle_states(spec: LiouvillianSpec, t_grid: Sequence[float],
     eps(t) = min(2, int_0^|t| ||r(s)||_2 ds), where r = (L - L_N) psi_N is the
     part of L psi_N that the truncation drops. e^{iLt} is unitary, so the
     integral bounds ||psi(t) - psi_N(t)||_2, every amplitude past N included.
-    The integral is a trapezoid sum (see :func:`_defect_integral`), so eps is
-    an estimate, not an enclosure; on the grids of ``tests/test_algebra.py``
+    The integral is a trapezoid sum with nodes at most 1/(320 max(|alpha|,
+    |beta|)) apart (see :func:`_defect_integral`), so eps is an estimate, not
+    an enclosure, and it is the same to rounding at (c alpha, c beta), time
+    t / c, for a power-of-two c; on the grids of ``tests/test_algebra.py``
     it is at least the true error wherever that error exceeds 1e-13, by 2.1x
     at the least. The errors are those of ``evolve_grid``, so a NaN time
     raises ``ValueError`` before the eigendecomposition."""
@@ -172,11 +174,15 @@ def _defect_integral(spec: LiouvillianSpec, L: OperatorMatrix, times: np.ndarray
     psi_N: r_N = alpha sqrt(N) psi_N[N-1] + (beta/2) sqrt(N-1) sqrt(N) psi_N[N-2]
     and r_{N+1} = (beta/2) sqrt(N) sqrt(N+1) psi_N[N-1]. The trapezoid nodes
     split each gap between consecutive times into equal steps of at most
-    h = 1/(320 max(1, |alpha|, |beta|)), 16 per step of the default grid.
-    They are taken in blocks of max(len(times), N // 2), so that no block
-    holds more than the states or the eigenvectors. The sum stops once it
-    passes 2, or at t = ``_MAX_NODES`` h (204.8 at |alpha|, |beta| <= 1);
-    past its last node the integral goes on at the a-priori rate
+    h = 1/(320 max(|alpha|, |beta|)), 16 per step of the default grid, and
+    at least one step (at a subnormal scale h overflows to inf). L is
+    linear in (alpha, beta), so at scale c the states and the defect are
+    those of scale 1 at time c s, and the sum is as accurate in that scaled
+    time at every scale. The nodes are taken in blocks of
+    max(len(times), N // 2), so that no block holds more than the states or
+    the eigenvectors. The sum stops once it passes 2, or at
+    t = ``_MAX_NODES`` h (204.8 at max(|alpha|, |beta|) = 1); past its last
+    node the integral goes on at the a-priori rate
     ||r|| <= ||D||_F, D being the 2 x 2 map from the top two amplitudes to r,
     which have a norm of at most 1."""
     n = L.dim
@@ -189,12 +195,13 @@ def _defect_integral(spec: LiouvillianSpec, L: OperatorMatrix, times: np.ndarray
         [0.5 * spec.beta * math.sqrt(n) * math.sqrt(n + 1), 0.0]])
     rate = math.hypot(*to_defect.ravel())
 
-    h = 1.0 / (_NODES_PER_UNIT_T * max(1.0, abs(spec.alpha), abs(spec.beta)))
-    # at alpha = beta = 0 there is no defect, and nothing to integrate
-    horizon = min(times.max(initial=0.0), _MAX_NODES * h) if rate else 0.0
+    # at alpha = beta = 0 there is no defect, and nothing to integrate; at a
+    # subnormal scale h is inf, and each gap is one step
+    h = 1.0 / (_NODES_PER_UNIT_T * max(abs(spec.alpha), abs(spec.beta))) if rate else 0.0
+    horizon = min(times.max(initial=0.0), _MAX_NODES * h)
     knots = np.unique(np.append(times[times <= horizon], [0.0, horizon]))
     gaps = np.diff(knots)
-    counts = np.ceil(gaps / h)
+    counts = np.maximum(np.ceil(gaps / h), 1.0)
     first = np.concatenate([[0.0], np.cumsum(counts)])  # the node index of each knot
     spacing = np.append(gaps / counts, 0.0)
     block = max(len(times), n // 2)

@@ -21,20 +21,19 @@ carries both sets of coefficients.
 
 Every step is the three-term step in Paige's order, b_{j-1} q_{j-2} off
 before a_j q_{j-1} (the order decides the recursion's accuracy: Paige,
-J. Inst. Math. Appl. 10 (1972) 373). A step whose prefix fits inside dim
-then makes one more local pass against q_{j-1}: O(j) work, independent of
-dim once dim >= b*m + s0 + 1, as at every length
-:func:`~krylovgrowth.algebra.chain_states` tries. A step whose prefix meets the truncation
-instead projects the candidate against every retained vector (classical
-Gram-Schmidt), and again only where the first pass removed more than
-1 - 1/sqrt(2) of its norm (the "twice is enough" test of Daniel, Gragg,
-Kaufman & Stewart, Math. Comp. 30 (1976) 772-795). Without the full
-projection orthogonality is lost as Ritz values converge (Paige, Lin. Alg.
-Appl. 34 (1980) 235). The generators of :mod:`~krylovgrowth.algebra` keep
-it, but an operator with a discrete spectrum need not, so one Gram
-product checks the basis of every chain, and a chain off orthonormal is
-recomputed with the full projection at every step: the basis is
-orthonormal to working precision either way.
+J. Inst. Math. Appl. 10 (1972) 373), and then one more local pass against
+q_{j-1}: O(j) work, independent of dim once dim >= b*m + s0 + 1, as at
+every length :func:`~krylovgrowth.algebra.chain_states` tries. One Gram
+product then checks the basis. Without a full projection orthogonality
+is lost as Ritz values converge (Paige, Lin. Alg. Appl. 34 (1980) 235).
+The generators of :mod:`~krylovgrowth.algebra` keep it, but an operator
+with a discrete spectrum need not, nor need a chain long enough to meet
+the truncation. A chain off orthonormal is recomputed with the full
+projection at every step: the candidate is projected against every
+retained vector (classical Gram-Schmidt), and again only where the first
+pass removed more than 1 - 1/sqrt(2) of its norm (the "twice is enough"
+test of Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30 (1976)
+772-795). The basis is orthonormal to working precision either way.
 
 The chain wavefunction solves
     -i d phi_n / dt = b_{n+1} phi_{n+1} + a_n phi_n + b_n phi_{n-1}
@@ -60,7 +59,6 @@ __all__ = [
     "lanczos_tridiagonalize",
     "propagate_chain",
     "chain_complexity",
-    "project_onto_chain",
 ]
 
 BREAKDOWN_TOL = 1e-12
@@ -128,17 +126,16 @@ def lanczos_tridiagonalize(
     them, and the rows of ``basis`` are zero beyond them.
 
     Each step takes the three-term step in Paige's order (b_{j-1} q_{j-2}
-    off first, then a_j q_{j-1}). A step whose candidate fits inside
-    ``dim`` then makes one more local pass against q_{j-1}, folded into
-    a_j; a step whose candidate meets the truncation projects it against
+    off first, then a_j q_{j-1}) and one more local pass against q_{j-1},
+    folded into a_j. One Gram product then checks the basis: if
+    max |Q Q^T - I| exceeds ``ORTHONORMAL_TOL`` (1e-14), as it can once Ritz
+    values converge on an operator with a discrete spectrum, or on a chain
+    long enough to meet the truncation, the chain is recomputed with the
+    full projection at every step: each candidate is projected against
     every retained vector (classical Gram-Schmidt), and once more only
-    where that pass left less than 1/sqrt(2) of its norm. One Gram product
-    then checks the basis: if max |Q Q^T - I| exceeds ``ORTHONORMAL_TOL``
-    (1e-14), as it can once Ritz values converge on an operator with a
-    discrete spectrum, the chain is recomputed with the full projection at
-    every step, which holds the basis to working precision (about 1e-15 at
-    m = 500). The generators of :mod:`~krylovgrowth.algebra` pass the
-    check: about 2e-15 at m = 512.
+    where that pass left less than 1/sqrt(2) of its norm. That holds the
+    basis to working precision (about 1e-15 at m = 500). The generators of
+    :mod:`~krylovgrowth.algebra` pass the check: about 2e-15 at m = 512.
 
     A candidate hopping at or below the breakdown tolerance exhausts the
     Krylov space: termination is normal (the truncated space has finite
@@ -160,17 +157,15 @@ def lanczos_tridiagonalize(
     # Q[j - 1] lives on levels 0..s0 + b*(j - 1), so L Q[j - 1] fits in the
     # first s0 + b*j + 1 entries, and step j works on those alone.
     s0 = int(np.flatnonzero(q0)[-1])
-    local = s0 + L.bandwidth + 1 <= L.dim  # step 1 fits, so it is local
-    chain, width = _recurrence(L, q0, s0, m, local)
-    if local:
-        Q = chain.basis[:, :width]
-        gram = Q @ Q.T
-        gram.flat[:: chain.m + 1] -= 1.0
-        loss = np.max(np.abs(gram))
-        if not loss <= ORTHONORMAL_TOL:
-            _log.debug("Gram check of the %s-site chain off by %.3e: rerunning with the "
-                       "full projection", m, loss)
-            chain, _ = _recurrence(L, q0, s0, m, False)
+    chain, width = _recurrence(L, q0, s0, m, True)
+    Q = chain.basis[:, :width]
+    gram = Q @ Q.T
+    gram.flat[:: chain.m + 1] -= 1.0
+    loss = np.max(np.abs(gram))
+    if not loss <= ORTHONORMAL_TOL:
+        _log.debug("Gram check of the %s-site chain off by %.3e: rerunning with the "
+                   "full projection", m, loss)
+        chain, _ = _recurrence(L, q0, s0, m, False)
     return chain
 
 
@@ -179,7 +174,9 @@ def _recurrence(
 ) -> tuple[KrylovChain, int]:
     """The chain of :func:`lanczos_tridiagonalize` from the normalized seed
     ``q0`` with highest level ``s0``, and the prefix length of its last
-    step. With ``local`` false, every step takes the full projection."""
+    step. With ``local`` true every step makes one local pass against the
+    previous vector; with ``local`` false, every step takes the full
+    projection."""
     b, dim = L.bandwidth, L.dim
     # the Krylov vectors are the rows of Q, stored with b zero columns on
     # each side so that every step reads its stencil windows from one
@@ -210,7 +207,7 @@ def _recurrence(
                 work -= hops[-1] * Q[j - 2, :n]
             aj = np.dot(q, work)
             work -= aj * q
-            if local and reach <= dim:
+            if local:
                 c = np.dot(q, work)
                 work -= c * q
                 aj += c
@@ -295,12 +292,3 @@ def chain_complexity(phi: np.ndarray) -> float | np.ndarray:
     phi = np.asarray(phi)
     K = np.sum(np.arange(phi.shape[-1]) * np.abs(phi) ** 2, axis=-1)
     return float(K) if phi.ndim == 1 else K
-
-
-def project_onto_chain(chain: KrylovChain, state: FockVector) -> np.ndarray:
-    """Amplitudes of a Fock-space state over the retained Krylov basis."""
-    if chain.basis.shape[1] != state.dim:
-        raise DimensionMismatch(
-            f"basis dim {chain.basis.shape[1]} != state dim {state.dim}"
-        )
-    return chain.basis @ state.amplitudes

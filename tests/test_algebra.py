@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -288,17 +289,40 @@ class TestOracleStates:
         assert np.all(np.diff(estimates) >= 0) and estimates[-1] == 2.0
 
     @pytest.mark.parametrize("alpha, beta", [(1e-5, 0.0), (0.0, 0.0)])
-    def test_past_the_last_node_the_integral_goes_on_at_the_a_priori_rate(self, alpha, beta):
-        # at most _MAX_NODES nodes, however long the grid: at |alpha|, |beta|
-        # <= 1 they reach t = 204.8
+    def test_past_the_last_node_the_integral_goes_on_at_the_a_priori_rate(
+            self, alpha, beta, monkeypatch):
+        # at most _MAX_NODES node spacings, however long the grid: they
+        # reach t = _MAX_NODES / (320 max(|alpha|, |beta|)), here 625 at
+        # alpha = 1e-5, so that t = 1e3 lies past the last node
+        monkeypatch.setattr(algebra, "_MAX_NODES", 2)
         ts = [0.0, 1.0, 1e3, 1e150]
         _, estimates = oracle_states(LiouvillianSpec(alpha, beta), ts, 64)
         rate = abs(alpha) * math.sqrt(64)
-        horizon = algebra._MAX_NODES / algebra._NODES_PER_UNIT_T
+        scale = max(abs(alpha), abs(beta))
+        horizon = algebra._MAX_NODES / (algebra._NODES_PER_UNIT_T * scale) if scale else 0.0
         assert estimates[1] <= 1e-13
         assert estimates[2] == pytest.approx(estimates[1] + rate * (1e3 - horizon), rel=1e-3,
                                              abs=1e-13)
         assert estimates[3] == (2.0 if rate else 0.0)
+
+    def test_estimate_depends_on_the_scaled_time_alone(self):
+        # L(c alpha, c beta) = c L(alpha, beta), and the nodes follow that
+        # scale: at a power of two c, the estimates at t / c are those at t
+        ts = np.linspace(0.0, 2.0, 41)
+        _, unit = oracle_states(LiouvillianSpec(1.0, 1.0), ts, 64)
+        _, scaled = oracle_states(LiouvillianSpec(1 / 64, 1 / 64), 64 * ts, 64)
+        assert unit.max() > ORACLE_TOLERANCE
+        assert np.allclose(scaled, unit, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [1e-300, 5e-324])
+    def test_tiny_scale_integrates_to_a_late_time(self, alpha):
+        # the node spacing 1/(320 alpha) reaches t = 1e300 in a few nodes, and
+        # at the subnormal alpha it overflows to inf: one node per gap
+        ts = [0.0, 1.0, 1e300]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, estimates = oracle_states(LiouvillianSpec(alpha, 0.0), ts, 64)
+        assert np.all(estimates <= 1e-13)
 
 
 @pytest.fixture

@@ -632,10 +632,17 @@ class TestMain:
         lines = capsys.readouterr().out.splitlines()
         assert lines[:2] == ["t,K_chain", "0,0"]
 
-    def test_default_lanczos_exits_0_with_a_converged_chain(self, capsys):
+    def test_default_lanczos_exits_0_with_a_converged_chain(self, caplog, capsys):
+        caplog.set_level(logging.DEBUG, logger="krylovgrowth")
         assert main(["--mode", "lanczos"]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
+        # every chain fits inside its L and passes the Gram check on its
+        # local run: one run per size, the two escalations and no rerun
+        assert [record.getMessage().split(": ")[0] for record in caplog.records] == [
+            "EdgeLeak at size 128, trying 256",
+            "EdgeLeak at size 256, trying 512",
+        ]
         t, K = captured.out.splitlines()[-1].split(",")
         # the 768-site chain, one step of the ladder past the 512 sites the
         # grid to t = 2 needs

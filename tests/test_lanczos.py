@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 import warnings
@@ -13,7 +14,6 @@ from krylovgrowth.lanczos import (
     KrylovChain,
     chain_complexity,
     lanczos_tridiagonalize,
-    project_onto_chain,
     propagate_chain,
 )
 
@@ -165,8 +165,8 @@ class TestTridiagonalize:
     ])
     def test_general_seed_matches_full_length_lanczos(self, seed_kind, m):
         # at m = 120 the prefix meets dim from step 98 (spread) or 97
-        # (level7) on: local passes before that step, the full projection
-        # from it
+        # (level7) on: every step takes the local pass, and the Gram check
+        # decides whether the full projection reruns the chain
         dim = 200
         L = build_liouvillian(LiouvillianSpec(0.8, 1.1), TruncationConfig(dim=dim))
         amps = np.zeros(dim)
@@ -207,6 +207,19 @@ class TestTridiagonalize:
         assert np.max(np.abs(Q @ Q.T - np.eye(m))) <= 1e-14
         ref_b = full_length_hoppings(L.to_dense(), vacuum(dim).amplitudes.real, m)
         assert np.max(np.abs(chain.b / ref_b - 1.0)) <= 1e-12
+
+    def test_chain_off_orthonormal_at_the_truncation_is_recomputed(self, caplog):
+        # the vacuum's 120-site chain meets dim 200 from step 100 on; with
+        # the local pass on every step it ends 1.0e-10 off orthonormal, so
+        # the Gram check reruns it once, with the full projection throughout
+        caplog.set_level(logging.DEBUG, logger="krylovgrowth")
+        dim, m = 200, 120
+        L = build_liouvillian(LiouvillianSpec(0.8, 1.1), TruncationConfig(dim=dim))
+        chain = lanczos_tridiagonalize(L, vacuum(dim), m)
+        (record,) = caplog.records
+        assert record.getMessage().startswith("Gram check of the 120-site chain off by ")
+        full, _ = lanczos._recurrence(L, vacuum(dim).amplitudes.real, 0, m, False)
+        assert chain.a.tobytes() == full.a.tobytes() and chain.b.tobytes() == full.b.tobytes()
 
     def test_second_pass_runs_only_where_the_first_cancels(self, monkeypatch):
         # at Krylov-space exhaustion the candidate is rounding noise, and the
@@ -417,7 +430,7 @@ class TestChainComplexity:
         chain = lanczos_tridiagonalize(L, vacuum(256), 120)
         ts = [0.5, 1.0]
         for phi, psi in zip(propagate_chain(chain, ts), evolve_grid(L, ts, vacuum(256))):
-            proj = project_onto_chain(chain, FockVector(psi))
+            proj = chain.basis @ psi
             K_proj = float(np.sum(np.arange(chain.m) * np.abs(proj) ** 2))
             assert chain_complexity(phi) == pytest.approx(K_proj, abs=1e-9)
 

@@ -30,7 +30,7 @@ REMOVED = {
         "OperatorMatrix.leading_matvec", "evolve_state", "guard_band_mass", "GUARD_FRACTION",
     ),
     "cli": ("ResultRow",),
-    "lanczos": ("ChainWavefunction", "KrylovChain.tridiagonal"),
+    "lanczos": ("ChainWavefunction", "KrylovChain.tridiagonal", "project_onto_chain"),
     "errors": ("NonHermitianInput",),
 }
 
