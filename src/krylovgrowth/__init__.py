@@ -10,20 +10,17 @@ space, three ways that must agree:
 * conventional Lanczos tridiagonalization and chain propagation
   (:mod:`lanczos`),
 
-plus the group-element factorization machinery connecting them
-(:mod:`bch`, imported on its own as ``krylovgrowth.bch``: it needs scipy,
-which no CLI mode does), the symmetry-algebra generators (:mod:`algebra`),
-and a sweep/verification CLI (:mod:`cli`).
+plus L itself and the sizing of the oracle and chain routes
+(:mod:`algebra`), the dense symmetry-algebra generators and the
+group-element factorization machinery connecting the routes (:mod:`bch`,
+imported on its own as ``krylovgrowth.bch``: it needs scipy, which no CLI
+mode does), and a sweep/verification CLI (:mod:`cli`).
 """
 
 from .algebra import (
     LiouvillianSpec,
-    QuadraticHamiltonian,
-    build_generators,
     build_liouvillian,
     chain_states,
-    commutator,
-    hamiltonian_to_matrix,
     oracle_states,
     sized_oracle_states,
 )
@@ -60,7 +57,6 @@ from .fock import (
     FockVector,
     OperatorMatrix,
     TruncationConfig,
-    build_ladders,
     evolve_grid,
 )
 from .lanczos import (

@@ -1,46 +1,33 @@
-"""Oscillator realization of the two-dimensional Schrodinger symmetry algebra.
+"""The evolution generator L and the sizing of the routes that evolve by it.
 
-All generators are polynomials in the truncated ladder matrices. The set
-closes the defining relations
-
-    [P, G] = -M
-    [D, H] = -2H,  [D, K] = 2K,  [H, K] = D
-    [D, P] = -P,   [D, G] = G
-
-off the last two rows and columns of the truncated basis, with M acting
-as the identity (central extension).
-In physical terms H is the free-particle Hamiltonian p^2/2, K the special
-conformal generator, D the dilatation, P and G translation and boost, and
-the sl(2,R) triple L0, L+1, L-1 realizes the squeeze sector on even Fock
-states. The generators, their commutators and :func:`hamiltonian_to_matrix`
-are plain dense arrays for these small symbolic checks. The generator of
-time evolution studied by the rest of the library is the independent
-ladder polynomial built by :func:`build_liouvillian`, the one banded
-:class:`~krylovgrowth.fock.OperatorMatrix` of the library.
+:func:`build_liouvillian` writes L = alpha (a^dag + a) + (beta/2)
+((a^dag)^2 + a^2), from the parameters of a :class:`LiouvillianSpec`, as
+the one banded :class:`~krylovgrowth.fock.OperatorMatrix` of the library.
+The dense oracle (:func:`oracle_states`, :func:`sized_oracle_states`) and
+the Lanczos chain (:func:`chain_states`) evolve the vacuum by it, each at
+the first size of its ladder (``ORACLE_DIMS``, ``CHAIN_SIZES``) where its
+own error estimate holds. The dense realization of the Schrodinger
+symmetry algebra that L belongs to lives in :mod:`~krylovgrowth.bch`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EdgeLeak, TruncationOverflow, _grow
-from .fock import FockVector, OperatorMatrix, TruncationConfig, build_ladders, evolve_grid
+from .errors import EdgeLeak, TruncationOverflow, _grow
+from .fock import FockVector, OperatorMatrix, TruncationConfig, evolve_grid
 from .lanczos import PREFIX_BLOCK, KrylovChain, lanczos_tridiagonalize, propagate_chain
 
 __all__ = [
     "LiouvillianSpec",
-    "QuadraticHamiltonian",
-    "build_generators",
-    "commutator",
     "build_liouvillian",
     "oracle_states",
     "sized_oracle_states",
     "chain_states",
-    "hamiltonian_to_matrix",
 ]
 
 # Amplitude bar of the dense oracle: a time is compared with the closed
@@ -68,59 +55,6 @@ class LiouvillianSpec:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError(f"alpha, beta must be finite, got ({self.alpha}, {self.beta})")
-
-
-@dataclass(frozen=True)
-class QuadraticHamiltonian:
-    """Generic quadratic ladder polynomial
-    eta*(a^dag a + 1/2) + delta + R*(a^dag)^2 + L*a^2 + r*a^dag + l*a."""
-
-    eta: complex = 0.0
-    delta: complex = 0.0
-    R_coef: complex = 0.0
-    L_coef: complex = 0.0
-    r_coef: complex = 0.0
-    l_coef: complex = 0.0
-
-
-def build_generators(cfg: TruncationConfig) -> Dict[str, np.ndarray]:
-    """Construct every generator as a dense array from the ladder matrices,
-    keyed by the labels below; ``a``, ``a_dagger`` and ``number`` = a^dag a
-    are the ladder matrices and their product.
-
-    P = (a^dag - a)/sqrt(2)        translation
-    G = (a^dag + a)/sqrt(2)        boost
-    M = a a^dag - a^dag a          central extension (identity off the last row and column)
-    H = -(a - a^dag)^2 / 4         free Hamiltonian p^2/2
-    K = -(a + a^dag)^2 / 4         special conformal -x^2/2
-    D = (a^2 - (a^dag)^2) / 2      dilatation
-    L0 = (a^dag a + a a^dag)/4,  L_plus1 = a^2/2,  L_minus1 = (a^dag)^2/2
-    """
-    if cfg.dim < 8:
-        raise ValueError(f"dim must be >= 8 for the generator set, got {cfg.dim}")
-    a, ad = build_ladders(cfg)
-    sq2 = math.sqrt(2.0)
-    return {
-        "a": a,
-        "a_dagger": ad,
-        "P": (ad - a) / sq2,
-        "G": (ad + a) / sq2,
-        "M": a @ ad - ad @ a,
-        "H": -0.25 * (a - ad) @ (a - ad),
-        "K": -0.25 * (a + ad) @ (a + ad),
-        "D": 0.5 * (a @ a - ad @ ad),
-        "L0": 0.25 * (ad @ a + a @ ad),
-        "L_plus1": 0.5 * a @ a,
-        "L_minus1": 0.5 * ad @ ad,
-        "number": ad @ a,
-    }
-
-
-def commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """[X, Y] = XY - YX."""
-    if X.shape != Y.shape:
-        raise DimensionMismatch(f"shapes {X.shape} and {Y.shape} differ")
-    return X @ Y - Y @ X
 
 
 def build_liouvillian(spec: LiouvillianSpec, cfg: TruncationConfig) -> OperatorMatrix:
@@ -263,19 +197,3 @@ def chain_states(spec: LiouvillianSpec, t_grid: Sequence[float]) -> tuple[Krylov
         return chain, propagate_chain(chain, t_grid)
 
     return _grow(CHAIN_SIZES, attempt, EdgeLeak)
-
-
-def hamiltonian_to_matrix(h: QuadraticHamiltonian, cfg: TruncationConfig) -> np.ndarray:
-    """Realize a :class:`QuadraticHamiltonian` as a dense truncated matrix."""
-    if cfg.dim < 4:
-        raise ValueError(f"dim must be >= 4, got {cfg.dim}")
-    a, ad = build_ladders(cfg)
-    eye = np.eye(cfg.dim, dtype=complex)
-    return (
-        h.eta * (ad @ a + 0.5 * eye)
-        + h.delta * eye
-        + h.R_coef * (ad @ ad)
-        + h.L_coef * (a @ a)
-        + h.r_coef * ad
-        + h.l_coef * a
-    )

@@ -1,7 +1,24 @@
-"""Group-element factorization via a faithful 4x4 matrix representation.
+"""Dense realization of the two-dimensional Schrodinger symmetry algebra,
+and group-element factorization via a faithful 4x4 matrix representation.
 
-The span {a^dag a + 1/2, 1, (a^dag)^2, a^2, a^dag, a} closes under
-commutators, and mapping
+The generators are polynomials in the truncated ladder matrices
+(:func:`build_ladders`, :func:`build_generators`). The set closes the
+defining relations
+
+    [P, G] = -M
+    [D, H] = -2H,  [D, K] = 2K,  [H, K] = D
+    [D, P] = -P,   [D, G] = G
+
+off the last two rows and columns of the truncated basis, with M acting
+as the identity (central extension).
+In physical terms H is the free-particle Hamiltonian p^2/2, K the special
+conformal generator, D the dilatation, P and G translation and boost, and
+the sl(2,R) triple L0, L+1, L-1 realizes the squeeze sector on even Fock
+states. The generators, their commutators and :func:`hamiltonian_to_matrix`
+are plain dense arrays for these small symbolic checks.
+
+The span {a^dag a + 1/2, 1, (a^dag)^2, a^2, a^dag, a} of
+:class:`QuadraticHamiltonian` closes under commutators, and mapping
 
     eta (a^dag a + 1/2) + delta + R (a^dag)^2 + L a^2 + r a^dag + l a
         |->  [[0, 0, 0, 0], [r, eta, 2R, 0], [-l, -2L, -eta, 0],
@@ -18,31 +35,112 @@ image of a pure squeeze exponentiates to hyperbolic functions in the inner
     E[3][0] = -2 log theta               (rows/cols 0 and 3 otherwise fixed)
 
 from which (v, w, theta) are read off and verified against the full
-exponential.
+exponential. The CLI never imports this module, which needs scipy.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
+from typing import Dict
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
 
-from .algebra import LiouvillianSpec, QuadraticHamiltonian
+from .algebra import LiouvillianSpec
 from .coherent import DisplacementParams, closed_form_params
-from .errors import DecompositionFailure
+from .errors import DecompositionFailure, DimensionMismatch
 from .fock import FockVector, TruncationConfig
 
 __all__ = [
-    "to_rep4",
-    "decompose_exponential",
-    "apply_displacement_squeeze",
+    "QuadraticHamiltonian", "build_ladders", "build_generators", "commutator",
+    "hamiltonian_to_matrix", "to_rep4", "decompose_exponential", "apply_displacement_squeeze",
 ]
 
 REP4_NORM_CAP = 50.0
+
+
+def build_ladders(cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Dense annihilation and creation matrices, float64:
+    a|k> = sqrt(k)|k-1>, so <k-1|a|k> = sqrt(k) on the superdiagonal, and
+    a_dag = a^T."""
+    if cfg.dim < 2:
+        raise ValueError(f"dim must be >= 2 to hold ladder operators, got {cfg.dim}")
+    a = np.diag(np.sqrt(np.arange(1, cfg.dim, dtype=float)), 1)
+    return a, a.T.copy()
+
+
+
+@dataclass(frozen=True)
+class QuadraticHamiltonian:
+    """Generic quadratic ladder polynomial
+    eta*(a^dag a + 1/2) + delta + R*(a^dag)^2 + L*a^2 + r*a^dag + l*a."""
+
+    eta: complex = 0.0
+    delta: complex = 0.0
+    R_coef: complex = 0.0
+    L_coef: complex = 0.0
+    r_coef: complex = 0.0
+    l_coef: complex = 0.0
+
+
+def build_generators(cfg: TruncationConfig) -> Dict[str, np.ndarray]:
+    """Construct every generator as a dense array from the ladder matrices,
+    keyed by the labels below; ``a``, ``a_dagger`` and ``number`` = a^dag a
+    are the ladder matrices and their product.
+
+    P = (a^dag - a)/sqrt(2)        translation
+    G = (a^dag + a)/sqrt(2)        boost
+    M = a a^dag - a^dag a          central extension (identity off the last row and column)
+    H = -(a - a^dag)^2 / 4         free Hamiltonian p^2/2
+    K = -(a + a^dag)^2 / 4         special conformal -x^2/2
+    D = (a^2 - (a^dag)^2) / 2      dilatation
+    L0 = (a^dag a + a a^dag)/4,  L_plus1 = a^2/2,  L_minus1 = (a^dag)^2/2
+    """
+    if cfg.dim < 8:
+        raise ValueError(f"dim must be >= 8 for the generator set, got {cfg.dim}")
+    a, ad = build_ladders(cfg)
+    sq2 = math.sqrt(2.0)
+    return {
+        "a": a,
+        "a_dagger": ad,
+        "P": (ad - a) / sq2,
+        "G": (ad + a) / sq2,
+        "M": a @ ad - ad @ a,
+        "H": -0.25 * (a - ad) @ (a - ad),
+        "K": -0.25 * (a + ad) @ (a + ad),
+        "D": 0.5 * (a @ a - ad @ ad),
+        "L0": 0.25 * (ad @ a + a @ ad),
+        "L_plus1": 0.5 * a @ a,
+        "L_minus1": 0.5 * ad @ ad,
+        "number": ad @ a,
+    }
+
+
+def commutator(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """[X, Y] = XY - YX."""
+    if X.shape != Y.shape:
+        raise DimensionMismatch(f"shapes {X.shape} and {Y.shape} differ")
+    return X @ Y - Y @ X
+
+
+def hamiltonian_to_matrix(h: QuadraticHamiltonian, cfg: TruncationConfig) -> np.ndarray:
+    """Realize a :class:`QuadraticHamiltonian` as a dense truncated matrix."""
+    if cfg.dim < 4:
+        raise ValueError(f"dim must be >= 4, got {cfg.dim}")
+    a, ad = build_ladders(cfg)
+    eye = np.eye(cfg.dim, dtype=complex)
+    return (
+        h.eta * (ad @ a + 0.5 * eye)
+        + h.delta * eye
+        + h.R_coef * (ad @ ad)
+        + h.L_coef * (a @ a)
+        + h.r_coef * ad
+        + h.l_coef * a
+    )
 
 
 def to_rep4(h: QuadraticHamiltonian) -> np.ndarray:

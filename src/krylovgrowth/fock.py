@@ -1,7 +1,7 @@
 """Truncated-Fock-space linear algebra.
 
 This module is the brute-force side of every cross-check in the library:
-ladder-operator matrices and exact unitary evolution by symmetric
+the banded generator and its exact unitary evolution by symmetric
 eigendecomposition, all on a finite number basis ``|0>, ..., |dim-1>``.
 The evolution generator L is real and symmetric, so it is stored by its
 main and upper diagonals (:class:`OperatorMatrix`) and applied through a
@@ -9,9 +9,7 @@ stencil of 2b + 1 coefficient rows, one per diagonal from the outermost
 subdiagonal to the outermost superdiagonal: building and applying it
 costs O(dim), and a dense dim x dim array is formed only for the
 eigendecomposition, the library's one exact exponential
-(``OperatorMatrix._exp``, shared with the Lanczos chain). The ladder
-matrices are plain arrays: they feed the small symbolic checks of
-:mod:`~krylovgrowth.algebra` and :mod:`~krylovgrowth.bch`.
+(``OperatorMatrix._exp``, shared with the Lanczos chain).
 
 Truncating the Fock space breaks operator identities near the top of the
 basis (e.g. ``[a, a^dag] = 1`` fails in the last row/column), so an
@@ -39,7 +37,6 @@ __all__ = [
     "TruncationConfig",
     "FockVector",
     "OperatorMatrix",
-    "build_ladders",
     "evolve_grid",
 ]
 
@@ -89,9 +86,6 @@ class FockVector:
     @property
     def norm_sq(self) -> float:
         return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,16 +168,6 @@ class OperatorMatrix:
             out[b - k, k:] = self.bands[b - k, k:n]
             out[b + k, : n - k] = self.bands[b - k, k:n]
         return out
-
-
-def build_ladders(cfg: TruncationConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Dense annihilation and creation matrices, float64:
-    a|k> = sqrt(k)|k-1>, so <k-1|a|k> = sqrt(k) on the superdiagonal, and
-    a_dag = a^T."""
-    if cfg.dim < 2:
-        raise ValueError(f"dim must be >= 2 to hold ladder operators, got {cfg.dim}")
-    a = np.diag(np.sqrt(np.arange(1, cfg.dim, dtype=float)), 1)
-    return a, a.T.copy()
 
 
 def evolve_grid(L: OperatorMatrix, t_grid: Sequence[float], v0: FockVector) -> np.ndarray:

@@ -26,9 +26,9 @@ q_{j-1}: O(j) work, independent of dim once dim >= b*m + s0 + 1, as at
 every length :func:`~krylovgrowth.algebra.chain_states` tries. One Gram
 product then checks the basis. Without a full projection orthogonality
 is lost as Ritz values converge (Paige, Lin. Alg. Appl. 34 (1980) 235).
-The generators of :mod:`~krylovgrowth.algebra` keep it, but an operator
-with a discrete spectrum need not, nor need a chain long enough to meet
-the truncation. A chain off orthonormal is recomputed with the full
+The L of :func:`~krylovgrowth.algebra.build_liouvillian` keeps it, but
+an operator with a discrete spectrum need not, nor need a chain long
+enough to meet the truncation. A chain off orthonormal is recomputed with the full
 projection at every step: the candidate is projected against every
 retained vector (classical Gram-Schmidt), and again only where the first
 pass removed more than 1 - 1/sqrt(2) of its norm (the "twice is enough"
@@ -134,8 +134,9 @@ def lanczos_tridiagonalize(
     full projection at every step: each candidate is projected against
     every retained vector (classical Gram-Schmidt), and once more only
     where that pass left less than 1/sqrt(2) of its norm. That holds the
-    basis to working precision (about 1e-15 at m = 500). The generators of
-    :mod:`~krylovgrowth.algebra` pass the check: about 2e-15 at m = 512.
+    basis to working precision (about 1e-15 at m = 500). The L of
+    :func:`~krylovgrowth.algebra.build_liouvillian` passes the check: about
+    2e-15 at m = 512.
 
     A candidate hopping at or below the breakdown tolerance exhausts the
     Krylov space: termination is normal (the truncated space has finite

@@ -13,17 +13,20 @@ from krylovgrowth.algebra import (
     ORACLE_DIMS,
     ORACLE_TOLERANCE,
     LiouvillianSpec,
-    QuadraticHamiltonian,
-    build_generators,
     build_liouvillian,
     chain_states,
-    commutator,
-    hamiltonian_to_matrix,
     oracle_states,
     sized_oracle_states,
 )
+from krylovgrowth.bch import (
+    QuadraticHamiltonian,
+    build_generators,
+    build_ladders,
+    commutator,
+    hamiltonian_to_matrix,
+)
 from krylovgrowth.errors import Breakdown, DimensionMismatch, EdgeLeak, TruncationOverflow
-from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, build_ladders, evolve_grid
+from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, evolve_grid
 from krylovgrowth.lanczos import EDGE_LEAK_TOL, lanczos_tridiagonalize, propagate_chain
 
 # The dim-16 generators obey their relations off the last two rows and

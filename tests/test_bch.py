@@ -5,11 +5,18 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
-from krylovgrowth.algebra import LiouvillianSpec, QuadraticHamiltonian
-from krylovgrowth.bch import apply_displacement_squeeze, decompose_exponential, to_rep4
+from krylovgrowth.algebra import LiouvillianSpec
+from krylovgrowth.bch import (
+    QuadraticHamiltonian,
+    apply_displacement_squeeze,
+    build_ladders,
+    decompose_exponential,
+    hamiltonian_to_matrix,
+    to_rep4,
+)
 from krylovgrowth.errors import DecompositionFailure
 from krylovgrowth.coherent import DisplacementParams, closed_form_params, hermite_argument
-from krylovgrowth.fock import FockVector, TruncationConfig, build_ladders, evolve_grid
+from krylovgrowth.fock import FockVector, TruncationConfig, evolve_grid
 from krylovgrowth.algebra import build_liouvillian
 
 
@@ -42,8 +49,6 @@ class TestRep4:
         # dim large enough that truncation cannot touch the compared block
         rng = np.random.default_rng(23)
         cfg = TruncationConfig(dim=24)
-        from krylovgrowth.algebra import hamiltonian_to_matrix
-
         for _ in range(4):
             hx, hy = random_quadratic(rng), random_quadratic(rng)
             X = hamiltonian_to_matrix(hx, cfg)

@@ -12,13 +12,17 @@ import krylovgrowth
 
 MODULES = ("algebra", "bch", "cli", "coherent", "fock", "lanczos")
 
+# The dense realization of the symmetry algebra, defined in ``bch`` alone.
+DENSE_ALGEBRA = ("QuadraticHamiltonian", "build_ladders", "build_generators", "commutator",
+                 "hamiltonian_to_matrix")
+
 # Symbols that only their own unit tests used, removed from the library;
 # "Class.attr" names a removed method.
 REMOVED = {
-    "algebra": ("GeneratorSet", "QuadraticHamiltonian.is_hermitian", "GENERATOR_LABELS"),
+    "algebra": ("GeneratorSet", "GENERATOR_LABELS"),
     "bch": (
         "Rep4Matrix", "displacement_operator", "squeeze_operator", "bogoliubov",
-        "bogoliubov_safe_block", "conjugated_annihilation",
+        "bogoliubov_safe_block", "conjugated_annihilation", "QuadraticHamiltonian.is_hermitian",
     ),
     "coherent": ("MomentReport", "moment_report", "variance_closed", "hw_profile",
                  "interaction_term", "SL2RWeight", "DisplacementParams.s"),
@@ -28,6 +32,7 @@ REMOVED = {
         "HERMITIAN_TOL", "TruncationConfig.tail_tolerance", "TruncationConfig.guard_size",
         "TruncationConfig.guard_start", "OperatorMatrix.matvec", "band_windows",
         "OperatorMatrix.leading_matvec", "evolve_state", "guard_band_mass", "GUARD_FRACTION",
+        "FockVector.probabilities",
     ),
     "cli": ("ResultRow",),
     "lanczos": ("ChainWavefunction", "KrylovChain.tridiagonal", "project_onto_chain"),
@@ -70,6 +75,15 @@ def test_oracle_and_chain_entry_points_are_exported(symbol):
     assert symbol in algebra.__all__ and getattr(krylovgrowth, symbol) is getattr(algebra, symbol)
 
 
+def test_dense_algebra_lives_in_bch_only():
+    from krylovgrowth import algebra, bch, fock
+
+    for symbol in DENSE_ALGEBRA:
+        assert symbol in bch.__all__, symbol
+        for module in (algebra, fock, krylovgrowth):
+            assert not hasattr(module, symbol), f"{module.__name__}.{symbol}"
+
+
 def test_removed_symbols_are_gone():
     for name, symbols in REMOVED.items():
         module = importlib.import_module(f"krylovgrowth.{name}")
@@ -89,12 +103,16 @@ def test_cli_import_loads_no_scipy():
     code = (
         "import sys, krylovgrowth.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-        "or m == 'krylovgrowth.bch'))"
+        "or m == 'krylovgrowth.bch')); "
+        "print(sorted(f'{m}.{name}' for m in sys.modules if m.split('.')[0] == 'krylovgrowth' "
+        "for name in ('build_ladders', 'build_generators', 'hamiltonian_to_matrix') "
+        "if hasattr(sys.modules[m], name)))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert run.stdout.strip() == "[]"
+    # nor does the CLI load a module that builds the dense ladder matrices
+    assert run.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_readme_quick_start_runs():
