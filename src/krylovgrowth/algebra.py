@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import EdgeLeak, TruncationOverflow, _grow
 from .fock import FockVector, OperatorMatrix, TruncationConfig, evolve_grid
-from .lanczos import PREFIX_BLOCK, KrylovChain, lanczos_tridiagonalize, propagate_chain
+from .lanczos import KrylovChain, lanczos_tridiagonalize, propagate_chain
 
 __all__ = [
     "LiouvillianSpec",
@@ -64,6 +64,8 @@ def build_liouvillian(spec: LiouvillianSpec, cfg: TruncationConfig) -> OperatorM
     tridiagonal (bandwidth 1) otherwise. The main diagonal (zero) and the
     upper diagonals are written directly, in O(dim) and in float64:
     <k-1|L|k> = alpha sqrt(k) and <k-2|L|k> = (beta/2) sqrt(k-1) sqrt(k).
+    An entry beyond the float range raises ``OverflowError`` naming the
+    first such coefficient.
     """
     if cfg.dim < 4:
         raise ValueError(f"dim must be >= 4 for the Liouvillian, got {cfg.dim}")
@@ -71,11 +73,16 @@ def build_liouvillian(spec: LiouvillianSpec, cfg: TruncationConfig) -> OperatorM
     # sqrt(k-1) * sqrt(k) rather than sqrt(k(k-1)): the same rounding as the
     # ladder product a @ a, so L is bitwise the dense ladder polynomial
     bands = np.zeros((3 if spec.beta else 2, cfg.dim))
-    # an entry beyond the float range becomes inf; its user reports it
+    # an entry beyond the float range becomes inf, and is reported below
     with np.errstate(over="ignore"):
         bands[-2, 1:] = spec.alpha * root[1:]
         if spec.beta:
             bands[0, 2:] = 0.5 * spec.beta * (root[1:-1] * root[2:])
+    over = np.argwhere(~np.isfinite(bands.T))
+    if over.size:
+        k, r = over[0]
+        i = k + r - (len(bands) - 1)
+        raise OverflowError(f"coefficient <{i}|L|{k}> = {bands[r, k]} is beyond the float range")
     return OperatorMatrix(bands)
 
 
@@ -187,11 +194,13 @@ def sized_oracle_states(spec: LiouvillianSpec, t_grid: Sequence[float]) -> np.nd
 
 def chain_states(spec: LiouvillianSpec, t_grid: Sequence[float]) -> tuple[KrylovChain, np.ndarray]:
     """The vacuum's chain of L and its ``propagate_chain`` rows over ``t_grid`` at
-    the first m of ``CHAIN_SIZES`` with no edge leak, L built at the first multiple
-    of ``PREFIX_BLOCK`` above 2m (no step meets the truncation). ``Breakdown`` and
-    ``OverflowError`` propagate from the first m, the last m's ``EdgeLeak`` unchanged."""
+    the first m of ``CHAIN_SIZES`` with no edge leak, L built at 2m + 32 levels (no
+    step meets the truncation). ``Breakdown`` and ``OverflowError`` propagate from
+    the first m, the last m's ``EdgeLeak`` unchanged."""
     def attempt(m):
-        dim = -(-(2 * m + 1) // PREFIX_BLOCK) * PREFIX_BLOCK
+        # every step's dot products run over all dim levels, and BLAS rounds
+        # them by length: another dim changes the chain in its last bits
+        dim = 2 * m + 32
         L = build_liouvillian(spec, TruncationConfig(dim=dim))
         chain = lanczos_tridiagonalize(L, FockVector.basis_state(dim, 0), m)
         return chain, propagate_chain(chain, t_grid)

@@ -129,14 +129,19 @@ class OperatorMatrix:
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and orthogonal eigenvectors, computed once per operator."""
+        """Eigenvalues and orthogonal eigenvectors, computed once per operator.
+        Raises ``OverflowError`` where either is not finite."""
         eigvals, eigvecs = np.linalg.eigh(self.to_dense())
+        if not (np.isfinite(eigvals).all() and np.isfinite(eigvecs).all()):
+            raise OverflowError(f"eigendecomposition of the {self.dim}-level operator "
+                                "is beyond the float range")
         return _freeze(eigvals), _freeze(eigvecs)
 
     def _exp(self, t: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Rows exp(i t_k A) v0, one per time of the 1-D array ``t``, and their
-        squared norms. A NaN time raises ``ValueError`` before the eigh; a
-        phase t_k * eigenvalue beyond the float range gives a non-finite row."""
+        squared norms. A NaN time raises ``ValueError`` before the eigh, and
+        an eigh beyond the float range ``OverflowError``; a phase
+        t_k * eigenvalue beyond the float range gives a non-finite row."""
         nan = np.isnan(t)
         if nan.any():
             raise ValueError(f"time t=nan at grid index {int(np.argmax(nan))} is not a number")
@@ -149,24 +154,19 @@ class OperatorMatrix:
             rows = np.matmul(eigvecs.astype(complex), z[:, :, None])[:, :, 0]
             return rows, np.sum(np.abs(rows) ** 2, axis=1)
 
-    def stencil(self, n: int) -> np.ndarray:
-        """Coefficient rows of the leading n x n block A[:n, :n], shape
-        ``(2b + 1, n)`` for n <= dim.
+    def stencil(self) -> np.ndarray:
+        """Coefficient rows of A, shape ``(2b + 1, dim)``.
 
-        Entry i of A[:n, :n] @ x is the sum over r of ``stencil[r, i] *
+        Entry i of A @ x is the sum over r of ``stencil[r, i] *
         x[i + r - b]``: row 0 is the outermost subdiagonal, row b the main
-        diagonal and row 2b the outermost superdiagonal. Summed over r in
-        that order, every entry rounds the same way at every n. A slot whose
-        column i + r - b lies outside 0..n-1 is zero, so no coefficient
-        beyond the block (an overflowed one included) enters the product.
+        diagonal and row 2b the outermost superdiagonal, summed in that
+        order. A slot whose column i + r - b lies outside 0..dim-1 is zero.
         """
-        if not 0 <= n <= self.dim:
-            raise DimensionMismatch(f"block size {n} outside [0, dim={self.dim}]")
-        b = self.bandwidth
+        b, n = self.bandwidth, self.dim
         out = np.zeros((2 * b + 1, n))
         for k in range(min(b, n - 1) + 1):
-            out[b - k, k:] = self.bands[b - k, k:n]
-            out[b + k, : n - k] = self.bands[b - k, k:n]
+            out[b - k, k:] = self.bands[b - k, k:]
+            out[b + k, : n - k] = self.bands[b - k, k:]
         return out
 
 

@@ -5,30 +5,29 @@ orthonormal Krylov basis in which L is tridiagonal, with hopping
 coefficients b_n and diagonal coefficients a_n. L enters only through the
 (2b + 1)-row stencil of its band
 (:meth:`~krylovgrowth.fock.OperatorMatrix.stencil`), so no dense dim x dim
-matrix is formed, and the recursion runs in float64. L has bandwidth b,
-so Krylov vector j of a seed with highest level s0 lives on Fock levels
-0..s0 + b*j, and step j works on that prefix only. The Krylov vectors are
-stored with b zero columns on each side, so the matvec of a step is one
-product of the stencil with a read-only window view of that store, summed
-over the 2b + 1 rows in the order of
+matrix is formed, and the recursion runs in float64 over all dim levels.
+The Krylov vectors are stored with b zero columns on each side, so the
+matvec of a step is one product of the stencil with a read-only window
+view of that store, summed over the 2b + 1 rows in the order of
 :meth:`~krylovgrowth.fock.OperatorMatrix.stencil`, with no padding or copy
-per step. The chain is a property of L and the seed, not of the
-truncation (the recursion method of Viswanath & Mueller, *The Recursion
-Method*, Springer 1994). For generators with odd-moment symmetry (pure
-linear or pure two-photon) the diagonal vanishes identically; for the
-mixed generator it does not (<0|L^3|0> = 2 alpha^2 beta), so the chain
-carries both sets of coefficients.
+per step. L has bandwidth b, so Krylov vector j reaches at most b*j
+levels above the seed's highest one: while that fits in dim, the
+chain is a property of L and the seed, not of the truncation (the
+recursion method of Viswanath & Mueller, *The Recursion Method*, Springer
+1994). For generators with odd-moment symmetry (pure linear or pure
+two-photon) the diagonal vanishes identically; for the mixed generator it
+does not (<0|L^3|0> = 2 alpha^2 beta), so the chain carries both sets of
+coefficients.
 
 Every step is the three-term step in Paige's order, b_{j-1} q_{j-2} off
 before a_j q_{j-1} (the order decides the recursion's accuracy: Paige,
 J. Inst. Math. Appl. 10 (1972) 373), and then one more local pass against
-q_{j-1}: O(j) work, independent of dim once dim >= b*m + s0 + 1, as at
-every length :func:`~krylovgrowth.algebra.chain_states` tries. One Gram
-product then checks the basis. Without a full projection orthogonality
-is lost as Ritz values converge (Paige, Lin. Alg. Appl. 34 (1980) 235).
-The L of :func:`~krylovgrowth.algebra.build_liouvillian` keeps it, but
-an operator with a discrete spectrum need not, nor need a chain long
-enough to meet the truncation. A chain off orthonormal is recomputed with the full
+q_{j-1}: O(dim) work per step. One Gram product then checks the basis.
+Without a full projection orthogonality is lost as Ritz values converge
+(Paige, Lin. Alg. Appl. 34 (1980) 235). The L of
+:func:`~krylovgrowth.algebra.build_liouvillian` keeps it, but an operator
+with a discrete spectrum need not, nor need a chain long enough to meet
+the truncation. A chain off orthonormal is recomputed with the full
 projection at every step: the candidate is projected against every
 retained vector (classical Gram-Schmidt), and again only where the first
 pass removed more than 1 - 1/sqrt(2) of its norm (the "twice is enough"
@@ -62,11 +61,6 @@ __all__ = [
 ]
 
 BREAKDOWN_TOL = 1e-12
-# The Krylov prefix length is rounded up to a multiple of this, so that the
-# BLAS dot products and projections (OpenBLAS, one thread) round as they do
-# over the full zero-padded vector: the chain is bitwise that of a full-length
-# recursion.
-PREFIX_BLOCK = 32
 # Largest probability the last retained chain site may hold at a grid time.
 EDGE_LEAK_TOL = 1e-8
 # Largest max |Q Q^T - I| a chain with local passes may return; past it
@@ -86,7 +80,8 @@ class KrylovChain:
     interior hoppings b_1..b_{m-1}; ``residual`` is the norm of the first
     discarded (unnormalized) Lanczos vector, i.e. the b_m candidate
     coupling out of the retained block. ``basis`` stores the orthonormal
-    Krylov vectors as rows (kept for cross-method projections).
+    Krylov vectors as rows, over all dim levels of L; the Gram check of
+    :func:`lanczos_tridiagonalize` reads it.
     """
 
     a: np.ndarray = field(repr=False)
@@ -121,9 +116,9 @@ def lanczos_tridiagonalize(
     summed in the order :meth:`~krylovgrowth.fock.OperatorMatrix.stencil`
     states, and the Krylov vectors are float64, so the seed must be real
     and normalized: one with an imaginary part, or whose norm is not 1 to
-    1e-10 (a NaN or infinite norm included), raises ``ValueError``. Step j
-    runs on the Fock levels that L^j seed can reach, not on all ``dim`` of
-    them, and the rows of ``basis`` are zero beyond them.
+    1e-10 (a NaN or infinite norm included), raises ``ValueError``. Every
+    step works on all ``dim`` levels, and row j of ``basis`` is zero past the
+    levels that L^j seed can reach.
 
     Each step takes the three-term step in Paige's order (b_{j-1} q_{j-2}
     off first, then a_j q_{j-1}) and one more local pass against q_{j-1},
@@ -155,30 +150,24 @@ def lanczos_tridiagonalize(
         raise ValueError("seed must be real")
 
     q0 = seed.amplitudes.real / nrm
-    # Q[j - 1] lives on levels 0..s0 + b*(j - 1), so L Q[j - 1] fits in the
-    # first s0 + b*j + 1 entries, and step j works on those alone.
-    s0 = int(np.flatnonzero(q0)[-1])
-    chain, width = _recurrence(L, q0, s0, m, True)
-    Q = chain.basis[:, :width]
-    gram = Q @ Q.T
+    chain = _recurrence(L, q0, m, True)
+    gram = chain.basis @ chain.basis.T
     gram.flat[:: chain.m + 1] -= 1.0
     loss = np.max(np.abs(gram))
     if not loss <= ORTHONORMAL_TOL:
         _log.debug("Gram check of the %s-site chain off by %.3e: rerunning with the "
                    "full projection", m, loss)
-        chain, _ = _recurrence(L, q0, s0, m, False)
+        chain = _recurrence(L, q0, m, False)
     return chain
 
 
-def _recurrence(
-    L: OperatorMatrix, q0: np.ndarray, s0: int, m: int, local: bool,
-) -> tuple[KrylovChain, int]:
+def _recurrence(L: OperatorMatrix, q0: np.ndarray, m: int, local: bool) -> KrylovChain:
     """The chain of :func:`lanczos_tridiagonalize` from the normalized seed
-    ``q0`` with highest level ``s0``, and the prefix length of its last
-    step. With ``local`` true every step makes one local pass against the
+    ``q0``. With ``local`` true every step makes one local pass against the
     previous vector; with ``local`` false, every step takes the full
     projection."""
     b, dim = L.bandwidth, L.dim
+    stencil = L.stencil()
     # the Krylov vectors are the rows of Q, stored with b zero columns on
     # each side so that every step reads its stencil windows from one
     # read-only view: windows[j, r, i] = store[j, i + r] = Q[j, i + r - b]
@@ -190,22 +179,14 @@ def _recurrence(
     hops: list[float] = []
     residual = 0.0
     sites = m
-    n_prev = 0
     # a hopping beyond the float range is quietly inf or nan, raised below
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, m + 1):
-            reach = s0 + b * j + 1
-            n = min(dim, -(-reach // PREFIX_BLOCK) * PREFIX_BLOCK)
-            # the stencil of the prefix block, not a slice of the full one:
-            # a coefficient past the prefix (inf where the bands overflowed)
-            # would meet a zero of the store and make a nan
-            if n != n_prev:
-                stencil, n_prev = L.stencil(n), n
-            q = Q[j - 1, :n]
-            work = np.add.reduce(stencil * windows[j - 1, :, :n], axis=0)
+            q = Q[j - 1]
+            work = np.add.reduce(stencil * windows[j - 1], axis=0)
             # the three-term step in Paige's order
             if j >= 2:
-                work -= hops[-1] * Q[j - 2, :n]
+                work -= hops[-1] * Q[j - 2]
             aj = np.dot(q, work)
             work -= aj * q
             if local:
@@ -213,7 +194,7 @@ def _recurrence(
                 work -= c * q
                 aj += c
             else:
-                basis = Q[:j, :n]
+                basis = Q[:j]
                 before = math.sqrt(np.dot(work, work))
                 work -= (basis @ work) @ basis
                 if math.sqrt(np.dot(work, work)) < _TWICE_IS_ENOUGH * before:
@@ -231,12 +212,11 @@ def _recurrence(
             if j == m:
                 residual = bn
                 break
-            np.divide(work, bn, out=Q[j, :n])
+            np.divide(work, bn, out=Q[j])
             hops.append(bn)
-    chain = KrylovChain(
+    return KrylovChain(
         a=adiag[:sites], b=np.array(hops[: sites - 1]), residual=residual, basis=Q[:sites],
     )
-    return chain, n_prev
 
 
 def propagate_chain(chain: KrylovChain, t_grid: Sequence[float]) -> np.ndarray:

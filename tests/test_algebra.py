@@ -35,12 +35,12 @@ GS = 14
 
 
 def stencil_product(op, x):
-    """A[:n, :n] @ x as a Lanczos step forms it: the stencil of the leading
-    block times the windows of a copy of x padded with b zeros on each side."""
+    """A @ x as a Lanczos step forms it: the stencil times the windows of a
+    copy of x padded with b zeros on each side."""
     n, b = len(x), op.bandwidth
     padded = np.zeros(n + 2 * b, dtype=x.dtype)
     padded[b : b + n] = x
-    return (op.stencil(n) * sliding_window_view(padded, n)).sum(axis=0)
+    return (op.stencil() * sliding_window_view(padded, n)).sum(axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -90,14 +90,16 @@ class TestGenerators:
             z = x + 1j * rng.normal(size=dim)
             for v in (x, z):
                 for n in (1, 4, dim):
-                    y = stencil_product(op, v[:n])
-                    assert np.max(np.abs(y - dense[:n, :n] @ v[:n])) <= 1e-12, (b, n)
-            # a vector that is zero from n - b on: the leading product is
-            # the full product, bit for bit, and nothing lies beyond n
+                    vn = np.where(np.arange(dim) < n, v, 0.0)
+                    y = stencil_product(op, vn)
+                    assert np.max(np.abs(y - dense @ vn)) <= 1e-12, (b, n)
+            # a vector that is zero from n - b on: the product is that of the
+            # leading n x n block, bit for bit, and nothing lies beyond n
             n = 6
             padded = np.where(np.arange(dim) < n - b, x, 0.0)
             full = stencil_product(op, padded)
-            assert full[:n].tobytes() == stencil_product(op, padded[:n]).tobytes(), b
+            block = OperatorMatrix(bands[:, :n])
+            assert full[:n].tobytes() == stencil_product(block, padded[:n]).tobytes(), b
             assert not full[n:].any(), b
 
 
@@ -203,6 +205,14 @@ class TestLiouvillian:
     def test_rejects_nonfinite_spec(self):
         with pytest.raises(ValueError):
             LiouvillianSpec(float("nan"), 1.0)
+
+    def test_coefficient_beyond_the_float_range_raises(self):
+        # alpha sqrt(k) overflows from k = 32 on; the first such coefficient
+        # is named, with no numpy warning
+        with warnings.catch_warnings(), pytest.raises(OverflowError) as err:
+            warnings.simplefilter("error")
+            build_liouvillian(LiouvillianSpec(3.2e307, 0.0), TruncationConfig(dim=64))
+        assert str(err.value) == "coefficient <31|L|32> = inf is beyond the float range"
 
 
 @pytest.fixture
@@ -373,6 +383,26 @@ class TestChainStates:
             chain_states(LiouvillianSpec(0.0, 0.0), [0.0, 0.5, 1.0])
         assert chain_sizes == [(128, 288)]
         assert not hasattr(err.value, "t") and "t" not in err.value.context
+
+    def test_l_has_2m_plus_32_levels_at_every_size(self, monkeypatch):
+        # a propagation that leaks at every size makes chain_states try them
+        # all; another dim would change the chains in their last bits (BLAS
+        # rounds a dot product by its length)
+        widths = []
+
+        def spy(L, seed, m):
+            chain = lanczos_tridiagonalize(L, seed, m)
+            widths.append((m, chain.basis.shape[1]))
+            return chain
+
+        def leak(chain, t_grid):
+            raise EdgeLeak(t_grid[-1], m=chain.m, edge_mass=1.0)
+
+        monkeypatch.setattr(algebra, "lanczos_tridiagonalize", spy)
+        monkeypatch.setattr(algebra, "propagate_chain", leak)
+        with pytest.raises(EdgeLeak):
+            chain_states(LiouvillianSpec(1.0, 1.0), [0.0, 1.0])
+        assert widths == [(m, 2 * m + 32) for m in CHAIN_SIZES]
 
     @pytest.mark.parametrize("alpha, ts, t", [
         (1e200, [0.0, 1.0], None),  # a hopping beyond the float range

@@ -555,6 +555,26 @@ class TestMain:
         assert len(lines) == 1 and lines[0].startswith("numerical failure:")
         assert "t=" not in lines[0]
 
+    def test_lanczos_overflowing_coefficient_of_l_is_named(self, capsys):
+        # (beta/2) sqrt(k-1) sqrt(k) overflows at k = 37 of the 288 levels
+        # the first chain size builds
+        code = main(["--mode", "lanczos", "--alpha", "0", "--beta", "1e307"])
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["numerical failure: result beyond the float range: coefficient "
+                         "<35|L|37> = inf is beyond the float range [alpha=0.0, beta=1e+307]"]
+
+    def test_verify_overflowing_eigendecomposition_is_named(self, capsys):
+        # L's bands are finite at dim 256, its eigenvalues are not
+        code = main(["--mode", "verify", "--alpha", "1e307"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+        assert "eigendecomposition of the 256-level operator" in lines[0]
+        assert "t=" not in lines[0]
+
     def test_lanczos_overflowing_phase_names_its_time(self, capsys):
         # t * eigenvalue overflows at t = 5e307 and 1e308: no nan row and no
         # numpy warning, and the error names the first such time, not the

@@ -99,13 +99,11 @@ def band_operator(b, dim, rng):
 class TestStencil:
     @pytest.mark.parametrize("b", [0, 1, 2])
     def test_rows_are_the_diagonals_of_the_leading_block(self, b):
+        # the operator of each leading n x n block, n = 0 and 1 included
         op = band_operator(b, 9, np.random.default_rng(b))
         dense = op.to_dense()
-        for n in (-1, 10):
-            with pytest.raises(DimensionMismatch):
-                op.stencil(n)
         for n in range(10):
-            stencil = op.stencil(n)
+            stencil = OperatorMatrix(op.bands[:, :n]).stencil()
             assert stencil.shape == (2 * b + 1, n)
             for r in range(2 * b + 1):
                 for i in range(n):
@@ -116,9 +114,10 @@ class TestStencil:
     @pytest.mark.parametrize("b", [0, 1, 2])
     @pytest.mark.parametrize("kind", [float, complex])
     def test_product_is_the_per_diagonal_loop_bitwise(self, b, kind):
-        # every prefix n, as a step of the Lanczos recursion computes it
-        # (windows of a store padded with b zeros on each side); tobytes,
-        # so that signed zeros count
+        # a vector supported on each prefix n of the levels, as a step of
+        # the Lanczos recursion computes its product (windows of a store
+        # padded with b zeros on each side); tobytes, so that signed zeros
+        # count
         dim = 13
         rng = np.random.default_rng(10 + b)
         op = band_operator(b, dim, rng)
@@ -130,24 +129,10 @@ class TestStencil:
         store = np.zeros((2, dim + 2 * b), dtype=x.dtype)
         windows = sliding_window_view(store, dim, axis=-1)
         for n in range(dim + 1):
-            want = per_diagonal_matvec(op.bands, x[:n]).tobytes()
-            store[1, b : b + n] = x[:n]
-            assert (op.stencil(n) * windows[1, :, :n]).sum(axis=0).tobytes() == want, n
-
-    def test_coefficients_beyond_the_block_stay_out(self):
-        # an overflowed coefficient past the leading block would make a nan
-        # of its zero partner in the store; the product never reads it
-        b, dim, n = 2, 8, 5
-        bands = np.ones((b + 1, dim))
-        bands[:, n:] = np.inf
-        op = OperatorMatrix(bands)
-        x = np.arange(1.0, n + 1.0)
-        store = np.zeros(dim + 2 * b)
-        store[b : b + n] = x
-        windows = sliding_window_view(store, dim)
-        y = (op.stencil(n) * windows[:, :n]).sum(axis=0)
-        assert np.all(np.isfinite(y))
-        assert y.tobytes() == per_diagonal_matvec(bands, x).tobytes()
+            xn = np.where(np.arange(dim) < n, x, 0.0)
+            want = per_diagonal_matvec(op.bands, xn).tobytes()
+            store[1, b : b + dim] = xn
+            assert (op.stencil() * windows[1]).sum(axis=0).tobytes() == want, n
 
 
 def hw_generator(alpha, dim):
@@ -204,6 +189,21 @@ class TestEvolveState:
                 warnings.simplefilter("error")
                 evolve_grid(L, grid, vacuum(32))
             assert err.value.t == t and f"t={t}" in str(err.value)
+
+    def test_eigendecomposition_beyond_the_float_range_raises(self):
+        # the bands are finite, but eigh returns infinite eigenvalues: that
+        # is no phase overflow, so no time is named; a NaN time is still
+        # rejected first
+        L = build_liouvillian(LiouvillianSpec(1e307, 1.0), TruncationConfig(dim=256))
+        assert np.isfinite(L.bands).all()
+        with pytest.raises(ValueError, match="t=nan"):
+            evolve_grid(L, [0.0, math.nan], vacuum(256))
+        with warnings.catch_warnings(), pytest.raises(OverflowError) as err:
+            warnings.simplefilter("error")
+            evolve_grid(L, [0.0, 1.0], vacuum(256))
+        assert str(err.value) == ("eigendecomposition of the 256-level operator "
+                                  "is beyond the float range")
+        assert not hasattr(err.value, "t")
 
     def test_rejects_a_nan_time(self):
         # a NaN time is no phase overflow: rejected before L is diagonalized,

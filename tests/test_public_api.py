@@ -35,7 +35,8 @@ REMOVED = {
         "FockVector.probabilities",
     ),
     "cli": ("ResultRow",),
-    "lanczos": ("ChainWavefunction", "KrylovChain.tridiagonal", "project_onto_chain"),
+    "lanczos": ("ChainWavefunction", "KrylovChain.tridiagonal", "project_onto_chain",
+                "PREFIX_BLOCK"),
     "errors": ("NonHermitianInput",),
 }
 
