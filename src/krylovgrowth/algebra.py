@@ -6,8 +6,11 @@ the one banded :class:`~krylovgrowth.fock.OperatorMatrix` of the library.
 The dense oracle (:func:`oracle_states`, :func:`sized_oracle_states`) and
 the Lanczos chain (:func:`chain_states`) evolve the vacuum by it, each at
 the first size of its ladder (``ORACLE_DIMS``, ``CHAIN_SIZES``) where its
-own error estimate holds. The dense realization of the Schrodinger
-symmetry algebra that L belongs to lives in :mod:`~krylovgrowth.bch`.
+own error estimate is within its bar: ``ORACLE_TOLERANCE`` for the Duhamel
+estimate, ``EDGE_LEAK_TOL`` for the probability on the chain's last site.
+The exponential's own checks are those of ``OperatorMatrix._exp``. The
+dense realization of the Schrodinger symmetry algebra that L belongs to
+lives in :mod:`~krylovgrowth.bch`.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ __all__ = [
 # Amplitude bar of the dense oracle: a time is compared with the closed
 # form only where its truncation estimate is within it, and must agree to it.
 ORACLE_TOLERANCE = 1e-8
+# Largest probability the last site of a chain may hold at a grid time.
+EDGE_LEAK_TOL = 1e-8
 # Trapezoid nodes of the oracle's truncation estimate per unit of the scaled
 # time max(|alpha|, |beta|) t, and how many node spacings it integrates at most.
 _NODES_PER_UNIT_T = 320
@@ -193,16 +198,22 @@ def sized_oracle_states(spec: LiouvillianSpec, t_grid: Sequence[float]) -> np.nd
 
 
 def chain_states(spec: LiouvillianSpec, t_grid: Sequence[float]) -> tuple[KrylovChain, np.ndarray]:
-    """The vacuum's chain of L and its ``propagate_chain`` rows over ``t_grid`` at
-    the first m of ``CHAIN_SIZES`` with no edge leak, L built at 2m + 32 levels (no
-    step meets the truncation). ``Breakdown`` and ``OverflowError`` propagate from
-    the first m, the last m's ``EdgeLeak`` unchanged."""
+    """The vacuum's chain of L and its read-only ``propagate_chain`` rows over
+    ``t_grid`` at the first m of ``CHAIN_SIZES`` whose edge mass, the probability
+    on its last site, is within ``EDGE_LEAK_TOL`` at every time; L is built at
+    2m + 32 levels (no step meets the truncation). At m = 1024 the first time
+    over the bar raises :class:`EdgeLeak`; ``Breakdown`` and ``OverflowError``
+    (a phase at any grid time included) propagate from the first m."""
     def attempt(m):
         # every step's dot products run over all dim levels, and BLAS rounds
         # them by length: another dim changes the chain in its last bits
         dim = 2 * m + 32
         L = build_liouvillian(spec, TruncationConfig(dim=dim))
         chain = lanczos_tridiagonalize(L, FockVector.basis_state(dim, 0), m)
-        return chain, propagate_chain(chain, t_grid)
+        rows = propagate_chain(chain, t_grid)
+        leak = np.flatnonzero(np.abs(rows[:, -1]) ** 2 > EDGE_LEAK_TOL)
+        if leak.size:
+            raise EdgeLeak(t_grid[leak[0]], m=chain.m, edge_mass=float(abs(rows[leak[0], -1]) ** 2))
+        return chain, rows
 
     return _grow(CHAIN_SIZES, attempt, EdgeLeak)

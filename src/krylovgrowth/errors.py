@@ -58,8 +58,9 @@ class Breakdown(KrylovGrowthError, RuntimeError):
 
 
 class EdgeLeak(KrylovGrowthError, RuntimeError):
-    """Chain propagation reached the last retained site: the chain is too
-    short for the requested time horizon."""
+    """The longest chain of :func:`~krylovgrowth.algebra.chain_states` is too
+    short for the time horizon: its last site holds more than ``EDGE_LEAK_TOL``
+    of the probability at ``t``, with that ``m`` and ``edge_mass`` in ``context``."""
 
     def __init__(self, t: float, message: str = "", **context):
         super().__init__(message or f"probability reached the chain end at t={t}", **context)

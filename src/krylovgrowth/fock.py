@@ -8,7 +8,7 @@ main and upper diagonals (:class:`OperatorMatrix`) and applied through a
 stencil of 2b + 1 coefficient rows, one per diagonal from the outermost
 subdiagonal to the outermost superdiagonal: building and applying it
 costs O(dim), and a dense dim x dim array is formed only for the
-eigendecomposition, the library's one exact exponential
+eigendecomposition, the library's one exact and one checked exponential
 (``OperatorMatrix._exp``, shared with the Lanczos chain).
 
 Truncating the Fock space breaks operator identities near the top of the
@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, KrylovGrowthError
 
 __all__ = [
     "TruncationConfig",
@@ -137,22 +137,35 @@ class OperatorMatrix:
                                 "is beyond the float range")
         return _freeze(eigvals), _freeze(eigvecs)
 
-    def _exp(self, t: np.ndarray, v0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Rows exp(i t_k A) v0, one per time of the 1-D array ``t``, and their
-        squared norms. A NaN time raises ``ValueError`` before the eigh, and
-        an eigh beyond the float range ``OverflowError``; a phase
-        t_k * eigenvalue beyond the float range gives a non-finite row."""
+    def _exp(self, t: np.ndarray, v0: np.ndarray) -> np.ndarray:
+        """Rows exp(i t_k A) v0, one per time of the 1-D array ``t``: the
+        library's one checked exponential. A NaN time raises ``ValueError``
+        before the eigh, an eigh beyond the float range ``OverflowError``, and
+        then the first time whose row fails, with that time as ``t``: a phase
+        beyond the float range ``OverflowError``, a squared norm off |v0|^2 by
+        more than 1e-10 ``KrylovGrowthError``."""
         nan = np.isnan(t)
         if nan.any():
             raise ValueError(f"time t=nan at grid index {int(np.argmax(nan))} is not a number")
         # A is real symmetric: real eigenvalues and real orthogonal eigenvectors
         eigvals, eigvecs = self._eigh
+        # an overflowing phase gives a non-finite row, reported below
         with np.errstate(over="ignore", invalid="ignore"):
             z = np.exp(1j * t[:, None] * eigvals) * (eigvecs.T @ v0)
             # a matrix-vector product per row, not one matrix-matrix product,
             # which rounds differently: each row is bitwise that time alone
             rows = np.matmul(eigvecs.astype(complex), z[:, :, None])[:, :, 0]
-            return rows, np.sum(np.abs(rows) ** 2, axis=1)
+            drift = np.abs(np.sum(np.abs(rows) ** 2, axis=1) - np.sum(np.abs(v0) ** 2))
+        bad = np.flatnonzero(~(drift <= 1e-10))  # a non-finite norm fails too
+        if bad.size:
+            i, ti = bad[0], float(t[bad[0]])
+            if math.isfinite(drift[i]):
+                err = KrylovGrowthError(f"unitarity lost: norm drift {drift[i]:.3e} at t={ti}")
+            else:
+                err = OverflowError(f"phases t * eigenvalue overflow at t={ti}")
+            err.t = ti
+            raise err
+        return rows
 
     def stencil(self) -> np.ndarray:
         """Coefficient rows of A, shape ``(2b + 1, dim)``.
@@ -174,22 +187,11 @@ def evolve_grid(L: OperatorMatrix, t_grid: Sequence[float], v0: FockVector) -> n
     """exp(i t L) v0 at every time of ``t_grid`` by symmetric
     eigendecomposition (unitary to machine precision, computed once per
     ``L``): the read-only states, one row per time, each bitwise what that
-    time alone gives. A NaN time, or a non-finite amplitude of ``v0``,
-    raises ``ValueError``. The first time whose phases t * eigenvalue
-    overflow raises :class:`OverflowError` with that time as its ``t``, and
-    the first whose norm drifts by more than 1e-10 ``ArithmeticError``."""
+    time alone gives. A non-finite amplitude of ``v0`` raises
+    ``ValueError``; the checks on the times and the rows are those of
+    ``OperatorMatrix._exp``."""
     if L.dim != v0.dim:
         raise DimensionMismatch(f"operator dim {L.dim} != state dim {v0.dim}")
     if not np.isfinite(v0.amplitudes).all():
         raise ValueError("state must be finite")
-    states, norm_sq = L._exp(np.asarray(t_grid, dtype=float), v0.amplitudes)
-    drift = np.abs(norm_sq - v0.norm_sq)
-    bad = ~(drift <= 1e-10)  # a non-finite norm fails too
-    if bad.any():
-        i = int(np.argmax(bad))
-        if not math.isfinite(norm_sq[i]):
-            err = OverflowError(f"phases t * eigenvalue overflow at t={t_grid[i]}")
-            err.t = t_grid[i]
-            raise err
-        raise ArithmeticError(f"unitarity lost: norm drift {drift[i]:.3e}")
-    return _freeze(states)
+    return _freeze(L._exp(np.asarray(t_grid, dtype=float), v0.amplitudes))

@@ -10,6 +10,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from krylovgrowth import algebra
 from krylovgrowth.algebra import (
     CHAIN_SIZES,
+    EDGE_LEAK_TOL,
     ORACLE_DIMS,
     ORACLE_TOLERANCE,
     LiouvillianSpec,
@@ -27,7 +28,7 @@ from krylovgrowth.bch import (
 )
 from krylovgrowth.errors import Breakdown, DimensionMismatch, EdgeLeak, TruncationOverflow
 from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, evolve_grid
-from krylovgrowth.lanczos import EDGE_LEAK_TOL, lanczos_tridiagonalize, propagate_chain
+from krylovgrowth.lanczos import lanczos_tridiagonalize, propagate_chain
 
 # The dim-16 generators obey their relations off the last two rows and
 # columns, where the truncation cuts the quadratic ladder products.
@@ -352,6 +353,14 @@ def chain_sizes(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def short_ladder(monkeypatch, chain_sizes):
+    """chain_states on a ladder of 6-site chains and then 8-site ones, whose
+    sizes the ``chain_sizes`` spy records."""
+    monkeypatch.setattr(algebra, "CHAIN_SIZES", (6, 8))
+    return chain_sizes
+
+
 class TestChainStates:
     def test_first_size_is_the_128_site_chain_at_any_dim(self, chain_sizes):
         # a benchmark-like input, which the 128-site chain holds: bitwise
@@ -385,9 +394,9 @@ class TestChainStates:
         assert not hasattr(err.value, "t") and "t" not in err.value.context
 
     def test_l_has_2m_plus_32_levels_at_every_size(self, monkeypatch):
-        # a propagation that leaks at every size makes chain_states try them
-        # all; another dim would change the chains in their last bits (BLAS
-        # rounds a dot product by its length)
+        # rows whose last site holds everything leak at every size and make
+        # chain_states try them all; another dim would change the chains in
+        # their last bits (BLAS rounds a dot product by its length)
         widths = []
 
         def spy(L, seed, m):
@@ -396,7 +405,7 @@ class TestChainStates:
             return chain
 
         def leak(chain, t_grid):
-            raise EdgeLeak(t_grid[-1], m=chain.m, edge_mass=1.0)
+            return np.ones((len(t_grid), chain.m), dtype=complex)
 
         monkeypatch.setattr(algebra, "lanczos_tridiagonalize", spy)
         monkeypatch.setattr(algebra, "propagate_chain", leak)
@@ -404,9 +413,31 @@ class TestChainStates:
             chain_states(LiouvillianSpec(1.0, 1.0), [0.0, 1.0])
         assert widths == [(m, 2 * m + 32) for m in CHAIN_SIZES]
 
+    def test_edge_leak_names_its_time(self, short_ladder):
+        with pytest.raises(EdgeLeak) as err:
+            chain_states(LiouvillianSpec(1.0, 0.0), [0.0, 3.0])
+        assert short_ladder == [(6, 44), (8, 48)]
+        assert err.value.t == 3.0 and err.value.context["m"] == 8
+
+    def test_first_leaking_time_in_grid_order(self, short_ladder):
+        # 3.0 and 4.0 both leak out of the 8-site chain; the error names the
+        # first in the grid, with the edge mass that time alone gives, and
+        # every time, 1e300 included, is evaluated without a warning
+        spec, ts = LiouvillianSpec(1.0, 0.0), [0.0, 0.1, 4.0, 0.2, 3.0, 1e300]
+        with warnings.catch_warnings(), pytest.raises(EdgeLeak) as err:
+            warnings.simplefilter("error")
+            chain_states(spec, ts)
+        L = build_liouvillian(spec, TruncationConfig(dim=48))
+        alone = propagate_chain(lanczos_tridiagonalize(L, FockVector.basis_state(48, 0), 8), [4.0])
+        assert err.value.t == 4.0
+        assert err.value.context == {"m": 8, "edge_mass": float(abs(alone[0, -1]) ** 2)}
+
     @pytest.mark.parametrize("alpha, ts, t", [
         (1e200, [0.0, 1.0], None),  # a hopping beyond the float range
         (1.0, [0.0, 5e307, 1e308], 5e307),  # a phase t * eigenvalue
+        # a phase after a time that leaks out of every chain: the exponential
+        # checks every time before chain_states reads an edge mass
+        (1.0, [0.0, 4.0, 1e308], 1e308),
     ])
     def test_overflow_from_the_first_size(self, alpha, ts, t, chain_sizes):
         with pytest.raises(OverflowError) as err:

@@ -16,7 +16,7 @@ from krylovgrowth.coherent import (
     phi_series,
     schrodinger_complexity_t,
 )
-from krylovgrowth.fock import FockVector, TruncationConfig
+from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig
 from krylovgrowth.lanczos import chain_complexity, lanczos_tridiagonalize, propagate_chain
 from krylovgrowth import cli
 from krylovgrowth.cli import (
@@ -588,6 +588,35 @@ class TestMain:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("numerical failure:")
         assert "float range" in lines[0] and lines[0].endswith("t=5e+307]")
+
+    def test_lanczos_overflow_after_a_leak_is_raised_at_the_first_size(self, caplog, capsys):
+        # t = 4 leaks out of the 128-site chain and t = 1e308 overflows its
+        # phases: the overflow ends the run at m = 128, with no escalation
+        caplog.set_level(logging.DEBUG, logger="krylovgrowth")
+        code = main(["--mode", "lanczos", "--tmin", "4", "--tmax", "1e308", "--steps", "2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+        assert "float range" in lines[0] and lines[0].endswith("t=1e+308]")
+        (record,) = caplog.records
+        assert record.getMessage().startswith("KrylovGrowthError ends the run")
+
+    @pytest.mark.parametrize("mode", ["lanczos", "verify"])
+    def test_norm_drift_names_its_time(self, mode, monkeypatch, capsys):
+        # eigenvectors 1e-7 longer than unit scale every evolved squared norm
+        # by about 1 + 4e-7, past the exponential's 1e-10: the first time,
+        # t = 0, fails
+        eigh = OperatorMatrix._eigh.func
+        monkeypatch.setattr(OperatorMatrix, "_eigh",
+                            property(lambda op: (eigh(op)[0], eigh(op)[1] * (1 + 1e-7))))
+        assert main(["--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("numerical failure: unitarity lost: norm drift ")
+        assert " at t=0.0 [" in line and line.endswith("t=0.0]")
 
     def test_verify_overflowing_phase_names_its_time(self, capsys):
         # t * eigenvalue overflows in the dense evolution at t = -1e308

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from krylovgrowth import lanczos
-from krylovgrowth.algebra import LiouvillianSpec, build_liouvillian
-from krylovgrowth.errors import Breakdown, EdgeLeak
+from krylovgrowth.algebra import EDGE_LEAK_TOL, LiouvillianSpec, build_liouvillian
+from krylovgrowth.errors import Breakdown
 from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, evolve_grid
 from krylovgrowth.lanczos import (
     KrylovChain,
@@ -296,28 +296,25 @@ class TestPropagation:
         for phi in propagate_chain(chain, [0.0, 0.5, 1.0, 1.5]):
             assert abs(np.sum(np.abs(phi) ** 2) - 1.0) <= 1e-8
 
-    def test_edge_leak_raises(self):
+    def test_leaking_rows_are_returned_edge_included(self):
+        # 3.0 and 4.0 leak out of the 6-site chain: their rows come back, each
+        # the eigenbasis product of that time, unit norm, with the edge mass
+        # left for chain_states to judge
         chain = lanczos_tridiagonalize(hw_generator(1.0, 64), vacuum(64), 6)
-        with pytest.raises(EdgeLeak) as err:
-            propagate_chain(chain, [0.0, 3.0])
-        assert err.value.t == 3.0
-
-    def test_first_failing_time_in_grid_order(self):
-        # 3.0 and 4.0 both leak; the error names the first in the grid, with
-        # the edge mass that time alone gives, and the times after it are
-        # evaluated without a warning (1e308 overflows)
-        chain = lanczos_tridiagonalize(hw_generator(1.0, 64), vacuum(64), 6)
-        with warnings.catch_warnings(), pytest.raises(EdgeLeak) as err:
+        ts = [0.1, 4.0, 3.0]
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            propagate_chain(chain, [0.0, 0.1, 4.0, 0.2, 3.0, 1e308])
+            rows = propagate_chain(chain, ts)
         evals, evecs = np.linalg.eigh(chain_matrix(chain))
-        phi = evecs.astype(complex) @ (np.exp(4.0j * evals) * evecs[0])
-        assert err.value.t == 4.0
-        assert err.value.context == {"m": 6, "edge_mass": float(abs(phi[-1]) ** 2)}
+        for t, phi in zip(ts, rows):
+            want = evecs.astype(complex) @ (np.exp(1j * t * evals) * evecs[0])
+            assert np.max(np.abs(phi - want)) <= 1e-14
+            assert abs(np.sum(np.abs(phi) ** 2) - 1.0) <= 1e-10
+        assert np.abs(rows[1:, -1]).min() ** 2 > EDGE_LEAK_TOL
 
     def test_overflowing_phase_is_an_overflow_at_its_time(self):
-        # t * eigenvalue overflows: the row would be nan, which passes the
-        # edge and norm tests, so it fails on its own, without a warning
+        # t * eigenvalue overflows: the row would be nan, and the
+        # exponential raises for it, without a warning
         chain = lanczos_tridiagonalize(hw_generator(1.0, 64), vacuum(64), 20)
         with warnings.catch_warnings(), pytest.raises(OverflowError, match="t=5e\\+307") as err:
             warnings.simplefilter("error")
@@ -326,10 +323,11 @@ class TestPropagation:
 
     @pytest.mark.parametrize("grid, error", [
         ([0.0, 1e308, 4.0], OverflowError),
-        ([0.0, 4.0, 1e308], EdgeLeak),
-    ], ids=["overflow first", "leak first"])
+    ], ids=["overflow first"])
     def test_error_is_that_of_the_first_failing_time(self, grid, error):
-        # 4.0 leaks out of the 6-site chain and 1e308 overflows its phases
+        # 4.0 leaks out of the 6-site chain, which is no error here (see
+        # test_leaking_rows_are_returned_edge_included), and 1e308 overflows
+        # its phases
         chain = lanczos_tridiagonalize(hw_generator(1.0, 64), vacuum(64), 6)
         with warnings.catch_warnings(), pytest.raises(error) as err:
             warnings.simplefilter("error")

@@ -36,7 +36,7 @@ REMOVED = {
     ),
     "cli": ("ResultRow",),
     "lanczos": ("ChainWavefunction", "KrylovChain.tridiagonal", "project_onto_chain",
-                "PREFIX_BLOCK"),
+                "PREFIX_BLOCK", "EDGE_LEAK_TOL"),
     "errors": ("NonHermitianInput",),
 }
 
