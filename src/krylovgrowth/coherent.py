@@ -209,6 +209,18 @@ class AmplitudeSeries:
 # the numerator of Smith's formula for x / d at real d > 0.
 _SMITH = complex(1.0, -0.0)
 
+# sqrt(0), sqrt(1), ...: the one table of sqrt(k) the recurrence reads,
+# grown (to at least double) when a series outgrows it; it holds nothing
+# but sqrt(k), so every caller can share it
+_ROOTS: list = []
+
+
+def _roots(end: int) -> list:
+    """The table of sqrt(k), holding at least k = 0..end-1 (``end`` >= 0)."""
+    if len(_ROOTS) < end:
+        _ROOTS[:] = np.sqrt(np.arange(max(end, 2 * len(_ROOTS)), dtype=float)).tolist()
+    return _ROOTS
+
 
 def _recurrence(p: DisplacementParams, k_max: int, phi: Optional[list] = None) -> list:
     """phi_0..phi_{k_max} by the forward recurrence, as a list of Python complex.
@@ -224,11 +236,25 @@ def _recurrence(p: DisplacementParams, k_max: int, phi: Optional[list] = None) -
     bit on 44% of 100 000 random products. So the recurrence runs one
     scalar step at a time; run in lockstep over a time grid on complex
     arrays, it would not be bitwise this series.
+
+    Where v and w are both nonzero, each term is one product of the
+    numerator x = -(sqrt(k+1) cosh|w|) phi_{k+1} by the float -1/d.
+    CPython 3.11 multiplies a complex by a float f as by complex(f, 0.0),
+    and 3.14 as complex(x.re f, x.im f); either way a part of x f is
+    x.re f or x.im f, plus or minus a zero. Where that part is nonzero it
+    is, to the bit, the negation, the product by ``_SMITH`` and the product
+    by 1/d taken in turn, the three steps of numpy's division. A zero part,
+    exact or underflowed, can have the other sign, so such a term is
+    recomputed by the three steps. A NaN's sign can differ too; as a term
+    that is inf or NaN leaves every later term inf or NaN, a call whose
+    last term is one recomputes all of its terms by the three steps. The
+    w = 0 branch, and the v = 0 (pure squeeze) branch, where every term has
+    a zero part, take the three steps on every term.
     """
     if phi is None:
         phi = [phi_zero(p)]
     start = len(phi) - 1
-    rk = np.sqrt(np.arange(start, k_max + 1, dtype=float)).tolist()
+    rk = _roots(k_max + 1)[start:k_max + 1]
     cur = phi[-1]
     append = phi.append
     if p.w == 0:
@@ -244,6 +270,21 @@ def _recurrence(p: DisplacementParams, k_max: int, phi: Optional[list] = None) -
     mix = p.v.conjugate() * ch + p.v * mubar * sh
     hop = mubar * sh
     prev = phi[-2] if start else 0.0
+    if p.v != 0:
+        first = prev, cur
+        for r, r1 in zip(rk, rk[1:]):
+            ns = -1.0 / (r1 * ch)
+            x = r * hop * prev + mix * cur
+            prev = cur
+            cur = x * ns
+            if not (cur.real and cur.imag):
+                n = -x * _SMITH
+                cur = complex(n.real * -ns, n.imag * -ns)
+            append(cur)
+        if cmath.isfinite(cur):
+            return phi
+        del phi[start + 1:]
+        prev, cur = first
     for a, s in zip([r * hop for r in rk[:-1]], [1.0 / (r * ch) for r in rk[1:]]):
         n = -(a * prev + mix * cur) * _SMITH
         prev = cur
@@ -271,15 +312,27 @@ def phi_series(
     ``k_max`` grows 64, 128, ... up to ``max_k`` by the one escalation loop,
     ``errors._grow``, until the missing probability 1 - sum |phi_k|^2 is at
     most ``tol`` in magnitude; at ``max_k`` it raises :class:`NonConvergent`.
-    Each size extends the series from the last term instead of recomputing it.
+    Each size extends the series from the last term instead of recomputing it,
+    and converts only its new terms to the array; the tail is summed over the
+    whole array each time, by ``np.add.reduce``: the pairwise sum of
+    ``np.sum``, without the cost of its Python wrapper on a short series. A
+    ``tol`` that is not positive, or a negative ``max_k``, raises ``ValueError``.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
+    if max_k < 0:
+        raise ValueError(f"max_k must be >= 0, got {max_k}")
     terms = [phi_zero(p)]
+    phi = None  # the terms of the last size, as an array
 
     def attempt(k_max):
-        phi = np.array(_recurrence(p, k_max, terms), dtype=complex)
-        tail = 1.0 - float(np.sum(np.abs(phi) ** 2))
+        nonlocal phi
+        _recurrence(p, k_max, terms)
+        if phi is None:
+            phi = np.array(terms, dtype=complex)
+        else:  # convert only the new terms
+            phi = np.concatenate((phi, np.array(terms[len(phi):], dtype=complex)))
+        tail = 1.0 - float(np.add.reduce(np.abs(phi) ** 2))
         if not abs(tail) <= tol:
             raise NonConvergent(
                 f"series tail {tail:.3e} still above tol {tol:.1e} at cap k_max={k_max}",
@@ -374,7 +427,7 @@ def _moments(
     series = phi_series(p, tol=1e-13, max_k=max_k)
     k = np.arange(series.k_max + 1, dtype=float)
     probs = series.probabilities()
-    return [float(np.sum(k ** n * probs)) for n in orders]
+    return [float(np.add.reduce(k ** n * probs)) for n in orders]  # np.sum's reduction
 
 
 def moment_identity_value(p: DisplacementParams, n: int) -> float:

@@ -90,6 +90,23 @@ class TestPhiSeries:
         assert coherent._doubling(300) == (64, 128, 256, 300)
         assert coherent._doubling(300) is coherent._doubling(300)
 
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_negative_cap_is_an_invalid_argument(self, monkeypatch, t):
+        # not a one-term series at t = 0, nor a NonConvergent "at cap k_max=-3"
+        # elsewhere; the recurrence, and its table of sqrt(k), is never reached
+        def unreached(p, k_max, phi=None):
+            raise AssertionError("the recurrence ran")
+
+        monkeypatch.setattr(coherent, "_recurrence", unreached)
+        p = closed_form_params(LiouvillianSpec(0.7, 0.9), t)
+        for call in (
+            lambda: phi_series(p, max_k=-3),
+            lambda: moment_n(p, 1, max_k=-3),
+            lambda: coherent._moments(p, (1, 2), -3),
+        ):
+            with pytest.raises(ValueError, match="max_k must be >= 0, got -3"):
+                call()
+
     def test_nonconvergent_at_cap(self):
         with pytest.raises(NonConvergent) as err:
             phi_series(DisplacementParams(v=0.0, w=3.0j), tol=1e-10, max_k=64)
@@ -186,6 +203,81 @@ class TestRecurrence:
     def test_points_grow_the_series(self):
         # the first test compares series that doubled at least once
         assert all(phi_series(p, tol=1e-13, max_k=8192).k_max > 64 for p in SERIES_POINTS[1:5])
+
+    @pytest.mark.parametrize("p", SERIES_POINTS)
+    def test_tail_and_moments_are_np_sum_over_the_whole_series(self, p):
+        # pairwise sums over the whole array, however the series grew
+        series = phi_series(p, tol=1e-13, max_k=8192)
+        probs = np.abs(series.phi) ** 2
+        k = np.arange(series.k_max + 1, dtype=float)
+        got = [series.tail_bound] + coherent._moments(p, (1, 2), 8192)
+        want = [1.0 - float(np.sum(probs))] + [float(np.sum(k ** n * probs)) for n in (1, 2)]
+        assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+    def test_bitwise_numpy_complex_arithmetic_over_drawn_parts(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # exact zeros of both signs, subnormals and parts up to 30 of both signs
+        part = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(5e-324, 30.0),
+                         st.floats(-30.0, -5e-324))
+
+        @hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(part, part, part, part)
+        def check(v_re, v_im, w_re, w_im):
+            p = DisplacementParams(v=complex(v_re, v_im), w=complex(w_re, w_im))
+            try:
+                phi_zero(p)
+            except OverflowError:  # phi_0 itself is beyond the float range
+                hypothesis.reject()
+            once = _recurrence(p, 300)
+            assert np.array_equal(bits(once), bits(numpy_recurrence(p, 300)))
+            grown = _recurrence(p, 300, _recurrence(p, 64, _recurrence(p, 1)))
+            assert np.array_equal(bits(grown), bits(once))
+
+        check()
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            closed_form_params(LiouvillianSpec(1e-5, 1e-5), 1e-3),  # 222 of 300 terms
+            # phi_266 is -0-0j; the one product would make it -0+0j
+            closed_form_params(LiouvillianSpec(0.5, 1e-3), 1.0),
+            DisplacementParams(v=0.0, w=1.5j),  # pure squeeze: every term
+        ],
+    )
+    def test_terms_with_a_zero_part_are_bitwise(self, p):
+        # a zero part, whose sign the one product by -1/d could flip, is
+        # recomputed by the negation, the Smith numerator and the product by 1/d
+        phi = _recurrence(p, 300)
+        assert any(not (x.real and x.imag) for x in phi)
+        assert np.array_equal(bits(phi), bits(numpy_recurrence(p, 300)))
+
+    def test_a_series_that_reaches_nan_is_bitwise(self):
+        # |w| = 708.5, just below where cosh|w| overflows: phi_0 underflows to
+        # 0, conj(v) cosh|w| overflows, and from k = 1 on the terms are NaN,
+        # whose signs the one product by -1/d could flip
+        p = DisplacementParams(v=-0.0391 - 53.987j, w=-509.8 + 492.05j)
+        phi = _recurrence(p, 200, _recurrence(p, 64, _recurrence(p, 1)))
+        assert cmath.isnan(phi[-1])
+        with np.errstate(all="ignore"):
+            assert np.array_equal(bits(phi), bits(numpy_recurrence(p, 200)))
+
+    def test_a_float_factor_scales_each_nonzero_part(self):
+        # the one product by -1/d relies on it: CPython 3.11 computes
+        # z * complex(f, 0.0), 3.14 complex(z.real * f, z.imag * f)
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(finite, finite, finite)
+        def check(re, im, f):
+            z = complex(re, im)
+            hypothesis.assume((z * f).real and (z * f).imag)
+            assert np.array_equal(bits([z * f]), bits([z * complex(f, 0.0)]))
+            assert np.array_equal(bits([z * f]), bits([complex(re * f, im * f)]))
+
+        check()
 
 
 def reference_series(p, k_max, dps=50):
