@@ -209,18 +209,6 @@ class AmplitudeSeries:
 # the numerator of Smith's formula for x / d at real d > 0.
 _SMITH = complex(1.0, -0.0)
 
-# sqrt(0), sqrt(1), ...: the one table of sqrt(k) the recurrence reads,
-# grown (to at least double) when a series outgrows it; it holds nothing
-# but sqrt(k), so every caller can share it
-_ROOTS: list = []
-
-
-def _roots(end: int) -> list:
-    """The table of sqrt(k), holding at least k = 0..end-1 (``end`` >= 0)."""
-    if len(_ROOTS) < end:
-        _ROOTS[:] = np.sqrt(np.arange(max(end, 2 * len(_ROOTS)), dtype=float)).tolist()
-    return _ROOTS
-
 
 def _recurrence(p: DisplacementParams, k_max: int, phi: Optional[list] = None) -> list:
     """phi_0..phi_{k_max} by the forward recurrence, as a list of Python complex.
@@ -245,16 +233,18 @@ def _recurrence(p: DisplacementParams, k_max: int, phi: Optional[list] = None) -
     is, to the bit, the negation, the product by ``_SMITH`` and the product
     by 1/d taken in turn, the three steps of numpy's division. A zero part,
     exact or underflowed, can have the other sign, so such a term is
-    recomputed by the three steps. A NaN's sign can differ too; as a term
-    that is inf or NaN leaves every later term inf or NaN, a call whose
-    last term is one recomputes all of its terms by the three steps. The
-    w = 0 branch, and the v = 0 (pure squeeze) branch, where every term has
-    a zero part, take the three steps on every term.
+    recomputed by the three steps. Only a NaN's sign can still differ, and
+    no output shows it: a series with a NaN or inf term has a NaN or inf
+    tail, which :func:`phi_series` reports as :class:`NonConvergent`. The
+    w = 0 branch, and the v = 0 (pure squeeze) branch, take the three steps
+    on every term: at v = 0 every odd term is zero, and on the closed-form
+    path, where w is imaginary, every term has a zero part, so the one
+    product would be a wasted step there.
     """
     if phi is None:
         phi = [phi_zero(p)]
     start = len(phi) - 1
-    rk = _roots(k_max + 1)[start:k_max + 1]
+    rk = np.sqrt(np.arange(start, k_max + 1, dtype=float)).tolist()
     cur = phi[-1]
     append = phi.append
     if p.w == 0:
@@ -271,7 +261,6 @@ def _recurrence(p: DisplacementParams, k_max: int, phi: Optional[list] = None) -
     hop = mubar * sh
     prev = phi[-2] if start else 0.0
     if p.v != 0:
-        first = prev, cur
         for r, r1 in zip(rk, rk[1:]):
             ns = -1.0 / (r1 * ch)
             x = r * hop * prev + mix * cur
@@ -281,10 +270,7 @@ def _recurrence(p: DisplacementParams, k_max: int, phi: Optional[list] = None) -
                 n = -x * _SMITH
                 cur = complex(n.real * -ns, n.imag * -ns)
             append(cur)
-        if cmath.isfinite(cur):
-            return phi
-        del phi[start + 1:]
-        prev, cur = first
+        return phi
     for a, s in zip([r * hop for r in rk[:-1]], [1.0 / (r * ch) for r in rk[1:]]):
         n = -(a * prev + mix * cur) * _SMITH
         prev = cur
