@@ -22,6 +22,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
@@ -114,8 +115,9 @@ def _attach(err: Exception, cfg: SweepConfig, t: Optional[float]) -> KrylovGrowt
     return err
 
 
-# A sweep row is the JSON object ``rows_to_json`` writes: {"t", "values",
-# "method"}, and for ``distribution`` the amplitudes as [re, im] pairs.
+# A sweep row is {"t", "values", "method"}, and for ``distribution`` the
+# amplitudes as [re, im] pairs, last: p0..p_{k_max} and phi_0..phi_{k_max} of
+# that time's own series, which the writers pad with zeros to the widest row.
 def _complexity_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
     spec = cfg.spec()
     return [{"t": t, "values": {"K": schrodinger_complexity_t(spec, t)}, "method": "closed_form"}
@@ -133,15 +135,16 @@ def _variance_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
 
 def _distribution_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
     spec = cfg.spec()
-    series = [(t, phi_series(closed_form_params(spec, t), tol=cfg.tol)) for t in ts]
-    width = max(s.k_max + 1 for _, s in series)
-    phi = np.zeros((len(series), width), dtype=complex)  # zero-padded to the widest row
-    for row, (_, s) in zip(phi, series):
-        row[: s.k_max + 1] = s.phi
-    keys = [f"p{k}" for k in range(width)]
-    pairs = phi.view(float).reshape(len(series), width, 2).tolist()
-    return [{"t": t, "values": dict(zip(keys, probs)), "method": "closed_form", "amplitudes": amps}
-            for (t, _), probs, amps in zip(series, (np.abs(phi) ** 2).tolist(), pairs)]
+    keys: List[str] = []
+    rows = []
+    for t in ts:
+        series = phi_series(closed_form_params(spec, t), tol=cfg.tol)
+        if len(keys) <= series.k_max:
+            keys = [f"p{k}" for k in range(series.k_max + 1)]
+        rows.append({"t": t, "values": dict(zip(keys, series.probabilities().tolist())),
+                     "method": "closed_form",
+                     "amplitudes": series.phi.view(float).reshape(-1, 2).tolist()})
+    return rows
 
 
 def _autocorrelator_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
@@ -172,8 +175,10 @@ _ROWS: Dict[str, Callable[[SweepConfig, Iterable[float]], List[dict]]] = {
 
 
 def run_sweep(cfg: SweepConfig) -> List[dict]:
-    """One row per grid point, the JSON object ``rows_to_json`` writes;
-    deterministic for a fixed config.
+    """One row per grid point, deterministic for a fixed config: the JSON
+    object ``rows_to_json`` writes, except that a ``distribution`` row holds
+    its own series, p0..p_{k_max} and k_max + 1 amplitudes, which both
+    writers pad with zeros to the widest row of the sweep.
 
     A numerical failure, a float-range overflow included, raises
     :class:`KrylovGrowthError` carrying alpha, beta and the t it
@@ -202,13 +207,27 @@ def _fmt(x: float) -> str:
 
 def rows_to_csv(rows: List[dict]) -> str:
     """A ``t,<key>,...`` header from row 0's values, then each row's t and
-    values, looked up by those keys, at 12 significant digits."""
-    keys = list(rows[0]["values"]) if rows else []
-    format_row = ",".join(["{:.12g}"] * (len(keys) + 1)).format
+    values, looked up by those keys, at 12 significant digits.
+
+    In a distribution table, whose rows carry amplitudes, each row holds
+    its own series: the header is from the widest row (the first of them),
+    and a row with n values, the first n keys, prints ``0``, the text of a
+    zero probability, for each cell past them."""
+    widest = rows[0] if rows else {"values": {}}
+    if "amplitudes" in widest:
+        widest = max(rows, key=lambda row: len(row["values"]))
+    keys = list(widest["values"])
+    width = len(keys)
+    format_row = ",".join(["{:.12g}"] * (width + 1)).format
     lines = ["t," + ",".join(keys)]
     for row in rows:
         values = row["values"]
-        lines.append(format_row(row["t"], *[values[k] for k in keys]))
+        n = len(values)
+        if n < width:
+            short = ",".join(["{:.12g}"] * (n + 1)).format
+            lines.append(short(row["t"], *[values[k] for k in keys[:n]]) + ",0" * (width - n))
+        else:
+            lines.append(format_row(row["t"], *[values[k] for k in keys]))
     return "\n".join(lines) + "\n"
 
 
@@ -218,11 +237,35 @@ def _config_dict(cfg: SweepConfig) -> dict:
 
 
 def rows_to_json(cfg: SweepConfig, rows: List[dict]) -> str:
-    """``{"config": ..., "rows": [...]}`` on one line, from one call to the
-    C encoder of ``json``; ``NaN``, ``Infinity`` and ``-0.0`` are written
-    as ``json.dumps`` writes them. The rows must hold no reference cycle,
-    as those of :func:`run_sweep` do not: the encoder does not look for one."""
-    return json.dumps({"config": _config_dict(cfg), "rows": rows}, check_circular=False) + "\n"
+    """``{"config": ..., "rows": [...]}`` on one line, as ``json.dumps``
+    writes it; ``NaN``, ``Infinity`` and ``-0.0`` included. The rows must
+    hold no reference cycle, as those of :func:`run_sweep` do not: the
+    encoder does not look for one.
+
+    A ``distribution`` sweep writes every row as wide as the widest: a row
+    with n >= 1 values (every series holds phi_0), the first n keys of the
+    widest, and n amplitudes, last in the row, is followed by 0.0 for each key past them and [0.0, 0.0] for
+    each amplitude past them, as one zero-padded table of the sweep would
+    hold them. Each row is encoded by the C encoder of ``json`` and its
+    padding added as text; any other mode is one call to that encoder.
+    """
+    config = _config_dict(cfg)
+    if cfg.mode != "distribution" or not rows:
+        return json.dumps({"config": config, "rows": rows}, check_circular=False) + "\n"
+    encode = json.JSONEncoder(check_circular=False).encode
+    keys = list(max(rows, key=lambda row: len(row["values"]))["values"])
+    items = [f", {encode(k)}: 0.0" for k in keys]
+    starts = list(accumulate(map(len, items), initial=0))  # where key n's item starts
+    values_pad = "".join(items)
+    texts = []
+    for row in rows:
+        text, n = encode(row), len(row["values"])
+        if n < len(keys):
+            cut = text.rindex('}, "method": ')  # the end of the values
+            text = (text[:cut] + values_pad[starts[n]:] + text[cut:-2]
+                    + ", [0.0, 0.0]" * (len(keys) - n) + "]}")
+        texts.append(text)
+    return '{"config": ' + encode(config) + ', "rows": [' + ", ".join(texts) + "]}\n"
 
 
 def _sweep_figure(mode: str, key: str, prefix: str, t_max: float, steps: int,

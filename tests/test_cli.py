@@ -83,6 +83,21 @@ class TestRunSweep:
             assert bits(row["values"]["K"]) == bits(m1)
             assert bits(row["values"]["sigma2"]) == bits(m2 - m1 * m1)
 
+    def test_distribution_rows_are_each_times_own_series(self):
+        # t = 0, where the amplitudes hold signed zeros, negative times, and
+        # series from 65 to 1025 terms in one sweep
+        cfg = SweepConfig(alpha=0.8, beta=0.7, t_min=-2.8, t_max=2.8, steps=17, mode="distribution")
+        spec = cfg.spec()
+        rows = run_sweep(cfg)
+        assert 0.0 in [row["t"] for row in rows]
+        assert {len(row["values"]) for row in rows} == {65, 129, 257, 513, 1025}
+        for row in rows:
+            series = phi_series(closed_form_params(spec, row["t"]), cfg.tol)
+            assert list(row["values"]) == [f"p{k}" for k in range(series.k_max + 1)]
+            assert (np.array(list(row["values"].values())).tobytes()
+                    == (np.abs(series.phi) ** 2).tobytes())
+            assert np.array(row["amplitudes"]).tobytes() == series.phi.view(float).tobytes()
+
     def test_distribution_parity(self):
         rows = run_sweep(SweepConfig(alpha=0.0, beta=1.0, t_min=1.0, t_max=1.0, steps=1,
                                      mode="distribution"))
@@ -145,6 +160,25 @@ class TestRunSweep:
         assert a == b
 
 
+# (t_max, widest row) of (alpha, beta) = (0.8, 0.7) on 3 points from t = 0
+WIDE_DISTRIBUTIONS = [(0.8, 65), (1.3, 129), (1.8, 257), (2.3, 513), (2.8, 1025)]
+
+
+def pad_distribution(cfg, rows):
+    """A distribution sweep's rows as one zero-padded table: each row as
+    wide as the widest, 0.0 for each probability and [0.0, 0.0] for each
+    amplitude past its own series. The rows of any other mode as they are."""
+    if cfg.mode != "distribution" or not rows:
+        return rows
+    width = max(len(row["values"]) for row in rows)
+    return [{"t": row["t"],
+             "values": {**row["values"],
+                        **{f"p{k}": 0.0 for k in range(len(row["values"]), width)}},
+             "method": row["method"],
+             "amplitudes": row["amplitudes"] + [[0.0, 0.0]] * (width - len(row["amplitudes"]))}
+            for row in rows]
+
+
 class TestFormats:
     def test_csv_schema_and_digits(self):
         rows = [{"t": 1.0 / 3.0, "values": {"K": 2.0 / 3.0}, "method": "closed_form"}]
@@ -174,6 +208,19 @@ class TestFormats:
         assert rows_to_csv([{"t": 0.5, "values": {}, "method": "m"}]) == "t,\n0.5\n"
         assert rows_to_csv([]) == "t,\n"
 
+    @pytest.mark.parametrize("t_max, width", WIDE_DISTRIBUTIONS)
+    def test_wide_distribution_rows_are_the_padded_table(self, t_max, width):
+        cfg = SweepConfig(alpha=0.8, beta=0.7, t_max=t_max, steps=3, mode="distribution")
+        rows = run_sweep(cfg)
+        table = pad_distribution(cfg, rows)
+        keys = list(table[0]["values"])
+        assert len(keys) == width
+        lines = ["t," + ",".join(keys)] + [
+            ",".join(format(x, ".12g") for x in [row["t"], *[row["values"][k] for k in keys]])
+            for row in table
+        ]
+        assert rows_to_csv(rows) == "\n".join(lines) + "\n"
+
     def test_json_schema(self):
         cfg = SweepConfig(steps=2, t_max=1.0)
         rows = run_sweep(cfg)
@@ -184,7 +231,9 @@ class TestFormats:
 
 
 def reference_json(cfg, rows):
-    """The JSON document by the pure-Python indented encoder."""
+    """The JSON document by the pure-Python indented encoder, a distribution
+    sweep's rows padded to the widest."""
+    rows = pad_distribution(cfg, rows)
     payload = {
         "config": asdict(cfg),
         "rows": [
@@ -224,7 +273,8 @@ class TestJsonWriter:
     def test_writer_is_dumps_of_the_dataclass_config(self, mode):
         cfg = SweepConfig(alpha=0.7, beta=0.9, t_min=-0.5, t_max=1.0, steps=4, dim=128, mode=mode)
         rows = run_sweep(cfg)
-        assert rows_to_json(cfg, rows) == json.dumps({"config": asdict(cfg), "rows": rows}) + "\n"
+        assert rows_to_json(cfg, rows) == json.dumps(
+            {"config": asdict(cfg), "rows": pad_distribution(cfg, rows)}) + "\n"
 
     @pytest.mark.parametrize("mode", ["variance", "distribution"])
     def test_single_step_byte_identical(self, mode):
@@ -244,8 +294,7 @@ class TestJsonWriter:
         assert "NaN" in text and "-Infinity" in text and "-0.0" in text
         assert_same_tokens(cfg, [])
 
-    @pytest.mark.parametrize("t_max, width", [
-        (0.8, 65), (1.3, 129), (1.8, 257), (2.3, 513), (2.8, 1025)])
+    @pytest.mark.parametrize("t_max, width", WIDE_DISTRIBUTIONS)
     def test_wide_distribution_rows_byte_identical(self, t_max, width):
         cfg = SweepConfig(alpha=0.8, beta=0.7, t_max=t_max, steps=3, mode="distribution")
         rows = run_sweep(cfg)
