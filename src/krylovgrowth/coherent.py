@@ -225,21 +225,23 @@ def _recurrence(p: DisplacementParams, k_max: int, phi: Optional[list] = None) -
     scalar step at a time; run in lockstep over a time grid on complex
     arrays, it would not be bitwise this series.
 
-    Where v and w are both nonzero, each term is one product of the
-    numerator x = -(sqrt(k+1) cosh|w|) phi_{k+1} by the float -1/d.
+    Where w is nonzero, each term is one product of the numerator
+    x = -(sqrt(k+1) cosh|w|) phi_{k+1} by the float -1/d.
     CPython 3.11 multiplies a complex by a float f as by complex(f, 0.0),
     and 3.14 as complex(x.re f, x.im f); either way a part of x f is
     x.re f or x.im f, plus or minus a zero. Where that part is nonzero it
     is, to the bit, the negation, the product by ``_SMITH`` and the product
     by 1/d taken in turn, the three steps of numpy's division. A zero part,
     exact or underflowed, can have the other sign, so such a term is
-    recomputed by the three steps. Only a NaN's sign can still differ, and
+    recomputed by the three steps. At v = 0 (the pure squeeze) every odd
+    term is zero, and on the closed-form path, where w is imaginary, every
+    even one has a zero part too, so there each term pays the one product
+    and then the three steps. Only a NaN's sign can still differ, and
     no output shows it: a series with a NaN or inf term has a NaN or inf
     tail, which :func:`phi_series` reports as :class:`NonConvergent`. The
-    w = 0 branch, and the v = 0 (pure squeeze) branch, take the three steps
-    on every term: at v = 0 every odd term is zero, and on the closed-form
-    path, where w is imaginary, every term has a zero part, so the one
-    product would be a wasted step there.
+    w = 0 branch takes the three steps on every term, as numpy's own w = 0
+    branch does: run through the loop of w != 0 (cosh|w| = 1, no hop), the
+    terms past phi_0 at v = w = 0 would come out -0+0j where numpy's are 0+0j.
     """
     if phi is None:
         phi = [phi_zero(p)]
@@ -260,21 +262,14 @@ def _recurrence(p: DisplacementParams, k_max: int, phi: Optional[list] = None) -
     mix = p.v.conjugate() * ch + p.v * mubar * sh
     hop = mubar * sh
     prev = phi[-2] if start else 0.0
-    if p.v != 0:
-        for r, r1 in zip(rk, rk[1:]):
-            ns = -1.0 / (r1 * ch)
-            x = r * hop * prev + mix * cur
-            prev = cur
-            cur = x * ns
-            if not (cur.real and cur.imag):
-                n = -x * _SMITH
-                cur = complex(n.real * -ns, n.imag * -ns)
-            append(cur)
-        return phi
-    for a, s in zip([r * hop for r in rk[:-1]], [1.0 / (r * ch) for r in rk[1:]]):
-        n = -(a * prev + mix * cur) * _SMITH
+    for r, r1 in zip(rk, rk[1:]):
+        ns = -1.0 / (r1 * ch)
+        x = r * hop * prev + mix * cur
         prev = cur
-        cur = complex(n.real * s, n.imag * s)
+        cur = x * ns
+        if not (cur.real and cur.imag):
+            n = -x * _SMITH
+            cur = complex(n.real * -ns, n.imag * -ns)
         append(cur)
     return phi
 
@@ -330,17 +325,15 @@ def phi_series(
 
 
 def amplitude_deviation(p: DisplacementParams, amplitudes: np.ndarray) -> float:
-    """Largest | |phi_k| - |amplitudes_k| | against the closed-form series.
+    """Largest |phi_k - amplitudes_k| against the closed-form series.
 
-    The series is summed to a 1e-12 tail; only indices held by both and
-    with closed-form probability above 1e-14 are compared. This is the
+    The series is summed to a 1e-12 tail, and every level held by both is
+    compared in complex value, phase and top levels included. This is the
     oracle comparison of ``verify`` and of the acceptance suite.
     """
     series = phi_series(p, tol=1e-12, max_k=16384)
     n = min(series.k_max + 1, len(amplitudes))
-    closed = series.phi[:n]
-    mask = np.abs(closed) ** 2 > 1e-14
-    return float(np.max(np.abs(np.abs(closed[mask]) - np.abs(amplitudes[:n][mask]))))
+    return float(np.max(np.abs(series.phi[:n] - amplitudes[:n])))
 
 
 def hermite_closed_form(p: DisplacementParams, k_max: int) -> np.ndarray:

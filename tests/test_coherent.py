@@ -9,6 +9,7 @@ from krylovgrowth import coherent
 from krylovgrowth.algebra import LiouvillianSpec
 from krylovgrowth.coherent import (
     DisplacementParams,
+    amplitude_deviation,
     autocorrelator_alt_closed_form,
     autocorrelator_t,
     closed_form_params,
@@ -243,6 +244,9 @@ class TestRecurrence:
             # phi_266 is -0-0j; the one product would make it -0+0j
             closed_form_params(LiouvillianSpec(0.5, 1e-3), 1.0),
             DisplacementParams(v=0.0, w=1.5j),  # pure squeeze: every term
+            # v = 0: the odd terms are zero, the even ones take the one product
+            DisplacementParams(v=0.0, w=0.3 + 1.1j),
+            DisplacementParams(v=complex(-0.0, -0.0), w=1.5j),
         ],
     )
     def test_terms_with_a_zero_part_are_bitwise(self, p):
@@ -308,6 +312,20 @@ def test_recurrence_matches_a_50_digit_reference_at_large_w(alpha, beta, t):
     assert np.max(dev) <= 1e-14
     big = np.abs(ref) > 1e-8
     assert np.max(dev[big] / np.abs(ref[big])) <= 1e-12
+
+
+class TestAmplitudeDeviation:
+    def test_every_level_counts_in_complex_value(self):
+        p = closed_form_params(LiouvillianSpec(1.0, 0.5), 1.0)
+        phi = np.array(phi_series(p, tol=1e-12, max_k=16384).phi)
+        assert amplitude_deviation(p, phi) == 0.0
+        # a phase alone moves every level; |phi_k - i phi_k| = sqrt(2) |phi_k|
+        assert amplitude_deviation(p, 1j * phi) == pytest.approx(
+            np.sqrt(2.0) * np.max(np.abs(phi)), rel=1e-15)
+        # an error on the top level held, where |phi_k|^2 is below 1e-16
+        top = np.flatnonzero(np.abs(phi) ** 2 < 1e-16)[0]
+        phi[top] += 1e-9
+        assert amplitude_deviation(p, phi[:top + 1]) == pytest.approx(1e-9, rel=1e-6)
 
 
 class TestMehlerNormalization:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from krylovgrowth import lanczos
-from krylovgrowth.algebra import EDGE_LEAK_TOL, LiouvillianSpec, build_liouvillian
+from krylovgrowth.algebra import EDGE_LEAK_TOL, LiouvillianSpec, build_liouvillian, chain_states
+from krylovgrowth.coherent import closed_form_params, complexity_closed, sl2r_profile
 from krylovgrowth.errors import Breakdown
 from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, evolve_grid
 from krylovgrowth.lanczos import (
@@ -68,7 +69,8 @@ class TestTridiagonalize:
 
     def test_sl2r_odd_sector_chain(self):
         # seed |1> spans the odd SL(2,R) module, weight h = 3/4:
-        # b_n = beta sqrt(n (n + 1/2)), a_n = 0, K = 2h sinh^2(beta t)
+        # b_n = beta sqrt(n (n + 1/2)), a_n = 0, K = 2h sinh^2(beta t),
+        # the complexity of sl2r_profile at that weight
         beta, dim = 0.7, 1024
         seed = FockVector.basis_state(dim, 1)
         chain = lanczos_tridiagonalize(sl2r_generator(beta, dim), seed, 200)
@@ -78,7 +80,7 @@ class TestTridiagonalize:
         assert np.all(chain.a == 0.0)
         ts = [0.5, 1.0, 1.5]
         K = chain_complexity(propagate_chain(chain, ts))
-        assert K == pytest.approx([1.5 * math.sinh(beta * t) ** 2 for t in ts], rel=1e-13)
+        assert K == pytest.approx([sl2r_profile(0.75, beta, t)[1] for t in ts], rel=1e-13)
 
     def test_mixed_generator_first_coefficients(self):
         cfg = TruncationConfig(dim=256)
@@ -413,6 +415,22 @@ class TestChainComplexity:
         chain = lanczos_tridiagonalize(sl2r_generator(1.0, 512), vacuum(512), 100)
         phi = propagate_chain(chain, [1.0])[0]
         assert chain_complexity(phi) == pytest.approx(0.5 * math.sinh(1.0) ** 2, abs=1e-6)
+
+    @pytest.mark.parametrize("alpha, beta, T, ratio", [
+        (1.0, 0.0, 2.0, 1.0),
+        (0.5, 0.0, 2.5, 1.0),
+        (0.0, 0.5, 2.0, 0.5),
+        (0.0, 1.0, 1.0, 0.5),
+    ])
+    def test_exact_ratio_to_the_closed_form_at_the_pure_limits(self, alpha, beta, T, ratio):
+        # K_chain = K where the number basis is the Krylov basis (beta = 0),
+        # K / 2 where the Krylov vectors are |2n> (alpha = 0); beta t <= 1
+        # keeps the edge mass of the chain negligible
+        spec = LiouvillianSpec(alpha, beta)
+        ts = np.linspace(0.0, T, 41)
+        _, rows = chain_states(spec, ts)
+        K = [ratio * complexity_closed(closed_form_params(spec, t)) for t in ts]
+        assert chain_complexity(rows) == pytest.approx(K, rel=1e-12, abs=0)
 
     def test_equivalence_with_projected_evolution(self):
         L = build_liouvillian(LiouvillianSpec(1.0, 1.0), TruncationConfig(dim=256))

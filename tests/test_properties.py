@@ -9,8 +9,9 @@ import struct
 import numpy as np
 import pytest
 
-from krylovgrowth.algebra import ORACLE_TOLERANCE, LiouvillianSpec, oracle_states
+from krylovgrowth.algebra import ORACLE_TOLERANCE, LiouvillianSpec, chain_states, oracle_states
 from krylovgrowth.coherent import (
+    amplitude_deviation,
     autocorrelator_t,
     closed_form_params,
     complexity_closed,
@@ -65,15 +66,22 @@ def test_second_identity_moment_is_the_direct_sum(p):
 @settings(SWEEP, max_examples=30)
 @given(sweep_points())
 def test_series_is_the_dense_oracle_in_complex_value(point):
-    # amplitude_deviation compares moduli; this checks the phases too, at
+    # the oracle comparison of verify (every level, in complex value) at
     # every draw whose dim-256 truncation estimate is within the oracle's bar
     spec, t = point
-    dim = 256
-    (psi,), (estimate,) = oracle_states(spec, [t], dim)
+    (psi,), (estimate,) = oracle_states(spec, [t], 256)
     assume(estimate <= ORACLE_TOLERANCE)
-    phi = phi_series(closed_form_params(spec, t), tol=1e-12).phi
-    n = min(len(phi), dim)
-    assert np.max(np.abs(phi[:n] - psi[:n])) <= 1e-8
+    assert amplitude_deviation(closed_form_params(spec, t), psi) <= ORACLE_TOLERANCE
+
+
+@SWEEP
+@given(sweep_points())
+def test_chain_return_amplitude_is_the_closed_form_phi_zero(point):
+    # the chain's seed is |0>, so its first amplitude is <0|e^{iLt}|0> in any
+    # basis: no projection and no truncation enter the comparison
+    spec, t = point
+    _, rows = chain_states(spec, [t])
+    assert abs(rows[0, 0] - phi_zero(closed_form_params(spec, t))) <= 1e-12
 
 
 @SWEEP
