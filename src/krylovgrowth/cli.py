@@ -452,17 +452,19 @@ def _load_config_file(path: Path) -> Dict[str, str]:
     return values
 
 
-def _set_config_defaults(parser: argparse.ArgumentParser, path: Path) -> None:
-    """Each ``key=value`` of the file becomes the default of flag ``--key``,
-    converted and checked by that flag's own type and choices."""
+def _config_namespace(path: Path) -> argparse.Namespace:
+    """Each ``key=value`` of the file as flag ``--key`` would set it, converted
+    and checked by its own type and choices; a flag parsed over it wins."""
+    namespace = argparse.Namespace()
     for key, val in _load_config_file(path).items():
-        action = parser._option_string_actions.get(f"--{key}")
+        action = _PARSER._option_string_actions.get(f"--{key}")
         if action is None or key in ("config", "help"):
             raise ValueError(f"unknown config key {key!r}")
         value = action.type(val) if action.type else val
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"{key} must be one of {action.choices}, got {value!r}")
-        parser.set_defaults(**{action.dest: value})
+        setattr(namespace, action.dest, value)
+    return namespace
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -471,10 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="krylov-growth",
         description="Operator-growth complexity sweeps for the linear-plus-two-photon generator",
     )
-    # The flags go straight into the parser's own options group, where
-    # ``parser.add_argument`` would put them too, minus the help formatter
-    # it builds per flag only to check metavars that are plain strings here.
-    add = parser._optionals.add_argument
+    add = parser.add_argument
     add("--alpha", type=float, default=d.alpha, help="linear coefficient")
     add("--beta", type=float, default=d.beta, help="two-photon coefficient")
     add("--tmin", dest="t_min", metavar="TMIN", type=float, default=d.t_min,
@@ -495,17 +494,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
 
     try:
         if args.config:
-            _set_config_defaults(parser, Path(args.config))
-            args = parser.parse_args(argv)
+            args = _PARSER.parse_args(argv, _config_namespace(Path(args.config)))
         if args.figure is not None:
             print(figure_data(args.figure, Path(args.out or ".")))
             return 0

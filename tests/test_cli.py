@@ -2,8 +2,12 @@ import argparse
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +24,6 @@ from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig
 from krylovgrowth.lanczos import chain_complexity, lanczos_tridiagonalize, propagate_chain
 from krylovgrowth import cli
 from krylovgrowth.cli import (
-    FIGURES,
-    FORMATS,
     MODES,
     SweepConfig,
     figure_data,
@@ -1010,50 +1012,58 @@ class TestConfigFile:
         assert err == [f"invalid configuration: invalid literal for int() with base 10: {value!r}"]
 
 
-def reference_parser():
-    """The CLI's parser, built with plain ``ArgumentParser.add_argument``."""
-    d = SweepConfig()
-    parser = argparse.ArgumentParser(
-        prog="krylov-growth",
-        description="Operator-growth complexity sweeps for the linear-plus-two-photon generator",
-    )
-    parser.add_argument("--alpha", type=float, default=d.alpha, help="linear coefficient")
-    parser.add_argument("--beta", type=float, default=d.beta, help="two-photon coefficient")
-    parser.add_argument("--tmin", dest="t_min", metavar="TMIN", type=float, default=d.t_min,
-                        help=f"grid start (default {d.t_min:g})")
-    parser.add_argument("--tmax", dest="t_max", metavar="TMAX", type=float, default=d.t_max,
-                        help=f"grid end (default {d.t_max:g})")
-    parser.add_argument("--steps", type=int, default=d.steps,
-                        help=f"grid points (default {d.steps})")
-    parser.add_argument("--dim", type=int, default=d.dim,
-                        help=f"Fock truncation of the dense oracle (verify; default {d.dim})")
-    parser.add_argument("--tol", type=float, default=d.tol,
-                        help=f"series tolerance (default {d.tol:g})")
-    parser.add_argument("--mode", choices=MODES, default=d.mode, help="observable to sweep")
-    parser.add_argument("--format", choices=FORMATS, default="csv")
-    parser.add_argument("--out", type=str,
-                        help="output file (sweeps/verify) or directory (figures); default stdout")
-    parser.add_argument("--config", type=str, help="key=value config file; flags override")
-    parser.add_argument("--figure", choices=FIGURES,
-                        help="emit the data behind one reference figure instead of sweeping")
-    return parser
-
-
 class TestParser:
-    def test_help_and_defaults_are_the_reference_parser(self, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
-        parser, reference = cli._build_parser(), reference_parser()
-        assert parser.format_help() == reference.format_help()
-        assert vars(parser.parse_args([])) == vars(reference.parse_args([]))
+    def test_defaults_are_the_sweep_config(self):
+        assert vars(cli._PARSER.parse_args([])) == {
+            **asdict(SweepConfig()), "format": "csv", "out": None, "config": None, "figure": None,
+        }
 
-    @pytest.mark.parametrize("argv", [
-        ["-h"], ["--alpha", "x"], ["--mode", "bogus"], ["--bogus"], ["--alp", "2"], ["--steps=3"],
+    @pytest.mark.parametrize("argv, code", [
+        (["-h"], 0), (["--alpha", "x"], 1), (["--mode", "bogus"], 1), (["--bogus"], 1),
+        (["--alp", "2"], 0), (["--steps=3"], 0),
     ])
-    def test_main_answers_as_with_the_reference_parser(self, argv, monkeypatch, capsys):
-        monkeypatch.setenv("COLUMNS", "80")
-        code = main(argv)
-        captured = capsys.readouterr()
-        monkeypatch.setattr(cli, "_build_parser", reference_parser)
-        assert main(argv) == code
-        assert capsys.readouterr() == captured
-        assert captured.out or captured.err
+    def test_exit_code_and_stream_of_each_answer(self, argv, code, capsys):
+        answers = [(main(argv), capsys.readouterr()) for _ in range(2)]
+        assert answers[0] == answers[1]
+        got, captured = answers[0]
+        assert got == code
+        if argv == ["-h"]:
+            assert captured.out.startswith("usage: krylov-growth") and captured.err == ""
+        elif code:
+            assert captured.out == ""
+            assert captured.err.splitlines()[-1].startswith("krylov-growth: error:")
+        else:
+            assert captured.out.startswith("t,K\n") and captured.err == ""
+
+    def test_one_parser_per_process_and_no_config_left_behind(self, tmp_path, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("alpha = 2\n")
+        assert main(["--config", str(cfgfile), "--steps", "2"]) == 0
+        with_file = capsys.readouterr().out
+        assert main(["--steps", "2"]) == 0
+        after = capsys.readouterr().out
+        assert main(["-h"]) == 0 and main(["--bogus"]) == 1
+        capsys.readouterr()
+        assert built == []
+        # a fresh interpreter prints the rows of the default alpha
+        src = Path(cli.__file__).resolve().parents[1]
+        fresh = subprocess.run([sys.executable, "-m", "krylovgrowth.cli", "--steps", "2"],
+                               env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                               text=True, check=True)
+        assert after == fresh.stdout != with_file
+
+    def test_negative_exponent_form_is_attached_with_equals(self, capsys):
+        # a separate -1e-3 reads as a flag, as argparse takes only -N and -N.N for numbers
+        assert main(["--tmin", "-1e-3", "--tmax", "0", "--steps", "2"]) == 1
+        assert "expected one argument" in capsys.readouterr().err
+        assert main(["--tmin=-1e-3", "--tmax", "0", "--steps", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "t,K" and lines[1].split(",")[0] == "-0.001"

@@ -411,11 +411,6 @@ class TestChainComplexity:
         assert Ks.tobytes() == np.array([chain_complexity(phi) for phi in phis]).tobytes()
         assert type(chain_complexity(phis[3])) is float
 
-    def test_sl2r_weight_quarter_complexity(self):
-        chain = lanczos_tridiagonalize(sl2r_generator(1.0, 512), vacuum(512), 100)
-        phi = propagate_chain(chain, [1.0])[0]
-        assert chain_complexity(phi) == pytest.approx(0.5 * math.sinh(1.0) ** 2, abs=1e-6)
-
     @pytest.mark.parametrize("alpha, beta, T, ratio", [
         (1.0, 0.0, 2.0, 1.0),
         (0.5, 0.0, 2.5, 1.0),
