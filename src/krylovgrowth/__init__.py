@@ -43,6 +43,7 @@ from .coherent import (
     scrambling_time,
     sl2r_profile,
     variance_alt_closed_form,
+    variance_t,
 )
 from .errors import (
     Breakdown,

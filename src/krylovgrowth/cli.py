@@ -38,13 +38,14 @@ from .coherent import (
     complexity_closed,
     late_time_growth_exponent,
     mehler_normalization_check,
-    moment_n,
     phi_series,
     schrodinger_complexity_t,
     sl2r_profile,
     variance_alt_closed_form,
+    variance_t,
     _moments,
     _square_is_normal,
+    _variance_form,
 )
 from .errors import KrylovGrowthError, _log
 from .lanczos import chain_complexity
@@ -128,8 +129,10 @@ def _variance_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
     spec = cfg.spec()
     rows = []
     for t in ts:
-        m1, m2 = _moments(closed_form_params(spec, t), (1, 2))
-        rows.append({"t": t, "values": {"K": m1, "sigma2": m2 - m1 * m1}, "method": "closed_form"})
+        # sigma2 >= K: sigma2 is the one to leave the float range first
+        sigma2 = variance_t(spec, t)
+        rows.append({"t": t, "values": {"K": schrodinger_complexity_t(spec, t), "sigma2": sigma2},
+                     "method": "closed_form"})
     return rows
 
 
@@ -325,7 +328,13 @@ def _probe(cfg: SweepConfig, t: Optional[float], f: Callable, *args) -> tuple:
 
 # The report sections of the authoritative checks; the report passes when each of them does.
 _AUTHORITATIVE = ("oracle_vs_closed_form", "normalization", "complexity_closed_vs_direct",
-                  "limit_recovery")
+                  "variance_closed_vs_direct", "limit_recovery")
+
+# The worst relative residual of m2 - m1^2 against the closed variance on
+# verify's (v, w) grid is 1.1e-10 (v = 0, w = 1.8i, where the series stops
+# at k_max 512 with a 6.9e-14 tail: k_max^2 times that tail is the residual);
+# the tolerance leaves a factor of 9 over it.
+VARIANCE_DIRECT_RTOL = 1e-9
 
 
 def verify(cfg: SweepConfig) -> dict:
@@ -334,8 +343,8 @@ def verify(cfg: SweepConfig) -> dict:
     Authoritative checks (the report's ``pass`` is all of theirs; a failure
     is CLI exit 3): the oracle-vs-closed-form amplitude match at the grid
     points representable at cfg.dim, the closed-form normalization
-    residual, the closed-form complexity vs direct summation, and the exact
-    limit recovery.
+    residual, the closed-form complexity and variance vs direct summation
+    (the variance relative to its value), and the exact limit recovery.
     Grid times whose truncation estimate exceeds ``ORACLE_TOLERANCE`` are
     reported as truncation-skipped, not failed: :func:`oracle_states`
     estimates the 2-norm error of each state at cfg.dim by Duhamel's
@@ -374,20 +383,26 @@ def verify(cfg: SweepConfig) -> dict:
         "pass": bool(checked) and max_dev <= ORACLE_TOLERANCE,
     }
 
-    # normalization and complexity residuals over a parameter grid
+    # normalization, complexity and variance residuals over a parameter
+    # grid, both moments from one series per point
     norm_dev = 0.0
     comp_dev = 0.0
+    var_dev = 0.0
     for av in np.linspace(0.0, 4.0, 6):
         for aw in np.linspace(0.0, 3.0, 6):
             p = DisplacementParams(v=complex(av), w=1j * aw)
             norm_dev = max(norm_dev, abs(mehler_normalization_check(p) - 1.0))
-            comp_dev = max(
-                comp_dev,
-                abs(moment_n(p, 1, max_k=16384) - complexity_closed(p)),
-            )
+            m1, m2 = _moments(p, (1, 2), 16384)
+            comp_dev = max(comp_dev, abs(m1 - complexity_closed(p)))
+            var = _variance_form(abs(p.v) ** 2, p)
+            var_dev = max(var_dev, abs(m2 - m1 * m1 - var) / (var or 1.0))  # var is 0 at v = w = 0
     report["normalization"] = {"max_residual": norm_dev, "tolerance": 1e-10, "pass": norm_dev <= 1e-10}
     report["complexity_closed_vs_direct"] = {
         "max_residual": comp_dev, "tolerance": 1e-8, "pass": comp_dev <= 1e-8,
+    }
+    report["variance_closed_vs_direct"] = {
+        "max_residual": var_dev, "tolerance": VARIANCE_DIRECT_RTOL,
+        "pass": var_dev <= VARIANCE_DIRECT_RTOL,
     }
 
     # exact limit recovery

@@ -16,7 +16,6 @@ from krylovgrowth.algebra import LiouvillianSpec, build_liouvillian
 from krylovgrowth.coherent import (
     autocorrelator_t,
     closed_form_params,
-    moment_n,
     phi_series,
     schrodinger_complexity_t,
 )
@@ -70,20 +69,6 @@ class TestRunSweep:
             assert set(row["values"]) == {"K", "sigma2"}
             assert row["values"]["sigma2"] >= 0.0
             assert row["method"] == "closed_form"
-
-    @pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (0.0, 1.2), (1.1, 0.0)])
-    def test_variance_row_is_bitwise_the_moments(self, alpha, beta):
-        # one series per row gives what two moment_n calls give
-        def bits(x):
-            return np.float64(x).view(np.int64)
-
-        spec = LiouvillianSpec(alpha, beta)
-        cfg = SweepConfig(alpha=alpha, beta=beta, t_min=0.0, t_max=1.8, steps=4, mode="variance")
-        for row in run_sweep(cfg):
-            p = closed_form_params(spec, row["t"])
-            m1, m2 = moment_n(p, 1), moment_n(p, 2)
-            assert bits(row["values"]["K"]) == bits(m1)
-            assert bits(row["values"]["sigma2"]) == bits(m2 - m1 * m1)
 
     def test_distribution_rows_are_each_times_own_series(self):
         # t = 0, where the amplitudes hold signed zeros, negative times, and
@@ -719,6 +704,11 @@ class TestMain:
          "5e-191,2.5e+19"),
         ("autocorrelator", ["--alpha", "1e200", "--beta", "0.5", "--tmax", "1e-190"],
          "5e-191,0,0"),
+        # sigma2 = |v|^2 (1 + 4 sinh^2(beta t)) + ..., and sinh^2(beta t) underflows
+        ("variance", ["--alpha", "1e154", "--beta", "1e-5", "--tmax", "1e-160"],
+         "5e-161,2.5e-13,2.5e-13"),
+        ("variance", ["--alpha", "1e200", "--beta", "0.5", "--tmax", "1e-190"],
+         "5e-191,2.5e+19,2.5e+19"),
     ])
     def test_alpha_t_is_squared_as_one_number(self, mode, flags, row, capsys):
         assert main(["--mode", mode, *flags, "--steps", "3"]) == 0
@@ -758,9 +748,10 @@ class TestMain:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("mode, row", [("complexity", "0,0"), ("autocorrelator", "0,1,1")])
+    @pytest.mark.parametrize("mode, row", [("complexity", "0,0"), ("variance", "0,0,0"),
+                                           ("autocorrelator", "0,1,1")])
     def test_t0_needs_no_power_of_alpha(self, mode, row, capsys):
-        # K = 0 and both autocorrelator forms are 1 at t = 0, whatever alpha
+        # K = sigma2 = 0 and both autocorrelator forms are 1 at t = 0, whatever alpha
         argv = ["--mode", mode, "--alpha", "1e200"]
         assert main(argv + ["--tmin", "0", "--tmax", "0", "--steps", "1"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == row
@@ -818,7 +809,7 @@ class TestMain:
     def test_probe_failures_never_set_the_exit(self, monkeypatch, capsys):
         # at (1, 20) phi_0's product form overflows from t = 0.4, and here the
         # late-time exponent is made to overflow too: each probe keeps its
-        # keys, with null values and the message, and the four authoritative
+        # keys, with null values and the message, and the authoritative
         # checks alone set the exit
         def overflow(spec):
             raise OverflowError("late-time exponent beyond the float range")
@@ -848,6 +839,59 @@ class TestMain:
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["numerical failure: result beyond the float range "
                          "[alpha=1e+155, beta=1.0, t=1.0]"]
+
+    @pytest.mark.parametrize("alpha", ["1", "0"])
+    def test_variance_has_no_series_ceiling(self, alpha, capsys):
+        # summing the series to a 1e-13 tail within 8192 terms stopped at
+        # t = 3.04 (alpha 1) and 3.20 (alpha 0) with NonConvergent
+        assert main(["--mode", "variance", "--alpha", alpha, "--tmax", "3.3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [[float(x) for x in line.split(",")] for line in captured.out.splitlines()[1:]]
+        assert len(rows) == 41 and all(math.isfinite(x) for row in rows for x in row)
+        assert rows[-1][0] == 3.3 and rows[-1][2] > rows[-1][1] > 0
+
+    @pytest.mark.parametrize("flags", [
+        # sigma2 ~ e^{4 beta t} / 8 leaves the float range near beta t = 178, and
+        # K ~ e^{2 beta t} / 4 does not; beta t = 180 at t = 2
+        ["--alpha", "0", "--beta", "90"],
+        ["--alpha", "1", "--beta", "90"],
+        # sinh^2(beta t) is inf and |v|^2 = 0: 0 * inf would be nan
+        ["--alpha", "0", "--beta", "200"],
+        ["--alpha", "1e-300", "--beta", "150"],
+    ], ids=["0 90", "1 90", "0 200", "1e-300 150"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_variance_beyond_the_float_range_prints_one_line(self, flags, fmt, capsys):
+        argv = ["--mode", "variance", *flags, "--tmax", "2", "--steps", "2", "--format", fmt]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"numerical failure: result beyond the float range "
+                                f"[alpha={float(flags[1])}, beta={float(flags[3])}, t=2.0]\n")
+        if flags[3] == "90":  # K itself is still in range there
+            assert main(["--mode", "complexity", *flags, "--tmin", "2", "--tmax", "2",
+                         "--steps", "1"]) == 0
+            assert "inf" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--alpha", "0.394", "--beta", "1.188", "--tmax", "0.915", "--steps", "101"],
+        ["--alpha", "1.4", "--beta", "0.3", "--tmin=-1.7", "--tmax", "1.7", "--steps", "101"],
+        ["--alpha", "0", "--beta", "1.3", "--tmax", "1.5"],
+        ["--alpha", "1.2", "--beta", "0", "--tmax", "2"],
+        ["--alpha", "0.9", "--beta", "1e-200", "--tmax", "2.5", "--steps", "7"],
+    ])
+    def test_variance_prints_the_complexity_modes_k(self, flags, capsys):
+        # one K for two modes: the variance sweep's K column is the bytes of
+        # the complexity sweep's, in CSV and JSON
+        def column(mode, fmt):
+            assert main(["--mode", mode, "--format", fmt, *flags]) == 0
+            out = capsys.readouterr().out
+            if fmt == "csv":
+                return [line.split(",")[1] for line in out.splitlines()]
+            return [json.dumps(row["values"]["K"]) for row in json.loads(out)["rows"]]
+
+        for fmt in ("csv", "json"):
+            assert column("variance", fmt) == column("complexity", fmt)
 
     @pytest.mark.parametrize("beta", ["1e-200", "1e-160", "5e-324"])
     @pytest.mark.parametrize("mode", ["complexity", "variance", "distribution", "autocorrelator"])
@@ -880,7 +924,7 @@ class TestMain:
         assert tiny_estimate["dims"] == zero_estimate["dims"]
         assert tiny_estimate["per_t"] == pytest.approx(zero_estimate["per_t"], rel=1e-12, abs=1e-12)
         for check in ("oracle_vs_closed_form", "normalization", "complexity_closed_vs_direct",
-                      "limit_recovery"):
+                      "variance_closed_vs_direct", "limit_recovery"):
             assert tiny[check] == pytest.approx(zero[check], rel=1e-12, abs=1e-12)
         assert "Traceback" not in capsys.readouterr().err
 
@@ -901,7 +945,8 @@ class TestMain:
         assert abs(exponent["measured_over_t_4_to_6"] - 0.403419112479455) <= 1e-12
         assert err.splitlines() == [
             f"{name}: PASS" for name in ("oracle_vs_closed_form", "normalization",
-                                         "complexity_closed_vs_direct", "limit_recovery")
+                                         "complexity_closed_vs_direct",
+                                         "variance_closed_vs_direct", "limit_recovery")
         ]
 
     @pytest.mark.parametrize("beta", ["61", "100", "177"])
@@ -917,7 +962,8 @@ class TestMain:
                                                                    rel=1e-12, abs=0)
         assert err.splitlines() == [
             f"{name}: PASS" for name in ("oracle_vs_closed_form", "normalization",
-                                         "complexity_closed_vs_direct", "limit_recovery")
+                                         "complexity_closed_vs_direct",
+                                         "variance_closed_vs_direct", "limit_recovery")
         ]
 
     def test_figure_flag(self, tmp_path):

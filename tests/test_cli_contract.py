@@ -40,7 +40,7 @@ FLOATS = st.one_of(
 SWEEP_KEYS = {"complexity": ["K"], "variance": ["K", "sigma2"], "autocorrelator":
               ["autocorrelator", "alt_form"], "lanczos": ["K_chain"]}
 REPORT_KEYS = ["config", "oracle_vs_closed_form", "normalization", "complexity_closed_vs_direct",
-               "limit_recovery", "documented_discrepancies", "pass"]
+               "variance_closed_vs_direct", "limit_recovery", "documented_discrepancies", "pass"]
 
 
 def mostly(valid, other):
@@ -134,7 +134,7 @@ def test_every_input_ends_in_a_documented_exit(tmp_path_factory, invocation, to_
     if mode == "verify":
         report = json.loads(text)
         assert list(report) == REPORT_KEYS and report["pass"] is (code == 0)
-        assert [line.split(": ")[0] for line in lines] == REPORT_KEYS[1:5]
+        assert [line.split(": ")[0] for line in lines] == REPORT_KEYS[1:6]
         return
     assert code == 0 and err == ""
     _check_sweep_output(mode, fmt, text)

@@ -25,6 +25,7 @@ from krylovgrowth.coherent import (
     scrambling_time,
     sl2r_profile,
     variance_alt_closed_form,
+    variance_t,
     _recurrence,
 )
 from krylovgrowth.errors import NonConvergent, _grow
@@ -384,7 +385,7 @@ class TestMoments:
 
 
 def variance(p):
-    """sigma^2 = K_(2) - K_(1)^2 by direct summation, as the CLI computes it."""
+    """sigma^2 = K_(2) - K_(1)^2 by direct summation."""
     return moment_n(p, 2) - moment_n(p, 1) ** 2
 
 
@@ -407,6 +408,17 @@ class TestVariance:
         poisson = DisplacementParams(v=2j, w=0.0)
         assert variance_alt_closed_form(poisson) == pytest.approx(2.0, abs=1e-12)
         assert variance(poisson) == pytest.approx(4.0, abs=1e-9)
+
+    @pytest.mark.parametrize("t", [-1.3, 0.4, 2.0])
+    def test_closed_form_at_the_pure_limits(self, t):
+        # Poisson at beta = 0: sigma2 is K, to the bit; the squeezed vacuum
+        # at alpha = 0: 2 sinh^2 cosh^2 = sinh^2(2 beta t) / 2
+        for alpha in (0.7, 1.5):
+            spec = LiouvillianSpec(alpha, 0.0)
+            assert variance_t(spec, t) == schrodinger_complexity_t(spec, t) == alpha ** 2 * t ** 2
+        for beta in (0.3, 1.1):
+            assert variance_t(LiouvillianSpec(0.0, beta), t) == pytest.approx(
+                0.5 * math.sinh(2 * beta * t) ** 2, rel=1e-15)
 
 
 class TestProfiles:
