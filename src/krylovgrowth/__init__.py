@@ -22,15 +22,16 @@ from .algebra import (
     build_liouvillian,
     chain_states,
     oracle_states,
-    sized_oracle_states,
 )
 from .coherent import (
     AmplitudeSeries,
     DisplacementParams,
+    OracleComparison,
     amplitude_deviation,
     autocorrelator_alt_closed_form,
     autocorrelator_t,
     closed_form_params,
+    compare_oracle,
     complexity_closed,
     hermite_closed_form,
     late_time_growth_exponent,
@@ -52,7 +53,6 @@ from .errors import (
     EdgeLeak,
     KrylovGrowthError,
     NonConvergent,
-    TruncationOverflow,
 )
 from .fock import (
     FockVector,

@@ -3,14 +3,14 @@
 :func:`build_liouvillian` writes L = alpha (a^dag + a) + (beta/2)
 ((a^dag)^2 + a^2), from the parameters of a :class:`LiouvillianSpec`, as
 the one banded :class:`~krylovgrowth.fock.OperatorMatrix` of the library.
-The dense oracle (:func:`oracle_states`, :func:`sized_oracle_states`) and
-the Lanczos chain (:func:`chain_states`) evolve the vacuum by it, each at
-the first size of its ladder (``ORACLE_DIMS``, ``CHAIN_SIZES``) where its
-own error estimate is within its bar: ``ORACLE_TOLERANCE`` for the Duhamel
-estimate, ``EDGE_LEAK_TOL`` for the probability on the chain's last site.
-The exponential's own checks are those of ``OperatorMatrix._exp``. The
-dense realization of the Schrodinger symmetry algebra that L belongs to
-lives in :mod:`~krylovgrowth.bch`.
+The dense oracle (:func:`oracle_states`) evolves the vacuum by it at the
+truncation it is given, with a Duhamel estimate of each state's error that
+:func:`~krylovgrowth.coherent.compare_oracle` holds to ``ORACLE_TOLERANCE``;
+the Lanczos chain (:func:`chain_states`) evolves it at the first size of
+``CHAIN_SIZES`` whose probability on the last site is within
+``EDGE_LEAK_TOL``. The exponential's own checks are those of
+``OperatorMatrix._exp``. The dense realization of the Schrodinger
+symmetry algebra that L belongs to lives in :mod:`~krylovgrowth.bch`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EdgeLeak, TruncationOverflow, _grow
+from .errors import EdgeLeak, _grow
 from .fock import FockVector, OperatorMatrix, TruncationConfig, evolve_grid
 from .lanczos import KrylovChain, lanczos_tridiagonalize, propagate_chain
 
@@ -29,7 +29,6 @@ __all__ = [
     "LiouvillianSpec",
     "build_liouvillian",
     "oracle_states",
-    "sized_oracle_states",
     "chain_states",
 ]
 
@@ -43,7 +42,6 @@ EDGE_LEAK_TOL = 1e-8
 _NODES_PER_UNIT_T = 320
 _MAX_NODES = 1 << 16
 CHAIN_SIZES = (128, 256, 512, 1024)  # the chain lengths chain_states tries, in order
-ORACLE_DIMS = (256, 512, 1408)  # the truncations sized_oracle_states tries, in order
 
 
 @dataclass(frozen=True)
@@ -174,27 +172,6 @@ def _defect_integral(spec: LiouvillianSpec, L: OperatorMatrix, times: np.ndarray
         out = np.where(times <= last_s, np.interp(times, knots, at_knots),
                        total + rate * (times - last_s))
     return np.fmin(out, 2.0)  # a NaN integral, from an overflowed defect, reads 2
-
-
-def sized_oracle_states(spec: LiouvillianSpec, t_grid: Sequence[float]) -> np.ndarray:
-    """The read-only ``oracle_states`` rows over ``t_grid`` at the first dim of
-    ``ORACLE_DIMS`` where every time's truncation estimate is within
-    ``ORACLE_TOLERANCE``: one eigendecomposition per dim, and every row from
-    that one dim. At 1408 the first time over the bar raises
-    :class:`TruncationOverflow` with its ``estimate``, ``dim`` and ``t``. At
-    (1, 1), t = 2 the estimate reads 2.2e-7 at dim 1152 (a true 2-norm error
-    of 4.0e-8) and 3.4e-9 at 1408."""
-    def attempt(dim):
-        states, estimates = oracle_states(spec, t_grid, dim)
-        over = np.flatnonzero(~(estimates <= ORACLE_TOLERANCE))
-        if over.size:
-            estimate, t = estimates[over[0]].item(), float(t_grid[over[0]])
-            raise TruncationOverflow(
-                f"truncation estimate {estimate:.3e} exceeds {ORACLE_TOLERANCE:.1e} at t={t}",
-                estimate=estimate, dim=dim, t=t)
-        return states
-
-    return _grow(ORACLE_DIMS, attempt, TruncationOverflow)
 
 
 def chain_states(spec: LiouvillianSpec, t_grid: Sequence[float]) -> tuple[KrylovChain, np.ndarray]:

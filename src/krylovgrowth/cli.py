@@ -24,17 +24,17 @@ import sys
 from dataclasses import dataclass, fields
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .algebra import ORACLE_TOLERANCE, LiouvillianSpec, chain_states, oracle_states
+from .algebra import ORACLE_TOLERANCE, LiouvillianSpec, chain_states
 from .coherent import (
     DisplacementParams,
-    amplitude_deviation,
     autocorrelator_alt_closed_form,
     autocorrelator_t,
     closed_form_params,
+    compare_oracle,
     complexity_closed,
     late_time_growth_exponent,
     mehler_normalization_check,
@@ -119,61 +119,18 @@ def _attach(err: Exception, cfg: SweepConfig, t: Optional[float]) -> KrylovGrowt
 # A sweep row is {"t", "values", "method"}, and for ``distribution`` the
 # amplitudes as [re, im] pairs, last: p0..p_{k_max} and phi_0..phi_{k_max} of
 # that time's own series, which the writers pad with zeros to the widest row.
-def _complexity_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
-    spec = cfg.spec()
-    return [{"t": t, "values": {"K": schrodinger_complexity_t(spec, t)}, "method": "closed_form"}
-            for t in ts]
+def _variance_values(spec: LiouvillianSpec, t: float) -> dict:
+    sigma2 = variance_t(spec, t)  # sigma2 >= K: the one to leave the float range first
+    return {"K": schrodinger_complexity_t(spec, t), "sigma2": sigma2}
 
 
-def _variance_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
-    spec = cfg.spec()
-    rows = []
-    for t in ts:
-        # sigma2 >= K: sigma2 is the one to leave the float range first
-        sigma2 = variance_t(spec, t)
-        rows.append({"t": t, "values": {"K": schrodinger_complexity_t(spec, t), "sigma2": sigma2},
-                     "method": "closed_form"})
-    return rows
-
-
-def _distribution_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
-    spec = cfg.spec()
-    keys: List[str] = []
-    rows = []
-    for t in ts:
-        series = phi_series(closed_form_params(spec, t), tol=cfg.tol)
-        if len(keys) <= series.k_max:
-            keys = [f"p{k}" for k in range(series.k_max + 1)]
-        rows.append({"t": t, "values": dict(zip(keys, series.probabilities().tolist())),
-                     "method": "closed_form",
-                     "amplitudes": series.phi.view(float).reshape(-1, 2).tolist()})
-    return rows
-
-
-def _autocorrelator_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
-    spec = cfg.spec()
-    return [
-        {"t": t, "values": {
-            "autocorrelator": autocorrelator_t(spec, t),
-            "alt_form": autocorrelator_alt_closed_form(spec, t),
-        }, "method": "closed_form"}
-        for t in ts
-    ]
-
-
-def _lanczos_rows(cfg: SweepConfig, ts: Iterable[float]) -> List[dict]:
-    ts = cfg.t_grid().tolist()  # undrawn: only an edge leak or a phase overflow names a t
-    Ks = chain_complexity(chain_states(cfg.spec(), ts)[1]).tolist()
-    return [{"t": t, "values": {"K_chain": K}, "method": "lanczos_chain"} for t, K in zip(ts, Ks)]
-
-
-# Row function of each sweep mode; it draws the grid times in order, or none.
-_ROWS: Dict[str, Callable[[SweepConfig, Iterable[float]], List[dict]]] = {
-    "complexity": _complexity_rows,
-    "variance": _variance_rows,
-    "distribution": _distribution_rows,
-    "autocorrelator": _autocorrelator_rows,
-    "lanczos": _lanczos_rows,
+# The values of a closed-form sweep row at one time; ``distribution`` and
+# ``lanczos`` are run_sweep's own.
+_VALUES: Dict[str, Callable[[LiouvillianSpec, float], dict]] = {
+    "complexity": lambda spec, t: {"K": schrodinger_complexity_t(spec, t)},
+    "variance": _variance_values,
+    "autocorrelator": lambda spec, t: {"autocorrelator": autocorrelator_t(spec, t),
+                                       "alt_form": autocorrelator_alt_closed_form(spec, t)},
 }
 
 
@@ -185,23 +142,34 @@ def run_sweep(cfg: SweepConfig) -> List[dict]:
 
     A numerical failure, a float-range overflow included, raises
     :class:`KrylovGrowthError` carrying alpha, beta and the t it
-    occurred at: the time the error names, else the last grid time the mode
-    had drawn, if any (``lanczos`` draws none: a failure building its chain has no t).
+    occurred at: the time the error names, else the grid time being
+    evaluated (``lanczos`` evaluates the whole grid at once: a failure
+    building its chain has no t).
     """
-    rows_of = _ROWS.get(cfg.mode)
-    if rows_of is None:
+    if cfg.mode == "verify":
         raise ValueError(f"run_sweep does not handle mode {cfg.mode!r}; use verify()")
-    drawn: List[float] = []
-
-    def grid() -> Iterator[float]:
-        for t in cfg.t_grid().tolist():
-            drawn.append(t)
-            yield t
-
+    spec, ts, values_at = cfg.spec(), cfg.t_grid().tolist(), _VALUES.get(cfg.mode)
+    rows: List[dict] = []
+    keys: List[str] = []  # the p_k keys of the widest distribution row so far
+    t = None
     try:
-        return rows_of(cfg, grid())
+        if cfg.mode == "lanczos":
+            Ks = chain_complexity(chain_states(spec, ts)[1]).tolist()
+            return [{"t": s, "values": {"K_chain": K}, "method": "lanczos_chain"}
+                    for s, K in zip(ts, Ks)]
+        for t in ts:
+            if values_at is not None:
+                rows.append({"t": t, "values": values_at(spec, t), "method": "closed_form"})
+                continue
+            series = phi_series(closed_form_params(spec, t), tol=cfg.tol)
+            if len(keys) <= series.k_max:
+                keys = [f"p{k}" for k in range(series.k_max + 1)]
+            rows.append({"t": t, "values": dict(zip(keys, series.probabilities().tolist())),
+                         "method": "closed_form",
+                         "amplitudes": series.phi.view(float).reshape(-1, 2).tolist()})
     except (KrylovGrowthError, OverflowError) as e:
-        raise _attach(e, cfg, getattr(e, "t", drawn[-1] if drawn else None))
+        raise _attach(e, cfg, getattr(e, "t", t))
+    return rows
 
 
 def _fmt(x: float) -> str:
@@ -345,13 +313,12 @@ def verify(cfg: SweepConfig) -> dict:
     points representable at cfg.dim, the closed-form normalization
     residual, the closed-form complexity and variance vs direct summation
     (the variance relative to its value), and the exact limit recovery.
-    Grid times whose truncation estimate exceeds ``ORACLE_TOLERANCE`` are
-    reported as truncation-skipped, not failed: :func:`oracle_states`
-    estimates the 2-norm error of each state at cfg.dim by Duhamel's
-    formula, from its one eigendecomposition (an estimate, measured at
-    2.1 times the true error or more), and the report lists it under
-    ``truncation_estimate`` with ``dims`` = [cfg.dim]. Each skipped time is
-    logged at DEBUG to the ``krylovgrowth`` logger.
+    The first is :func:`~krylovgrowth.coherent.compare_oracle` at cfg.dim,
+    under the report's keys: a grid time whose Duhamel truncation estimate
+    (measured at 2.1 times the true error or more) exceeds
+    ``ORACLE_TOLERANCE`` is reported as truncation-skipped, not failed, and
+    the estimates are listed under ``truncation_estimate`` with ``dims`` =
+    [cfg.dim].
     Documented discrepancies (alternative variance form, alternative
     autocorrelator form, late-time exponent) are reported with their
     deviations and never affect ``pass`` or raise: a value a probe cannot
@@ -360,27 +327,14 @@ def verify(cfg: SweepConfig) -> dict:
     spec = cfg.spec()
     report: dict = {"config": _config_dict(cfg)}
 
-    # oracle vs closed form on the representable grid points
-    ts = cfg.t_grid().tolist()
-    states, estimates = oracle_states(spec, ts, cfg.dim)
-    estimates = estimates.tolist()
-    max_dev = 0.0
-    checked, skipped = [], []
-    for t, psi, estimate in zip(ts, states, estimates):
-        if estimate > ORACLE_TOLERANCE:
-            _log.debug("verify skips t=%r: truncation estimate %.3e above %.1e", t, estimate,
-                       ORACLE_TOLERANCE)
-            skipped.append(t)
-            continue
-        max_dev = max(max_dev, amplitude_deviation(closed_form_params(spec, t), psi))
-        checked.append(t)
+    oracle = compare_oracle(spec, cfg.t_grid(), cfg.dim)
     report["oracle_vs_closed_form"] = {
-        "max_amplitude_deviation": max_dev,
-        "checked_t": checked,
-        "skipped_truncation_limited_t": skipped,
-        "truncation_estimate": {"dims": [cfg.dim], "per_t": estimates},
+        "max_amplitude_deviation": oracle.max_deviation,
+        "checked_t": list(oracle.checked_t),
+        "skipped_truncation_limited_t": list(oracle.skipped_t),
+        "truncation_estimate": {"dims": [oracle.dim], "per_t": oracle.estimates.tolist()},
         "tolerance": ORACLE_TOLERANCE,
-        "pass": bool(checked) and max_dev <= ORACLE_TOLERANCE,
+        "pass": bool(oracle.checked_t) and oracle.max_deviation <= ORACLE_TOLERANCE,
     }
 
     # normalization, complexity and variance residuals over a parameter

@@ -35,12 +35,12 @@ import errno
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import LiouvillianSpec
-from .errors import NonConvergent, _grow
+from .algebra import ORACLE_TOLERANCE, LiouvillianSpec, oracle_states
+from .errors import NonConvergent, _grow, _log
 
 __all__ = [
     "DisplacementParams",
@@ -50,6 +50,8 @@ __all__ = [
     "phi_zero",
     "phi_series",
     "amplitude_deviation",
+    "OracleComparison",
+    "compare_oracle",
     "hermite_closed_form",
     "mehler_normalization_check",
     "complexity_closed",
@@ -334,11 +336,48 @@ def amplitude_deviation(p: DisplacementParams, amplitudes: np.ndarray) -> float:
 
     The series is summed to a 1e-12 tail, and every level held by both is
     compared in complex value, phase and top levels included. This is the
-    oracle comparison of ``verify`` and of the acceptance suite.
+    comparison :func:`compare_oracle` makes at each time it checks.
     """
     series = phi_series(p, tol=1e-12, max_k=16384)
     n = min(series.k_max + 1, len(amplitudes))
     return float(np.max(np.abs(series.phi[:n] - amplitudes[:n])))
+
+
+@dataclass(frozen=True, eq=False)
+class OracleComparison:
+    """What :func:`compare_oracle` found at one truncation ``dim``: the
+    read-only ``oracle_states`` rows and truncation estimates, one per grid
+    time, the times compared and those skipped, and the largest
+    ``amplitude_deviation`` over the compared ones (0.0 if there are none)."""
+
+    dim: int
+    states: np.ndarray = field(repr=False)
+    estimates: np.ndarray = field(repr=False)
+    checked_t: tuple[float, ...]
+    skipped_t: tuple[float, ...]
+    max_deviation: float
+
+
+def compare_oracle(spec: LiouvillianSpec, t_grid: Sequence[float], dim: int) -> OracleComparison:
+    """The dense oracle at truncation ``dim`` against the closed-form series
+    at each time of ``t_grid``, from one eigendecomposition: the library's
+    one oracle comparison. A time whose truncation estimate exceeds
+    ``ORACLE_TOLERANCE`` is skipped and logged at DEBUG; every other is
+    compared by :func:`amplitude_deviation`. ``dim`` never changes: a caller
+    that needs every time checked tries larger dims itself."""
+    ts = np.asarray(t_grid, dtype=float).tolist()
+    states, estimates = oracle_states(spec, ts, dim)
+    estimates.setflags(write=False)
+    max_dev, checked, skipped = 0.0, [], []
+    for t, psi, estimate in zip(ts, states, estimates.tolist()):
+        if estimate > ORACLE_TOLERANCE:
+            _log.debug("oracle comparison skips t=%r at dim %d: truncation estimate %.3e above "
+                       "%.1e", t, dim, estimate, ORACLE_TOLERANCE)
+            skipped.append(t)
+            continue
+        max_dev = max(max_dev, amplitude_deviation(closed_form_params(spec, t), psi))
+        checked.append(t)
+    return OracleComparison(dim, states, estimates, tuple(checked), tuple(skipped), max_dev)
 
 
 def hermite_closed_form(p: DisplacementParams, k_max: int) -> np.ndarray:
@@ -523,11 +562,15 @@ def sl2r_profile(
 def _v_abs2(alpha: float, t: float, bt: float) -> float:
     """|v|^2 = alpha^2 cosh(beta t) (t sinhc(beta t / 2))^2 of the closed-form
     path, with alpha t squared as one number where alpha^2 or t^2 is not a
-    normal float; an infinite beta t raises ``_sinhc``'s ``OverflowError``."""
+    normal float, or where cosh(beta t) (t sinhc)^2 alone is beyond the float
+    range; an infinite beta t raises ``_sinhc``'s ``OverflowError``."""
     sinhc = _sinhc(bt / 2.0)
-    if not (_square_is_normal(alpha) and _square_is_normal(t)):
-        return math.cosh(bt) * (alpha * t * sinhc) ** 2
-    return alpha ** 2 * (math.cosh(bt) * (t * sinhc) ** 2)
+    ch = math.cosh(bt)
+    if _square_is_normal(alpha) and _square_is_normal(t) and _square_is_normal(t * sinhc):
+        rest = ch * (t * sinhc) ** 2
+        if rest < math.inf:
+            return alpha ** 2 * rest
+    return ch * (alpha * t * sinhc) ** 2
 
 
 def schrodinger_complexity_t(spec: LiouvillianSpec, t: float) -> float:
@@ -537,8 +580,9 @@ def schrodinger_complexity_t(spec: LiouvillianSpec, t: float) -> float:
     term; evaluated in the cancellation-free form
     sinh^2(beta t) + alpha^2 cosh(beta t) (t sinhc(beta t / 2))^2, with
     sinhc(x) = sinh(x) / x, which is alpha^2 t^2 at beta = 0 and never
-    squares beta. Where alpha^2 or t^2 is not a normal float, alpha t is
-    squared as one number instead. A K(t) beyond the float range raises
+    squares beta. Where alpha^2 or t^2 is not a normal float, or the rest
+    of the product alone is beyond the float range, alpha t is squared as
+    one number instead. A K(t) beyond the float range raises
     ``OverflowError`` with ``t`` as its ``t``, on either branch.
     """
     alpha, beta = spec.alpha, spec.beta

@@ -8,9 +8,10 @@ re-raising.
 The library's logger, ``logging.getLogger("krylovgrowth")``, lives here too.
 It has no handler of its own and logs at DEBUG only, so nothing reaches
 stderr unless the caller configures logging: each escalation of
-:func:`_grow`, each time ``verify`` skips for truncation, each rerun of
-the Lanczos recurrence after its Gram check, and the numerical failure that
-ends a ``krylov-growth`` run (exit 2), before its one stderr line.
+:func:`_grow`, each time :func:`~krylovgrowth.coherent.compare_oracle`
+skips for truncation, each rerun of the Lanczos recurrence after its Gram
+check, and the numerical failure that ends a ``krylov-growth`` run (exit 2),
+before its one stderr line.
 """
 
 from __future__ import annotations
@@ -37,15 +38,6 @@ class KrylovGrowthError(Exception):
 
 class DimensionMismatch(KrylovGrowthError, ValueError):
     """Operands live in truncated spaces of different sizes."""
-
-
-class TruncationOverflow(KrylovGrowthError, RuntimeError):
-    """The truncation dim is too small for the requested evolution: raised
-    by :func:`~krylovgrowth.algebra.sized_oracle_states` when the dense
-    oracle's Duhamel estimate of its 2-norm truncation error
-    (:func:`~krylovgrowth.algebra.oracle_states`) exceeds
-    ``ORACLE_TOLERANCE`` at the largest dim of ``ORACLE_DIMS``, with that
-    ``estimate``, ``dim`` and ``t`` in its ``context``."""
 
 
 class Breakdown(KrylovGrowthError, RuntimeError):
@@ -80,9 +72,11 @@ class DecompositionFailure(KrylovGrowthError, RuntimeError):
 
 def _grow(sizes, attempt, too_small):
     """``attempt(size)`` at the first of ``sizes`` where it does not raise
-    ``too_small``: the library's one size-escalation loop. At the last size
-    that error propagates unchanged; any other error propagates at once.
-    Each escalation is logged at DEBUG with the error's ``context``."""
+    ``too_small``: the library's one size-escalation loop, of the series and
+    of the chain (the dense oracle is compared at the one dim it is given).
+    At the last size that error propagates unchanged; any other error
+    propagates at once. Each escalation is logged at DEBUG with the error's
+    ``context``."""
     *smaller, last = sizes
     for size, bigger in zip(smaller, sizes[1:]):
         try:

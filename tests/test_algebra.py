@@ -7,17 +7,15 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from krylovgrowth import algebra
+from krylovgrowth import algebra, coherent
 from krylovgrowth.algebra import (
     CHAIN_SIZES,
     EDGE_LEAK_TOL,
-    ORACLE_DIMS,
     ORACLE_TOLERANCE,
     LiouvillianSpec,
     build_liouvillian,
     chain_states,
     oracle_states,
-    sized_oracle_states,
 )
 from krylovgrowth.bch import (
     QuadraticHamiltonian,
@@ -26,7 +24,8 @@ from krylovgrowth.bch import (
     commutator,
     hamiltonian_to_matrix,
 )
-from krylovgrowth.errors import Breakdown, DimensionMismatch, EdgeLeak, TruncationOverflow
+from krylovgrowth.coherent import amplitude_deviation, closed_form_params, compare_oracle
+from krylovgrowth.errors import Breakdown, DimensionMismatch, EdgeLeak
 from krylovgrowth.fock import FockVector, OperatorMatrix, TruncationConfig, evolve_grid
 from krylovgrowth.lanczos import lanczos_tridiagonalize, propagate_chain
 
@@ -445,38 +444,46 @@ class TestChainStates:
         assert chain_sizes == [(128, 288)] and getattr(err.value, "t", None) == t
 
 
-class TestSizedOracleStates:
-    def test_dims_climb_until_every_time_holds(self, eigh_calls):
-        # t = 2 needs 1408 (estimate 5.2e-3 at 512), and the earlier times
-        # are taken from that dim too
-        spec, ts = LiouvillianSpec(1.0, 1.0), [0.5, 1.0, 2.0]
-        rows = sized_oracle_states(spec, ts)
-        assert ORACLE_DIMS == (256, 512, 1408)
-        assert eigh_calls == [(256, 256), (512, 512), (1408, 1408)]
-        assert rows.tobytes() == oracle_states(spec, ts, 1408)[0].tobytes()
-        assert not rows.flags.writeable
+class TestCompareOracle:
+    # at (1, 1) and dim 256 the estimates read 5.4e-15, 7.7e-14, 4.3e-8,
+    # 1.2e-4 and 0.23: the last three times are over the bar
+    SPEC, TS = LiouvillianSpec(1.0, 1.0), [0.5, 1.0, 1.25, 1.5, 2.0]
 
-    def test_a_grid_that_holds_at_the_first_dim_stops_there(self, eigh_calls):
-        spec, ts = LiouvillianSpec(1.0, 1.0), [0.5, 1.0]
-        rows = sized_oracle_states(spec, ts)
+    def test_rows_are_the_oracle_states_rows(self, eigh_calls):
+        result = compare_oracle(self.SPEC, self.TS, 256)
+        # one eigendecomposition, shared by the rows and their estimates
         assert eigh_calls == [(256, 256)]
-        assert rows.tobytes() == oracle_states(spec, ts, 256)[0].tobytes()
+        states, estimates = oracle_states(self.SPEC, self.TS, 256)
+        assert result.dim == 256
+        assert result.states.tobytes() == states.tobytes()
+        assert result.estimates.tobytes() == estimates.tobytes()
+        assert not (result.states.flags.writeable or result.estimates.flags.writeable)
+        assert result.checked_t == (0.5, 1.0) and result.skipped_t == (1.25, 1.5, 2.0)
+        assert result.max_deviation == max(
+            amplitude_deviation(closed_form_params(self.SPEC, t), psi)
+            for t, psi in zip(self.TS[:2], states))
 
-    def test_the_largest_dim_raises_for_its_first_time_over_the_bar(self):
-        with pytest.raises(TruncationOverflow) as err:
-            sized_oracle_states(LiouvillianSpec(1.0, 1.0), [0.5, 3.0, 4.0])
-        context = err.value.context
-        assert context["dim"] == 1408 and context["t"] == 3.0
-        assert context["estimate"] > ORACLE_TOLERANCE
+    def test_a_time_at_exactly_the_bar_is_checked(self, monkeypatch):
+        _, estimates = oracle_states(self.SPEC, self.TS, 256)
+        monkeypatch.setattr(coherent, "ORACLE_TOLERANCE", float(estimates[2]))
+        result = compare_oracle(self.SPEC, self.TS, 256)
+        assert result.checked_t == (0.5, 1.0, 1.25) and result.skipped_t == (1.5, 2.0)
 
-    def test_each_escalation_is_logged(self, caplog):
+    def test_each_skip_is_logged_once(self, caplog):
         caplog.set_level(logging.DEBUG, logger="krylovgrowth")
-        sized_oracle_states(LiouvillianSpec(1.0, 1.0), [0.5, 1.0, 2.0])
-        assert [record.getMessage().split(": ")[0] for record in caplog.records] == [
-            "TruncationOverflow at size 256, trying 512",
-            "TruncationOverflow at size 512, trying 1408",
-        ]
-        assert all(record.levelno == logging.DEBUG for record in caplog.records)
+        compare_oracle(self.SPEC, self.TS, 256)
+        # the series of the checked times log their own escalations
+        skips = [record for record in caplog.records
+                 if record.getMessage().startswith("oracle comparison skips")]
+        assert [record.getMessage().split(": ")[0] for record in skips] == [
+            f"oracle comparison skips t={t!r} at dim 256" for t in (1.25, 1.5, 2.0)]
+        assert all(record.levelno == logging.DEBUG for record in skips)
+
+    def test_nothing_checked_reads_zero(self):
+        # dim 16 holds neither time: nothing is compared, and no dim is tried after it
+        result = compare_oracle(self.SPEC, [1.0, 1.5], 16)
+        assert result.checked_t == () and result.skipped_t == (1.0, 1.5)
+        assert result.max_deviation == 0.0
 
 
 class TestQuadraticHamiltonian:

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from krylovgrowth.algebra import LiouvillianSpec, build_liouvillian
+from krylovgrowth.algebra import ORACLE_TOLERANCE, LiouvillianSpec, build_liouvillian
 from krylovgrowth.coherent import (
     autocorrelator_t,
     closed_form_params,
+    compare_oracle,
     phi_series,
     schrodinger_complexity_t,
 )
@@ -128,6 +129,13 @@ class TestRunSweep:
             (dict(mode="lanczos", alpha=0.0, beta=0.0, t_max=1.0, steps=3), None),
             # a float-range overflow: the grid time it occurred at
             (dict(t_max=800.0, steps=3), 400.0),
+            # failures that carry no t of their own name the grid time being
+            # evaluated: a series over the cap (t index 34 of 41), an
+            # overflowing factor of phi_0 (index 36 of 41)
+            (dict(mode="distribution", alpha=0.5, t_max=3.5), 2.9749999999999996),
+            (dict(mode="autocorrelator", alpha=0.2, beta=1.4, t_max=4.8), 4.32),
+            # lanczos evaluates the grid at once: an overflowing hopping has no t
+            (dict(mode="lanczos", alpha=1e200), None),
         ],
     )
     def test_numerical_error_names_its_grid_time(self, kwargs, t):
@@ -389,6 +397,20 @@ class TestVerify:
         report = verify(cfg)
         assert calls == [(64, 64)]
         assert list(report["config"].items()) == list(asdict(cfg).items())
+
+    def test_oracle_section_is_compare_oracle(self):
+        # the times past 1.2 are skipped at dim 256
+        cfg = SweepConfig(steps=9, mode="verify")
+        oracle = compare_oracle(cfg.spec(), cfg.t_grid(), cfg.dim)
+        assert oracle.checked_t and oracle.skipped_t
+        assert verify(cfg)["oracle_vs_closed_form"] == {
+            "max_amplitude_deviation": oracle.max_deviation,
+            "checked_t": list(oracle.checked_t),
+            "skipped_truncation_limited_t": list(oracle.skipped_t),
+            "truncation_estimate": {"dims": [oracle.dim], "per_t": oracle.estimates.tolist()},
+            "tolerance": ORACLE_TOLERANCE,
+            "pass": True,
+        }
 
     def test_passes_with_truncation_skips(self):
         cfg = SweepConfig(alpha=1.0, beta=1.0, t_min=0.0, t_max=2.0, steps=5,

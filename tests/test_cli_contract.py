@@ -23,7 +23,7 @@ import pytest
 from krylovgrowth.cli import MODES, main
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 # The magnitudes where the closed forms, the oracle and the chain change
 # regime or leave the float range, from the smallest subnormal to the
@@ -41,6 +41,14 @@ SWEEP_KEYS = {"complexity": ["K"], "variance": ["K", "sigma2"], "autocorrelator"
               ["autocorrelator", "alt_form"], "lanczos": ["K_chain"]}
 REPORT_KEYS = ["config", "oracle_vs_closed_form", "normalization", "complexity_closed_vs_direct",
                "variance_closed_vs_direct", "limit_recovery", "documented_discrepancies", "pass"]
+
+
+# The seed hypothesis derives from this test's source when derandomized,
+# int_from_bytes(function_digest(test)), as the source stood when it was
+# pinned: an edit to the test keeps its 150 examples, and their cost (a
+# few lanczos examples need the 1024-site chain).
+CONTRACT_SEED = int("27408962816239047847017681559624344989927435589777670181613667070037"
+                    "726521502283096632813793581244847470578578308828")
 
 
 def mostly(valid, other):
@@ -95,6 +103,7 @@ def _check_sweep_output(mode, fmt, text):
             assert list(row["values"]) == SWEEP_KEYS[mode]
 
 
+@seed(CONTRACT_SEED)
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(invocations(), st.booleans())
 def test_every_input_ends_in_a_documented_exit(tmp_path_factory, invocation, to_file):

@@ -9,11 +9,11 @@ import struct
 import numpy as np
 import pytest
 
-from krylovgrowth.algebra import ORACLE_TOLERANCE, LiouvillianSpec, chain_states, oracle_states
+from krylovgrowth.algebra import ORACLE_TOLERANCE, LiouvillianSpec, chain_states
 from krylovgrowth.coherent import (
-    amplitude_deviation,
     autocorrelator_t,
     closed_form_params,
+    compare_oracle,
     complexity_closed,
     mehler_normalization_check,
     moment_identity_value,
@@ -69,9 +69,9 @@ def test_series_is_the_dense_oracle_in_complex_value(point):
     # the oracle comparison of verify (every level, in complex value) at
     # every draw whose dim-256 truncation estimate is within the oracle's bar
     spec, t = point
-    (psi,), (estimate,) = oracle_states(spec, [t], 256)
-    assume(estimate <= ORACLE_TOLERANCE)
-    assert amplitude_deviation(closed_form_params(spec, t), psi) <= ORACLE_TOLERANCE
+    oracle = compare_oracle(spec, [t], 256)
+    assume(oracle.checked_t)
+    assert oracle.max_deviation <= ORACLE_TOLERANCE
 
 
 @SWEEP

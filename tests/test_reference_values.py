@@ -145,3 +145,21 @@ def test_variance_t_far_past_the_sweep_region():
         _, sigma2, _ = reference(alpha, beta, t)
         got = variance_t(LiouvillianSpec(alpha, beta), t)
         assert _rel(got, sigma2) <= (2 * abs(beta * t) + 8) * EPS, (alpha, beta, t)
+
+
+# |v|^2 where cosh(beta t) (t sinhc(beta t / 2))^2 alone is beyond the float
+# range, while alpha^2 times it is not: alpha t is squared as one number
+# (these inputs once exited 2). The bound is that of
+# test_variance_t_far_past_the_sweep_region; measured here, at most
+# 0.91 |beta t| + 2 ulps.
+FAR_V_ABS2 = [(1e-150, 1.7e-148, 1e150), (8.493739058197449e-119, 4.897019246811544e-149, 1e150),
+              (1e-150, 1.9298401557710837e-154, 1e154)]
+
+
+@pytest.mark.parametrize("alpha, beta, t", FAR_V_ABS2)
+def test_complexity_and_variance_where_a_factor_of_v_abs2_overflows(alpha, beta, t, capsys):
+    K, sigma2, _ = reference(alpha, beta, t)
+    bound = (2 * abs(beta * t) + 8) * EPS
+    assert _rel(_row(capsys, "complexity", alpha, beta, t)["K"], K) <= bound
+    values = _row(capsys, "variance", alpha, beta, t)
+    assert _rel(values["K"], K) <= bound and _rel(values["sigma2"], sigma2) <= bound
